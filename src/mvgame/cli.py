@@ -160,23 +160,33 @@ def cmd_iterate(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def _train_one_replication(args):
-    """Worker for one training replication (picklable module-level fn)."""
-    cfg, rep = args
+    """Worker for one training replication (picklable module-level fn).
+
+    With ``freeze_opponent`` the closed-form opponent is built here: an
+    EquilibriumPolicy holds closures and cannot be sent to a worker.
+    """
+    cfg, rep, freeze_opponent = args
     horizon = cfg.train.horizon
     agents = cfg.build_agents(horizon)
+    frozen = None
+    if freeze_opponent:
+        coeffs = eqm.solve_coefficients(agents, cfg.market, horizon)
+        frozen = eqm.equilibrium_policy(1, agents, cfg.market, coeffs)
     phi_star = (rl.equilibrium_actor_params(agents[0], cfg.market),
                 rl.equilibrium_actor_params(agents[1], cfg.market))
     init_rng = np.random.default_rng(np.random.SeedSequence((cfg.train.seed, 77, rep)))
     initial = tuple(p.as_array() * (1.0 + init_rng.uniform(-0.1, 0.1, size=4))
                     for p in phi_star)
     train_cfg = replace(cfg.train, seed=cfg.train.seed + 1000 * (rep + 1))
-    result = rl.train(agents, cfg.market, train_cfg, initial_actors=initial)
-    return rep, result
+    return rl.train(agents, cfg.market, train_cfg, initial_actors=initial,
+                    frozen_opponent=frozen)
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: str, replications: int | None = None,
               freeze_opponent: bool = False, workers: int = 1) -> int:
     """Train over replications; write metrics and learned-vs-true curves."""
+    if replications is not None and replications < 0:
+        raise ConfigError(f"--replications must be >= 0, got {replications!r}")
     os.makedirs(out_dir, exist_ok=True)
     reps = cfg.replications if replications is None else replications
     horizon = cfg.train.horizon
@@ -192,28 +202,12 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, replications: int | None = No
         print("train: no episodes configured; wrote true curves only")
         return EXIT_OK
 
-    if freeze_opponent:
-        frozen = eqm.equilibrium_policy(1, agents, cfg.market, coeffs)
-        results = []
-        for rep in range(reps):
-            sub_cfg = replace(cfg.train, seed=cfg.train.seed + 1000 * (rep + 1))
-            phi_star = (rl.equilibrium_actor_params(agents[0], cfg.market),
-                        rl.equilibrium_actor_params(agents[1], cfg.market))
-            init_rng = np.random.default_rng(
-                np.random.SeedSequence((cfg.train.seed, 77, rep)))
-            initial = tuple(p.as_array() * (1.0 + init_rng.uniform(-0.1, 0.1, size=4))
-                            for p in phi_star)
-            results.append((rep, rl.train(agents, cfg.market, sub_cfg,
-                                          initial_actors=initial,
-                                          frozen_opponent=frozen)))
-    elif workers > 1:
+    jobs = [(cfg, rep, freeze_opponent) for rep in range(reps)]
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_train_one_replication,
-                                    [(cfg, rep) for rep in range(reps)]))
+            runs = list(pool.map(_train_one_replication, jobs))
     else:
-        results = [_train_one_replication((cfg, rep)) for rep in range(reps)]
-    results.sort(key=lambda pair: pair[0])
-    runs = [r for _, r in results]
+        runs = [_train_one_replication(job) for job in jobs]
 
     skipped_total = sum(r.skipped_episodes for r in runs)
     episodes_total = sum(r.episodes_run for r in runs)

@@ -71,6 +71,12 @@ class ExperimentConfig:
     replications: int = 10
     train_band: float = 0.10
 
+    def __post_init__(self):
+        if self.replications < 0:
+            raise ConfigError(f"replications must be >= 0, got {self.replications!r}")
+        if not self.train_band > 0.0:
+            raise ConfigError(f"train_band must be positive, got {self.train_band!r}")
+
     def build_agents(self, horizon: float):
         return (self.agent1.build(horizon), self.agent2.build(horizon))
 

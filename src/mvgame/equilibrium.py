@@ -91,25 +91,6 @@ class CoefficientSet:
     def b_deriv(self, t):
         return self._b_spline.derivative()(t)
 
-    # Row indexing works for scalar t (shape (3,)) and array t (shape (3, m)).
-    def a0(self, t):
-        return self._a_spline(t)[0]
-
-    def a1(self, t):
-        return self._a_spline(t)[1]
-
-    def a2(self, t):
-        return self._a_spline(t)[2]
-
-    def b0(self, t):
-        return self._b_spline(t)[0]
-
-    def b1(self, t):
-        return self._b_spline(t)[1]
-
-    def b2(self, t):
-        return self._b_spline(t)[2]
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -188,17 +169,22 @@ def solve_a_coeffs_ode(agent: AgentParams, market: MarketParams, horizon: float,
     return sol[:, 2], sol[:, 1], sol[:, 0]
 
 
-def equilibrium_std(agent: AgentParams, market: MarketParams) -> Callable:
-    """t -> lam(t) ||h'||_2 / (gamma sigma^2), the agent's equilibrium std."""
-    if market.sigma <= 0.0:
-        raise ValueError("equilibrium requires a strictly positive sigma")
-    scale = agent.distortion.l2_norm / (agent.gamma * market.sigma ** 2)
+def _std_fn(agent: AgentParams, vol: float) -> Callable:
+    """t -> lam(t) ||h'||_2 / (gamma vol^2)."""
+    scale = agent.distortion.l2_norm / (agent.gamma * vol ** 2)
 
     def std(t):
         return np.asarray(agent.lam(t), dtype=float) * scale if np.ndim(t) \
             else float(agent.lam(t)) * scale
 
     return std
+
+
+def equilibrium_std(agent: AgentParams, market: MarketParams) -> Callable:
+    """t -> lam(t) ||h'||_2 / (gamma sigma^2), the agent's equilibrium std."""
+    if market.sigma <= 0.0:
+        raise ValueError("equilibrium requires a strictly positive sigma")
+    return _std_fn(agent, market.sigma)
 
 
 def solve_b_coeffs(agent_i: AgentParams, agent_j: AgentParams, market: MarketParams,
@@ -370,19 +356,12 @@ def black_scholes_policy(agents, a: float, b: float, r: float):
     out = []
     for i, j in ((0, 1), (1, 0)):
         m = sharpe_sq * (1.0 / gammas[i] + ks[i] / gammas[j]) / denom
-        agent = agents[i]
-        scale = agent.distortion.l2_norm / (agent.gamma * b ** 2)
-
-        def std_fn(t, _scale=scale, _lam=agent.lam):
-            return np.asarray(_lam(t), dtype=float) * _scale if np.ndim(t) \
-                else float(_lam(t)) * _scale
-
         out.append(EquilibriumPolicy(
             agent_index=i,
             mean_fn=lambda t, y, _m=m: _m * np.ones_like(np.asarray(y, dtype=float))
             if np.ndim(y) else _m,
-            std_fn=std_fn,
-            distortion=agent.distortion,
+            std_fn=_std_fn(agents[i], b),
+            distortion=agents[i].distortion,
         ))
     return tuple(out)
 

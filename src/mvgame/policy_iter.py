@@ -72,7 +72,6 @@ class ResponseHistory:
     iterates: list[IterateState]
     converged: bool
     tol: float
-    theta0_scale: float
     target_a1: np.ndarray = field(repr=False, default=None)
     target_a2: np.ndarray = field(repr=False, default=None)
 
@@ -155,15 +154,15 @@ def factorial_bound_a1(n: int, t_to_go: float, market: MarketParams,
 
 
 def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: float,
-                           theta0_scale: float = 1.0, n_max: int = 50,
-                           tol: float = 1e-6, grid_size: int = DEFAULT_GRID_SIZE,
+                           n_max: int = 50, tol: float = 1e-6,
+                           grid_size: int = DEFAULT_GRID_SIZE,
                            agent_index: int = 0, initial=None) -> ResponseHistory:
     """Iterate the response update until the closed-form targets are matched.
 
-    The initial policy's mean coefficients default to zero grids (its free
-    scale ``theta0_scale`` does not enter the iteration: after one update the
-    scale is pinned to lam(t)||h'||_2/(gamma sigma^2) by the first-order
-    condition).  Non-convergence within ``n_max`` is reported, not fatal.
+    The initial policy's mean coefficients default to zero grids (its scale
+    does not enter the iteration: after one update it is pinned to
+    lam(t)||h'||_2/(gamma sigma^2) by the first-order condition).
+    Non-convergence within ``n_max`` is reported, not fatal.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
@@ -194,7 +193,7 @@ def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: fl
             bound_a2=factorial_bound_a2(n, horizon, market, m_a2)))
         converged = max(err1, err2) < tol
     return ResponseHistory(agent_index=agent_index, times=t, iterates=history,
-                           converged=converged, tol=tol, theta0_scale=theta0_scale,
+                           converged=converged, tol=tol,
                            target_a1=target_a1, target_a2=target_a2)
 
 

@@ -152,12 +152,26 @@ class TrainConfig:
     critic_method: str = "lstd"
 
     def __post_init__(self):
-        if self.kappa <= 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate!r}")
         if self.critic_method not in ("lstd", "td", "residual"):
             raise ValueError(f"unknown critic_method {self.critic_method!r}")
+        # (field, holds, requirement); written so that NaN fails
+        checks = (
+            ("kappa", self.kappa > 0.0, "positive"),
+            ("learning_rate", self.learning_rate > 0.0, "positive"),
+            ("episodes", self.episodes >= 0, ">= 0"),
+            ("n_steps", self.n_steps >= 1, ">= 1"),
+            ("horizon", self.horizon > 0.0, "positive"),
+            ("critic_dim", self.critic_dim >= 1, ">= 1"),
+            ("critic_warmup", self.critic_warmup >= 0, ">= 0"),
+            ("max_skip_fraction", 0.0 <= self.max_skip_fraction <= 1.0, "in [0, 1]"),
+            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+            ("eps", self.eps > 0.0, "positive"),
+        )
+        for name, holds, requirement in checks:
+            if not holds:
+                raise ValueError(f"{name} must be {requirement}, got "
+                                 f"{getattr(self, name)!r}")
 
     @property
     def dt(self) -> float:
@@ -245,23 +259,29 @@ def critic_eval(theta: CriticParams, t, xhat, y, horizon: float):
     return v, g
 
 
-def td_errors_from_states(theta: CriticParams, agent: AgentParams, t_grid,
-                          xhat_start, xhat_end, y_grid, dt: float, reg,
-                          horizon: float):
-    """TD residual arrays (C1, C2) for transitions (t_k, xhat_start_k, y_k) ->
-    (t_{k+1}, xhat_end_k, y_{k+1}).
+def _td_residuals(theta: CriticParams, gamma: float, df, dx, dt: float, reg):
+    """TD residuals (C1, C2) and the g increments from one episode's feature
+    increments ``df`` and xhat increments ``dx``.
 
     C1 = dV/dt + gamma*g_k*dg/dt - (gamma/2)*d(g^2)/dt + reg_k, which
     collapses algebraically to dV/dt - (gamma/2)(dg)^2/dt + reg_k;
     C2 = dg/dt.  ``reg`` is lam_i(t_k) * Phi_h of the policy at step k.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    v_start, g_start = critic_eval(theta, t_grid[:-1], xhat_start, y_grid[:-1], horizon)
-    v_end, g_end = critic_eval(theta, t_grid[1:], xhat_end, y_grid[1:], horizon)
-    dv = v_end - v_start
-    dg = g_end - g_start
-    c1 = dv / dt - 0.5 * agent.gamma * dg * dg / dt + reg
+    dv = dx + df @ theta.v.reshape(-1)
+    dg = dx + df @ theta.g.reshape(-1)
+    c1 = dv / dt - 0.5 * gamma * dg * dg / dt + reg
     c2 = dg / dt
+    return c1, c2, dg
+
+
+def td_errors_from_states(theta: CriticParams, agent: AgentParams, t_grid,
+                          xhat_start, xhat_end, y_grid, dt: float, reg,
+                          horizon: float):
+    """TD residual arrays (C1, C2) for transitions (t_k, xhat_start_k, y_k) ->
+    (t_{k+1}, xhat_end_k, y_{k+1})."""
+    f = critic_features(t_grid, y_grid, horizon, theta.d, theta.y_center)
+    dx = np.asarray(xhat_end, dtype=float) - np.asarray(xhat_start, dtype=float)
+    c1, c2, _ = _td_residuals(theta, agent.gamma, np.diff(f, axis=0), dx, dt, reg)
     return c1, c2
 
 
@@ -280,15 +300,10 @@ def critic_loss_and_grad(theta: CriticParams, agent: AgentParams, t_grid,
     V and g are linear in their blocks, so with dF the per-step feature
     increments: dC1/dth_v = dF/dt, dC1/dth_g = -gamma*C2*dF, dC2/dth_g = dF/dt.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    xhat_path = np.asarray(xhat_path, dtype=float)
     f = critic_features(t_grid, y_grid, horizon, theta.d, theta.y_center)
     df = np.diff(f, axis=0)
-    dx = np.diff(xhat_path)
-    dv = dx + df @ theta.v.reshape(-1)
-    dg = dx + df @ theta.g.reshape(-1)
-    c1 = dv / dt - 0.5 * agent.gamma * dg * dg / dt + reg
-    c2 = dg / dt
+    c1, c2, dg = _td_residuals(theta, agent.gamma, df,
+                               np.diff(np.asarray(xhat_path, dtype=float)), dt, reg)
     loss = float(np.sum(c1 * c1) + np.sum(c2 * c2))
     grad_v = (2.0 / dt) * (df.T @ c1)
     grad_g = (-2.0 * agent.gamma / dt) * (df.T @ (c1 * dg)) + (2.0 / dt) * (df.T @ c2)
@@ -322,9 +337,9 @@ def critic_td_step(theta: CriticParams, agent: AgentParams, t_grid, xhat_path,
     """
     if len(np.asarray(xhat_path)) < 2:
         return theta.copy(), 0.0
-    t_grid = np.asarray(t_grid, dtype=float)
     f = critic_features(t_grid, y_grid, horizon, theta.d, theta.y_center)
-    c1, c2 = td_errors(theta, agent, t_grid, xhat_path, y_grid, dt, reg, horizon)
+    c1, c2, _ = _td_residuals(theta, agent.gamma, np.diff(f, axis=0),
+                              np.diff(np.asarray(xhat_path, dtype=float)), dt, reg)
     loss = float(np.sum(c1 * c1) + np.sum(c2 * c2))
     f_start = f[:-1]
     d = theta.d
@@ -432,20 +447,28 @@ class TrainResult:
     episodes_run: int
 
 
-def _actor_means_episode(phi_pair, agents, t_steps, y_steps, horizon,
-                         frozen_opponent):
-    """Nominal means (mu1, mu2) along one episode's step grid."""
+def _nominal_actions(phi_pair, agents, t_steps, y_steps, p_draws, horizon,
+                     frozen_opponent):
+    """Nominal actions (u1, u2) along one episode's step grid, and the
+    opponent mean each agent's quantile is conditioned on."""
     if frozen_opponent is None:
-        return resolve_actor_means(phi_pair, agents, t_steps, y_steps, horizon)
+        mu1, mu2 = resolve_actor_means(phi_pair, agents, t_steps, y_steps, horizon)
+        mu_opp = (mu2, mu1)
+        u = [actor_quantile(phi_pair[i], agents[i], t_steps, y_steps, mu_opp[i],
+                            p_draws[i], horizon) for i in range(2)]
+        return u, mu_opp
     mu2 = np.asarray(frozen_opponent.mean(t_steps, y_steps), dtype=float) \
         * np.ones_like(y_steps)
-    mu1 = agents[0].k * mu2 + actor_base_mean(phi_pair[0], t_steps, y_steps, horizon)
-    return mu1, mu2
+    u = [actor_quantile(phi_pair[0], agents[0], t_steps, y_steps, mu2,
+                        p_draws[0], horizon),
+         np.asarray(frozen_opponent.quantile(t_steps, y_steps, p_draws[1]),
+                    dtype=float)]
+    return u, (mu2, None)
 
 
 def train(agents, market: MarketParams, cfg: TrainConfig,
           initial_actors, initial_critics=None,
-          frozen_opponent=None, perturb_per_step: bool = True) -> TrainResult:
+          frozen_opponent=None) -> TrainResult:
     """Run the two-agent actor-critic loop for cfg.episodes episodes.
 
     Market parameters are used only to drive the simulator; the learners see
@@ -454,6 +477,10 @@ def train(agents, market: MarketParams, cfg: TrainConfig,
     from that policy and only agent 1 learns (the single-agent algorithm with
     the opponent held fixed).  Episodes whose wealth exceeds the guard are
     skipped; more than ``cfg.max_skip_fraction`` of skips aborts.
+
+    Each trained agent's episode is one transition record: the critic
+    feature increments ``df`` and the xhat increments ``dx``.  The critic
+    loss, the LSTD statistics and both actor replays all read it.
     """
     n, horizon, dt = cfg.n_steps, cfg.horizon, cfg.dt
     t_grid = np.linspace(0.0, horizon, n + 1)
@@ -489,23 +516,12 @@ def train(agents, market: MarketParams, cfg: TrainConfig,
         y_path, s_disc = _state_and_price_batch(market, sim, 1, rng)
         y_path, s_disc = y_path[0], s_disc[0]
         p_draws = [_draw_uniforms(rng, n) for _ in range(2)]
-        z_draws = [rng.standard_normal((n, 4)) if perturb_per_step
-                   else np.repeat(rng.standard_normal((1, 4)), n, axis=0)
-                   for _ in range(2)]
+        z_draws = [rng.standard_normal((n, 4)) for _ in range(2)]
         rel = np.diff(s_disc) / s_disc[:-1]
         y_steps = y_path[:-1]
 
-        mu = _actor_means_episode(phi, agents, t_steps, y_steps, horizon,
-                                  frozen_opponent)
-        u = []
-        for i in range(2):
-            if frozen_opponent is not None and i == 1:
-                u.append(np.asarray(
-                    frozen_opponent.quantile(t_steps, y_steps, p_draws[1]),
-                    dtype=float))
-            else:
-                scale = lam[i] * phi[i][0] ** 2 * agents[i].gamma
-                u.append(mu[i] + scale * agents[i].distortion.h_prime(1.0 - p_draws[i]))
+        u, mu_opp = _nominal_actions(phi, agents, t_steps, y_steps, p_draws,
+                                     horizon, frozen_opponent)
         x = [x0[i] + np.concatenate([[0.0], np.cumsum(u[i] * rel)]) for i in range(2)]
         if any(not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > WEALTH_GUARD
                for xi in x):
@@ -522,45 +538,37 @@ def train(agents, market: MarketParams, cfg: TrainConfig,
         new_theta = [theta[i] for i in range(2)]
         for i in trained:
             j = 1 - i
+            gamma = agents[i].gamma
             xhat = x[i] - ks[i] * x[j]
-            reg_nom = lam[i] * (lam[i] * phi[i][0] ** 2 * agents[i].gamma) * l2sq[i]
+            f = critic_features(t_grid, y_path, horizon, theta[i].d, theta[i].y_center)
+            df = np.diff(f, axis=0)
+            dx = np.diff(xhat)
+            reg = lam[i] * actor_scale_coeff(phi[i], agents[i], t_steps) * l2sq[i]
 
             if cfg.critic_method == "lstd":
-                f = critic_features(t_grid, y_path, horizon, theta[i].d,
-                                    theta[i].y_center)
-                lstd[i].add_episode(f[:-1], np.diff(f, axis=0), np.diff(xhat),
-                                    reg_nom)
-                c1_d, c2_d = td_errors(theta[i], agents[i], t_grid, xhat, y_path,
-                                       dt, reg_nom, horizon)
-                losses[i][m] = float(np.sum(c1_d * c1_d) + np.sum(c2_d * c2_d))
-                new_theta[i] = lstd[i].solve(agents[i].gamma, dt, cfg.critic_dim,
+                lstd[i].add_episode(f[:-1], df, dx, reg)
+                c1, c2, _ = _td_residuals(theta[i], gamma, df, dx, dt, reg)
+                losses[i][m] = float(np.sum(c1 * c1) + np.sum(c2 * c2))
+                new_theta[i] = lstd[i].solve(gamma, dt, cfg.critic_dim,
                                              theta[i].y_center)
             else:
                 critic_step = critic_td_step if cfg.critic_method == "td" \
                     else critic_update
-                new_theta[i], loss = critic_step(theta[i], agents[i], t_grid, xhat,
-                                                 y_path, dt, reg_nom, horizon,
-                                                 cfg.learning_rate)
-                losses[i][m] = loss
+                new_theta[i], losses[i][m] = critic_step(
+                    theta[i], agents[i], t_grid, xhat, y_path, dt, reg, horizon,
+                    cfg.learning_rate)
             if m < cfg.critic_warmup:
                 continue
 
             # Perturbed replay: same uniforms and market noise, one-step
             # deviations from the nominal states.
             phi_bar = phi[i][None, :] + cfg.kappa * z_draws[i]
-            mean_bar = (ks[i] * mu[j]
-                        + actor_base_mean(phi_bar, t_steps, y_steps, horizon))
-            scale_bar = lam[i] * phi_bar[:, 0] ** 2 * agents[i].gamma
-            u_bar = mean_bar + scale_bar * agents[i].distortion.h_prime(1.0 - p_draws[i])
-            x_bar_end = x[i][:-1] + u_bar * rel
-            xhat_bar_end = x_bar_end - ks[i] * x[j][1:]
-            reg_bar = lam[i] * scale_bar * l2sq[i]
-
-            c1_nom, _ = td_errors(new_theta[i], agents[i], t_grid, xhat, y_path,
-                                  dt, reg_nom, horizon)
-            c1_bar, _ = td_errors_from_states(new_theta[i], agents[i], t_grid,
-                                              xhat[:-1], xhat_bar_end, y_path,
-                                              dt, reg_bar, horizon)
+            u_bar = actor_quantile(phi_bar, agents[i], t_steps, y_steps, mu_opp[i],
+                                   p_draws[i], horizon)
+            dx_bar = dx + (u_bar - u[i]) * rel
+            reg_bar = lam[i] * actor_scale_coeff(phi_bar, agents[i], t_steps) * l2sq[i]
+            c1_nom, _, _ = _td_residuals(new_theta[i], gamma, df, dx, dt, reg)
+            c1_bar, _, _ = _td_residuals(new_theta[i], gamma, df, dx_bar, dt, reg_bar)
             grad_phi = actor_gradient(c1_nom, c1_bar, z_draws[i], cfg.kappa)
             # The HJB criterion is maximized, so ascend: feed -grad to Adam.
             adam[i], new_phi[i] = adam_step(adam[i], phi[i], -grad_phi,

@@ -1,4 +1,6 @@
 import csv
+import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -62,6 +64,59 @@ class TestConfigValidation:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "missing.ini")
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
+
+
+@pytest.mark.parametrize("name", ["table1.ini", "table2.ini"])
+def test_shipped_configs_parse(name):
+    parse_config(os.path.join(CONFIGS, name))
+
+
+def _set_key(text, section, key, value):
+    """``text`` with ``key`` of ``[section]`` set to ``value``."""
+    head, sep, rest = text.partition(f"[{section}]\n")
+    body, nxt, tail = rest.partition("\n[")
+    body, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", body, flags=re.M)
+    assert n == 1, (section, key)
+    return head + sep + body + nxt + tail
+
+
+class TestTrainInputRejected:
+    """Bad training input exits 2 with a config error, before any training."""
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "episodes", "-1"),
+        ("train", "n_steps", "0"),
+        ("train", "horizon", "0.0"),
+        ("train", "horizon", "nan"),
+        ("train", "critic_dim", "0"),
+        ("train", "critic_warmup", "-1"),
+        ("train", "max_skip_fraction", "2.0"),
+        ("train", "max_skip_fraction", "-0.1"),
+        ("train", "beta1", "1.0"),
+        ("train", "beta1", "-0.5"),
+        ("train", "beta2", "1.0"),
+        ("train", "eps", "0.0"),
+        ("output", "replications", "-1"),
+        ("output", "train_band", "-1.0"),
+        ("output", "train_band", "0.0"),
+        (None, "--replications", "-1"),
+    ])
+    def test_exit_2(self, tmp_path, capsys, section, key, value):
+        cfg = replace(table2_config(), replications=1,
+                      train=replace(table2_config().train, episodes=20))
+        text = serialize_config(cfg)
+        argv = ["train", "--out", str(tmp_path / "o")]
+        if section is None:
+            argv += [key, value]
+        else:
+            text = _set_key(text, section, key, value)
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        assert cli.main(argv + ["--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestCliErrors:
@@ -247,7 +302,9 @@ class TestTrainCommand:
 
 
 class TestParallelReplications:
-    def test_worker_pool_matches_sequential(self, tmp_path):
+    @pytest.mark.parametrize("mode", [[], ["--freeze-opponent"]],
+                             ids=["joint", "freeze"])
+    def test_worker_pool_matches_sequential(self, tmp_path, mode):
         cfg = replace(table2_config(),
                       train=replace(table2_config().train, episodes=40,
                                     critic_warmup=10, n_steps=30),
@@ -255,8 +312,8 @@ class TestParallelReplications:
         path = tmp_path / "cfg.ini"
         path.write_text(serialize_config(cfg))
         seq, par = tmp_path / "seq", tmp_path / "par"
-        assert cli.main(["train", "--config", str(path), "--out", str(seq)]) == 0
+        assert cli.main(["train", "--config", str(path), "--out", str(seq)] + mode) == 0
         assert cli.main(["train", "--config", str(path), "--out", str(par),
-                         "--workers", "2"]) == 0
-        assert (seq / "learned_vs_true.csv").read_bytes() == \
-            (par / "learned_vs_true.csv").read_bytes()
+                         "--workers", "2"] + mode) == 0
+        for name in ("learned_vs_true.csv", "training_metrics.csv"):
+            assert (seq / name).read_bytes() == (par / name).read_bytes(), name

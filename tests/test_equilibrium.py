@@ -37,7 +37,7 @@ class TestACoefficients:
 
     def test_a2_nonnegative(self, agents_long, bench_market, coeffs_long):
         t = np.linspace(0.0, 20.0, 500)
-        assert np.all(coeffs_long[0].a2(t) >= -1e-12)
+        assert np.all(coeffs_long[0].a_at(t)[2] >= -1e-12)
 
     def test_bad_grid_size(self, agents_long, bench_market):
         with pytest.raises(ValueError):
