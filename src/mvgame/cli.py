@@ -7,8 +7,8 @@ Subcommands: ``equilibrium`` (coefficient grids and density-curve sweeps),
 is deterministic given (config, seed) and writes CSV only; plots are left to
 whatever consumes the CSVs.
 
-Exit codes: 0 success, 2 config error, 3 certificate failure, 4 training
-divergence.
+Exit codes: 0 success, 2 config error, 3 certificate failure, 4 divergence
+(training or simulation).
 """
 
 from __future__ import annotations
@@ -187,6 +187,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, replications: int | None = No
     """Train over replications; write metrics and learned-vs-true curves."""
     if replications is not None and replications < 0:
         raise ConfigError(f"--replications must be >= 0, got {replications!r}")
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers!r}")
     os.makedirs(out_dir, exist_ok=True)
     reps = cfg.replications if replications is None else replications
     horizon = cfg.train.horizon
@@ -211,10 +213,11 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, replications: int | None = No
 
     skipped_total = sum(r.skipped_episodes for r in runs)
     episodes_total = sum(r.episodes_run for r in runs)
-    if skipped_total > 0.01 * episodes_total:
+    max_skip = cfg.train.max_skip_fraction
+    if skipped_total > max_skip * episodes_total:
         print(f"train: {skipped_total}/{episodes_total} episodes skipped",
               file=sys.stderr)
-        raise rl.TrainingDivergedError("more than 1% of episodes diverged")
+        raise rl.TrainingDivergedError(f"more than {max_skip:.0%} of episodes diverged")
 
     # Average actor histories across replications, then evaluate the final
     # averaged parameters.
@@ -340,6 +343,9 @@ def main(argv=None) -> int:
         return EXIT_CERTIFICATE
     except rl.TrainingDivergedError as exc:
         print(f"training divergence: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
+    except mkt.SimulationDivergedError as exc:
+        print(f"simulation divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 
 

@@ -95,7 +95,7 @@ _SCHEMA = {
               "beta1": float, "beta2": float, "eps": float,
               "x1_0": float, "x2_0": float, "y_0": float,
               "critic_dim": int, "max_skip_fraction": float,
-              "critic_warmup": int, "critic_method": str},
+              "critic_warmup": int},
     "output": {"dir": str, "replications": int, "train_band": float},
 }
 

@@ -188,8 +188,7 @@ def equilibrium_std(agent: AgentParams, market: MarketParams) -> Callable:
 
 
 def solve_b_coeffs(agent_i: AgentParams, agent_j: AgentParams, market: MarketParams,
-                   horizon: float, grid_size: int = DEFAULT_GRID_SIZE,
-                   sigma_j_star: Callable | None = None):
+                   horizon: float, grid_size: int = DEFAULT_GRID_SIZE):
     """(b0, b1, b2) grids by RK4 back-integration of the value-coefficient system.
 
     Substituting the quadratic ansatz into the extended HJB equation at the
@@ -201,12 +200,11 @@ def solve_b_coeffs(agent_i: AgentParams, agent_j: AgentParams, market: MarketPar
               + (gamma/2)*sigma^2*k^2*sigma_j(t)^2 - lam(t)^2||h'||_2^2/(2*gamma*sigma^2)
 
     with zero terminal values; a1, a2 are the agent's own closed forms and
-    sigma_j is the opponent's equilibrium std (overridable).
+    sigma_j is the opponent's equilibrium std.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size!r}")
-    if sigma_j_star is None:
-        sigma_j_star = equilibrium_std(agent_j, market)
+    sigma_j = equilibrium_std(agent_j, market)
     t = np.linspace(0.0, horizon, grid_size)
     th = half_grid(t)
     a1_h, a2_h = a_coeffs_closed_form(agent_i, market, horizon, th)
@@ -218,7 +216,7 @@ def solve_b_coeffs(agent_i: AgentParams, agent_j: AgentParams, market: MarketPar
     ortho = v2 * (1.0 - market.rho ** 2)
     iy = market.iota * market.y_bar
     lam_h = np.asarray(agent_i.lam(th), dtype=float) * np.ones_like(th)
-    sig_j_h = np.asarray(sigma_j_star(th), dtype=float) * np.ones_like(th)
+    sig_j_h = np.asarray(sigma_j(th), dtype=float) * np.ones_like(th)
     l2 = agent_i.distortion.l2_norm
 
     n_h = len(th)

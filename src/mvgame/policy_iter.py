@@ -156,10 +156,10 @@ def factorial_bound_a1(n: int, t_to_go: float, market: MarketParams,
 def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: float,
                            n_max: int = 50, tol: float = 1e-6,
                            grid_size: int = DEFAULT_GRID_SIZE,
-                           agent_index: int = 0, initial=None) -> ResponseHistory:
+                           agent_index: int = 0) -> ResponseHistory:
     """Iterate the response update until the closed-form targets are matched.
 
-    The initial policy's mean coefficients default to zero grids (its scale
+    The initial policy's mean coefficients are zero grids (its scale
     does not enter the iteration: after one update it is pinned to
     lam(t)||h'||_2/(gamma sigma^2) by the first-order condition).
     Non-convergence within ``n_max`` is reported, not fatal.
@@ -168,12 +168,8 @@ def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: fl
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     t = np.linspace(0.0, horizon, grid_size)
     target_a1, target_a2 = a_coeffs_closed_form(agent, market, horizon, t)
-    if initial is None:
-        a1 = np.zeros(grid_size)
-        a2 = np.zeros(grid_size)
-    else:
-        a1 = np.asarray(initial[0], dtype=float).copy()
-        a2 = np.asarray(initial[1], dtype=float).copy()
+    a1 = np.zeros(grid_size)
+    a2 = np.zeros(grid_size)
 
     m_a1 = float(np.max(np.abs(target_a1 - a1)))
     m_a2 = float(np.max(np.abs(target_a2 - a2)))

@@ -14,8 +14,9 @@ parameter blocks with a polynomial time-to-go basis (the Critic):
     V(t, xhat, y) = xhat + p(th_V2, T-t) y^2 + p(th_V1, T-t) y + p(th_V0, T-t)
 
 with p(th, tau) = th_0 tau + th_1 tau^2 + ... so terminal conditions hold by
-construction.  The critic minimizes summed squared TD residuals of the
-extended HJB pair along an episode; the actor ascends a smoothed-functional
+construction.  The critic is least-squares TD: each episode it re-solves the
+orthogonality conditions E[C1 f] = E[C2 f] = 0 of the extended HJB pair's TD
+residuals over all episodes so far; the actor ascends a smoothed-functional
 (Gaussian-perturbation) estimate of the HJB criterion, with nominal and
 perturbed actions generated from the same uniform draws and market noise.
 Parameter updates use Adam.
@@ -48,8 +49,6 @@ __all__ = [
     "td_errors",
     "td_errors_from_states",
     "critic_loss_and_grad",
-    "critic_update",
-    "critic_td_step",
     "sf_gradient",
     "actor_gradient",
     "adam_step",
@@ -103,9 +102,6 @@ class CriticParams:
     def d(self) -> int:
         return self.v.shape[1]
 
-    def copy(self) -> "CriticParams":
-        return CriticParams(v=self.v.copy(), g=self.g.copy(), y_center=self.y_center)
-
 
 @dataclass
 class AdamState:
@@ -139,21 +135,8 @@ class TrainConfig:
     # the criterion live entirely in the critic), so the critics are fitted
     # to the initial actors before the actors start moving.
     critic_warmup: int = 0
-    # All three critics target the TD residuals (c1, c2); they differ in the
-    # estimator.  "lstd" (default): growing-pool least-squares TD, re-solving
-    # the orthogonality conditions E[C^1 f] = E[C^2 f] = 0 each episode from
-    # running accumulators -- deterministic and statistically efficient.
-    # "td": per-episode semi-gradient TD(0) steps toward the same fixed
-    # point.  "residual": literal descent on sum(C1^2) + sum(C2^2); kept for
-    # comparison, but minimizing squared one-sample residuals also minimizes
-    # the conditional variance of the increments, so its fixed point hedges
-    # the market noise (g_y pulled toward -rho*sigma*mu/v) instead of solving
-    # the HJB pair.
-    critic_method: str = "lstd"
 
     def __post_init__(self):
-        if self.critic_method not in ("lstd", "td", "residual"):
-            raise ValueError(f"unknown critic_method {self.critic_method!r}")
         # (field, holds, requirement); written so that NaN fails
         checks = (
             ("kappa", self.kappa > 0.0, "positive"),
@@ -310,46 +293,6 @@ def critic_loss_and_grad(theta: CriticParams, agent: AgentParams, t_grid,
     return loss, grad_v, grad_g
 
 
-def critic_update(theta: CriticParams, agent: AgentParams, t_grid, xhat_path,
-                  y_grid, dt: float, reg, horizon: float,
-                  alpha: float) -> tuple[CriticParams, float]:
-    """One plain gradient-descent step on the episode's TD loss."""
-    if len(np.asarray(xhat_path)) < 2:
-        return theta.copy(), 0.0
-    loss, grad_v, grad_g = critic_loss_and_grad(theta, agent, t_grid, xhat_path,
-                                                y_grid, dt, reg, horizon)
-    d = theta.d
-    return CriticParams(v=theta.v - alpha * grad_v.reshape(3, d),
-                        g=theta.g - alpha * grad_g.reshape(3, d),
-                        y_center=theta.y_center), loss
-
-
-def critic_td_step(theta: CriticParams, agent: AgentParams, t_grid, xhat_path,
-                   y_grid, dt: float, reg, horizon: float,
-                   alpha: float) -> tuple[CriticParams, float]:
-    """Semi-gradient TD(0) step: theta += alpha * sum_k C_k * f(s_k).
-
-    The update's fixed point is the orthogonality pair E[C1 f] = E[C2 f] = 0,
-    i.e. the TD residuals are conditionally centered given the visited state.
-    Unlike descent on sum(C^2), the bootstrapped target is not differentiated,
-    so the fixed point solves the HJB pair instead of hedging the increments'
-    conditional variance.  Returns the same diagnostic loss as critic_update.
-    """
-    if len(np.asarray(xhat_path)) < 2:
-        return theta.copy(), 0.0
-    f = critic_features(t_grid, y_grid, horizon, theta.d, theta.y_center)
-    c1, c2, _ = _td_residuals(theta, agent.gamma, np.diff(f, axis=0),
-                              np.diff(np.asarray(xhat_path, dtype=float)), dt, reg)
-    loss = float(np.sum(c1 * c1) + np.sum(c2 * c2))
-    f_start = f[:-1]
-    d = theta.d
-    upd_v = f_start.T @ c1
-    upd_g = f_start.T @ c2
-    return CriticParams(v=theta.v + alpha * upd_v.reshape(3, d),
-                        g=theta.g + alpha * upd_g.reshape(3, d),
-                        y_center=theta.y_center), loss
-
-
 def sf_gradient(loss_fn, phi: np.ndarray, z: np.ndarray, kappa: float) -> np.ndarray:
     """Smoothed-functional estimate (z/kappa) * (L(phi + kappa z) - L(phi)).
 
@@ -467,8 +410,7 @@ def _nominal_actions(phi_pair, agents, t_steps, y_steps, p_draws, horizon,
 
 
 def train(agents, market: MarketParams, cfg: TrainConfig,
-          initial_actors, initial_critics=None,
-          frozen_opponent=None) -> TrainResult:
+          initial_actors, frozen_opponent=None) -> TrainResult:
     """Run the two-agent actor-critic loop for cfg.episodes episodes.
 
     Market parameters are used only to drive the simulator; the learners see
@@ -489,10 +431,7 @@ def train(agents, market: MarketParams, cfg: TrainConfig,
 
     phi = [np.asarray(p.as_array() if isinstance(p, ActorParams) else p, dtype=float).copy()
            for p in initial_actors]
-    if initial_critics is None:
-        theta = [CriticParams.zeros(cfg.critic_dim, y_center=cfg.y_0) for _ in range(2)]
-    else:
-        theta = [c.copy() for c in initial_critics]
+    theta = [CriticParams.zeros(cfg.critic_dim, y_center=cfg.y_0) for _ in range(2)]
     adam = [AdamState.zeros(4) for _ in range(2)]
 
     phi_hist = [np.empty((cfg.episodes + 1, 4)) for _ in range(2)]
@@ -508,8 +447,7 @@ def train(agents, market: MarketParams, cfg: TrainConfig,
     x0 = (cfg.x1_0, cfg.x2_0)
     max_skips = int(np.ceil(cfg.max_skip_fraction * cfg.episodes))
     skipped = 0
-    lstd = [LstdAccumulator(3 * cfg.critic_dim) for _ in range(2)] \
-        if cfg.critic_method == "lstd" else None
+    lstd = [LstdAccumulator(3 * cfg.critic_dim) for _ in range(2)]
 
     for m in range(cfg.episodes):
         rng = episode_generator(cfg.seed, m)
@@ -545,18 +483,10 @@ def train(agents, market: MarketParams, cfg: TrainConfig,
             dx = np.diff(xhat)
             reg = lam[i] * actor_scale_coeff(phi[i], agents[i], t_steps) * l2sq[i]
 
-            if cfg.critic_method == "lstd":
-                lstd[i].add_episode(f[:-1], df, dx, reg)
-                c1, c2, _ = _td_residuals(theta[i], gamma, df, dx, dt, reg)
-                losses[i][m] = float(np.sum(c1 * c1) + np.sum(c2 * c2))
-                new_theta[i] = lstd[i].solve(gamma, dt, cfg.critic_dim,
-                                             theta[i].y_center)
-            else:
-                critic_step = critic_td_step if cfg.critic_method == "td" \
-                    else critic_update
-                new_theta[i], losses[i][m] = critic_step(
-                    theta[i], agents[i], t_grid, xhat, y_path, dt, reg, horizon,
-                    cfg.learning_rate)
+            lstd[i].add_episode(f[:-1], df, dx, reg)
+            c1, c2, _ = _td_residuals(theta[i], gamma, df, dx, dt, reg)
+            losses[i][m] = float(np.sum(c1 * c1) + np.sum(c2 * c2))
+            new_theta[i] = lstd[i].solve(gamma, dt, cfg.critic_dim, theta[i].y_center)
             if m < cfg.critic_warmup:
                 continue
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mvgame import cli
+from mvgame import cli, rl
 from mvgame.config import (ConfigError, parse_config, parse_config_text,
                            serialize_config, table1_config, table2_config)
 
@@ -103,6 +103,8 @@ class TestTrainInputRejected:
         ("output", "train_band", "-1.0"),
         ("output", "train_band", "0.0"),
         (None, "--replications", "-1"),
+        (None, "--workers", "0"),
+        (None, "--workers", "-3"),
     ])
     def test_exit_2(self, tmp_path, capsys, section, key, value):
         cfg = replace(table2_config(), replications=1,
@@ -154,6 +156,42 @@ class TestCliErrors:
         path.write_text(cfg_text)
         assert cli.main(["train", "--config", str(path),
                          "--out", str(tmp_path / "o")]) == 4
+
+    @pytest.mark.parametrize("max_skip,code", [(0.01, 4), (0.05, 0)])
+    def test_aggregate_skip_check_reads_config(self, tmp_path, monkeypatch,
+                                               max_skip, code):
+        cfg = table2_config()
+        cfg = replace(cfg, replications=1,
+                      train=replace(cfg.train, episodes=100,
+                                    max_skip_fraction=max_skip))
+        agents = cfg.build_agents(cfg.train.horizon)
+        phi = [np.tile(rl.equilibrium_actor_params(a, cfg.market).as_array(),
+                       (101, 1)) for a in agents]
+
+        def skips_3_percent(args):
+            return rl.TrainResult(
+                phi_history=(phi[0], phi[1]),
+                theta=(rl.CriticParams.zeros(), rl.CriticParams.zeros()),
+                critic_losses=(np.zeros(100), np.zeros(100)),
+                adam_states=(rl.AdamState.zeros(4), rl.AdamState.zeros(4)),
+                skipped_episodes=3, episodes_run=100)
+
+        monkeypatch.setattr(cli, "_train_one_replication", skips_3_percent)
+        path = tmp_path / "cfg.ini"
+        path.write_text(serialize_config(cfg))
+        assert cli.main(["train", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == code
+
+    def test_simulation_divergence_exit_4(self, tmp_path, capsys):
+        cfg = replace(table2_config(),
+                      market=replace(table2_config().market, v=50.0))
+        path = tmp_path / "cfg.ini"
+        path.write_text(serialize_config(cfg))
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "simulation divergence" in err
+        assert "Traceback" not in err
 
 
 class TestSimulateCommand:

@@ -216,29 +216,12 @@ class TestCriticGradient:
             assert abs(gv[idx] - fd_v) <= 1e-5 * max(1.0, abs(fd_v))
             assert abs(gg[idx] - fd_g) <= 1e-5 * max(1.0, abs(fd_g))
 
-    def test_descent_on_frozen_batch(self, agents_short):
-        tg, xh, yy, dt, reg = self._random_path(21)
-        theta = rl.CriticParams.zeros(2, y_center=0.273)
-        losses = []
-        for _ in range(40):
-            theta, loss = rl.critic_update(theta, agents_short[0], tg, xh, yy,
-                                           dt, reg, 1.0, alpha=1e-5)
-            losses.append(loss)
-        assert all(b < a for a, b in zip(losses, losses[1:]))
-
-    def test_zero_length_episode_is_noop(self, agents_short):
-        theta = rl.CriticParams(v=np.ones((3, 2)), g=np.ones((3, 2)))
-        out, loss = rl.critic_update(theta, agents_short[0], np.array([0.0]),
-                                     np.array([1.0]), np.array([0.3]), 0.1,
-                                     np.array([]), 1.0, alpha=0.1)
-        assert np.array_equal(out.v, theta.v) and np.array_equal(out.g, theta.g)
-        assert loss == 0.0
-
     def test_td_step_fixed_point_is_martingale_condition(self, agents_short,
                                                          bench_market,
                                                          coeffs_short,
                                                          policies_short):
-        """At the closed-form critic the TD(0) step direction is mean-zero."""
+        """At the closed-form critic the TD(0) step direction
+        sum_k C2_k f(s_k) is mean-zero: the orthogonality condition E[C2 f] = 0."""
         theta = ls_fit_critic(coeffs_short[0], 1.0, d=2, y_center=0.273)
         cfg = market.SimConfig(horizon=1.0, n_steps=250, seed=60)
         updates = []
@@ -251,9 +234,9 @@ class TestCriticGradient:
             reg = (np.asarray(agents_short[0].lam(ts)) * np.ones(250)
                    * np.asarray(policies_short[0].std(ts))
                    * agents_short[0].distortion.l2_norm)
-            new_theta, _ = rl.critic_td_step(theta, agents_short[0], tg, xh, y,
-                                             cfg.dt, reg, 1.0, alpha=1.0)
-            updates.append((new_theta.g - theta.g).reshape(-1))
+            _, c2 = rl.td_errors(theta, agents_short[0], tg, xh, y, cfg.dt, reg, 1.0)
+            f = rl.critic_features(tg[:-1], y[:-1], 1.0, theta.d, theta.y_center)
+            updates.append(f.T @ c2)
         upd = np.asarray(updates)
         z = upd.mean(axis=0) / (upd.std(axis=0, ddof=1) / np.sqrt(len(upd)))
         assert np.max(np.abs(z)) < 4.0
@@ -393,6 +376,23 @@ class TestTrain:
         assert np.array_equal(res.phi_history[1][0], res.phi_history[1][-1])
         assert not np.array_equal(res.phi_history[0][0], res.phi_history[0][-1])
 
+    def test_one_feature_evaluation_per_trained_agent_and_episode(
+            self, agents_short, bench_market, monkeypatch):
+        calls = []
+        features = rl.critic_features
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return features(*args, **kwargs)
+
+        monkeypatch.setattr(rl, "critic_features", counting)
+        phis = (rl.equilibrium_actor_params(agents_short[0], bench_market),
+                rl.equilibrium_actor_params(agents_short[1], bench_market))
+        res = rl.train(agents_short, bench_market,
+                       self._cfg(episodes=20, critic_warmup=10), initial_actors=phis)
+        assert res.skipped_episodes == 0
+        assert len(calls) == 2 * 20
+
     def test_divergence_abort(self, agents_short, bench_market):
         bad = (rl.ActorParams(1e13, 0.0, 0.1, 0.0),
                rl.ActorParams(1.0, 0.0, 0.1, 0.0))
@@ -400,18 +400,6 @@ class TestTrain:
             rl.train(agents_short, bench_market,
                      self._cfg(episodes=5, max_skip_fraction=0.0),
                      initial_actors=bad)
-
-    def test_critic_method_residual_runs(self, agents_short, bench_market):
-        phis = (rl.equilibrium_actor_params(agents_short[0], bench_market),
-                rl.equilibrium_actor_params(agents_short[1], bench_market))
-        res = rl.train(agents_short, bench_market,
-                       self._cfg(episodes=5, critic_method="residual"),
-                       initial_actors=phis)
-        assert res.episodes_run == 5
-
-    def test_unknown_critic_method_rejected(self):
-        with pytest.raises(ValueError):
-            self._cfg(critic_method="bogus")
 
 
 class TestCheckpoint:
