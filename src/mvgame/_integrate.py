@@ -3,13 +3,16 @@
 All coefficient ODEs in this package are affine, x'(t) = alpha(t) x + beta(t)
 with a terminal condition at T, so each classical RK4 step from t_{j+1} down
 to t_j collapses to an affine update x_j = A_j x_{j+1} + B_j.  The A_j, B_j
-are assembled vectorized from alpha/beta sampled on the half-step grid, and
-only the final backward scan runs as a Python loop.
+are assembled vectorized from alpha/beta sampled on the half-step grid.
+The backward scan is one ``scipy.signal.lfilter`` call when the system is
+scalar and A_j is the same for every step (a quadrature, or a constant
+decay rate); otherwise it runs as a Python loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.signal import lfilter
 
 __all__ = ["half_grid", "rk4_backward_affine"]
 
@@ -58,8 +61,16 @@ def rk4_backward_affine(alpha_half: np.ndarray, beta_half: np.ndarray,
 
     out = np.empty((n + 1, d))
     out[n] = np.atleast_1d(np.asarray(terminal, dtype=float))
-    v = out[n]
-    for j in range(n - 1, -1, -1):
-        v = big_a[j] @ v + big_b[j]
-        out[j] = v
+    if d == 1 and n and np.all(big_a == big_a[0]):
+        # x_j = A x_{j+1} + B_j is a first-order recursive filter over the
+        # reversed forcing; lfilter evaluates B_j + A*x_{j+1} per step, the
+        # same two roundings as the loop, so the result is bit-identical.
+        a = big_a[0, 0, 0]
+        y, _ = lfilter([1.0], [1.0, -a], big_b[::-1, 0], zi=[a * out[n, 0]])
+        out[:n, 0] = y[::-1]
+    else:
+        v = out[n]
+        for j in range(n - 1, -1, -1):
+            v = big_a[j] @ v + big_b[j]
+            out[j] = v
     return out[:, 0] if scalar else out

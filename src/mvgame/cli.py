@@ -8,7 +8,7 @@ is deterministic given (config, seed) and writes CSV only; plots are left to
 whatever consumes the CSVs.
 
 Exit codes: 0 success, 2 config error, 3 certificate failure, 4 divergence
-(training or simulation).
+(training or simulation) or numerical failure.
 """
 
 from __future__ import annotations
@@ -73,40 +73,57 @@ def _density_curve(policy, t: float, y: float):
     return u, dens
 
 
+def _sweep_variants(agents):
+    """(param, value, agent pair) for every sweep point, in output order."""
+    a1, a2 = agents
+    return ([("k1", v, (replace(a1, k=v), a2)) for v in SWEEP_VALUES["k1"]]
+            + [("gamma1", v, (replace(a1, gamma=v), a2)) for v in SWEEP_VALUES["gamma1"]]
+            + [("k2", v, (a1, replace(a2, k=v))) for v in SWEEP_VALUES["k2"]]
+            + [("gamma2", v, (a1, replace(a2, gamma=v))) for v in SWEEP_VALUES["gamma2"]])
+
+
+def _density_curves(agents, market, coeffs, times, y0):
+    """{(agent index, t): (u, density)} for both agents at each time.
+
+    Only these curves outlive the call: holding a solved coefficient pair
+    per sweep point would raise the command's peak memory."""
+    return {(i, t): _density_curve(eqm.equilibrium_policy(i, agents, market, coeffs), t, y0)
+            for i in (0, 1) for t in times}
+
+
 def cmd_equilibrium(cfg: ExperimentConfig, out_dir: str) -> int:
-    """Write coefficient grids and density-curve sweeps at benchmark states."""
+    """Write coefficient grids and density-curve sweeps at benchmark states.
+
+    Coefficients are solved once per distinct agent pair: sweep points that
+    equal the base config reuse its curves."""
     os.makedirs(out_dir, exist_ok=True)
     horizon = cfg.sim.horizon
     agents = cfg.build_agents(horizon)
+    y0 = cfg.market.y_bar
+    times = [t for t in DENSITY_TIMES if t < horizon] or [0.1 * horizon]
+
     coeffs = eqm.solve_coefficients(agents, cfg.market, horizon)
     for i in (0, 1):
         coeffs[i].to_csv(os.path.join(out_dir, f"coefficients_agent{i + 1}.csv"))
+    curves = {agents: _density_curves(agents, cfg.market, coeffs, times, y0)}
+    del coeffs  # not held while the sweep solves: it would raise peak memory
+    variants = _sweep_variants(agents)
+    for _, _, pair in variants:
+        if pair not in curves:
+            curves[pair] = _density_curves(
+                pair, cfg.market, eqm.solve_coefficients(pair, cfg.market, horizon),
+                times, y0)
 
-    y0 = cfg.market.y_bar
-    times = [t for t in DENSITY_TIMES if t < horizon] or [0.1 * horizon]
     for i in (0, 1):
         path = os.path.join(out_dir, f"densities_agent{i + 1}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["param", "value", "t", "u", "density"])
-
-            def emit(param, value, agents_mod, t):
-                coeffs_mod = eqm.solve_coefficients(agents_mod, cfg.market, horizon)
-                pol = eqm.equilibrium_policy(i, agents_mod, cfg.market, coeffs_mod)
-                u, dens = _density_curve(pol, t, y0)
-                for uu, dd in zip(u, dens):
-                    writer.writerow([param, _r(value), _r(t), _r(uu), _r(dd)])
-
             for t in times:
-                emit("base", t, agents, t)
-                for value in SWEEP_VALUES["k1"]:
-                    emit("k1", value, (replace(agents[0], k=value), agents[1]), t)
-                for value in SWEEP_VALUES["gamma1"]:
-                    emit("gamma1", value, (replace(agents[0], gamma=value), agents[1]), t)
-                for value in SWEEP_VALUES["k2"]:
-                    emit("k2", value, (agents[0], replace(agents[1], k=value)), t)
-                for value in SWEEP_VALUES["gamma2"]:
-                    emit("gamma2", value, (agents[0], replace(agents[1], gamma=value)), t)
+                for param, value, pair in [("base", t, agents)] + variants:
+                    u, dens = curves[pair][i, t]
+                    for uu, dd in zip(u, dens):
+                        writer.writerow([param, _r(value), _r(t), _r(uu), _r(dd)])
     print(f"equilibrium: wrote coefficient and density CSVs to {out_dir}")
     return EXIT_OK
 
@@ -335,6 +352,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, so it must be caught before the clause below
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

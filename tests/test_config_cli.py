@@ -194,6 +194,24 @@ class TestCliErrors:
         assert "Traceback" not in err
 
 
+    def test_numerical_failure_exit_4(self, tmp_path, monkeypatch, capsys):
+        def singular(self, *args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(rl.LstdAccumulator, "solve", singular)
+        cfg = replace(table2_config(), replications=1,
+                      train=replace(table2_config().train, episodes=20,
+                                    critic_warmup=5, n_steps=20))
+        path = tmp_path / "cfg.ini"
+        path.write_text(serialize_config(cfg))
+        assert cli.main(["train", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "config error" not in err
+        assert "Traceback" not in err
+
+
 class TestSimulateCommand:
     def test_writes_deterministic_trajectory(self, tmp_path, t1_text):
         cfg_text = t1_text.replace("n_steps = 250", "n_steps = 40")
@@ -271,6 +289,28 @@ class TestEquilibriumCommand:
                 float(r["density"]))
         for dens in dens_by_curve.values():
             assert len(set(dens)) == 1
+
+    def test_one_solve_per_distinct_agent_pair(self, tmp_path, monkeypatch):
+        from mvgame import equilibrium as eqm
+        solved = []
+        inner = eqm.solve_coefficients
+
+        def counting(agents, *args, **kwargs):
+            solved.append(tuple((a.gamma, a.k) for a in agents))
+            return inner(agents, *args, **kwargs)
+
+        monkeypatch.setattr(eqm, "solve_coefficients", counting)
+        out = tmp_path / "o"
+        assert cli.cmd_equilibrium(table1_config(), str(out)) == 0
+        assert len(solved) == 13
+        assert len(set(solved)) == 13
+        params = ["base", "k1", "gamma1", "k2", "gamma2"]
+        for i in (1, 2):
+            groups = []
+            for r in csv.DictReader(open(out / f"densities_agent{i}.csv")):
+                if not groups or groups[-1] != (r["t"], r["param"]):
+                    groups.append((r["t"], r["param"]))
+            assert groups == [(t, p) for t in ("0.1", "18.0") for p in params]
 
     def test_normal_density_peaks_at_mean(self, tmp_path, t1_text):
         from mvgame import equilibrium as eqm

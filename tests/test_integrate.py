@@ -1,0 +1,103 @@
+import numpy as np
+import pytest
+
+from mvgame._integrate import half_grid, rk4_backward_affine
+
+
+def reference_rk4(alpha_half, beta_half, dt, terminal):
+    """The vectorized RK4 step maps followed by the per-step backward loop:
+    the scan every path of ``rk4_backward_affine`` must reproduce exactly."""
+    alpha_half = np.asarray(alpha_half, dtype=float)
+    beta_half = np.asarray(beta_half, dtype=float)
+    scalar = alpha_half.ndim == 1
+    if scalar:
+        alpha_half = alpha_half[:, None, None]
+        beta_half = beta_half[:, None]
+    m, d, _ = alpha_half.shape
+    n = (m - 1) // 2
+    h = -dt
+    a_end, a_mid, a_start = alpha_half[2::2], alpha_half[1::2], alpha_half[:-1:2]
+    b_end, b_mid, b_start = beta_half[2::2], beta_half[1::2], beta_half[:-1:2]
+    eye = np.eye(d)
+    m1, c1 = a_end, b_end
+    m2 = a_mid @ (eye + 0.5 * h * m1)
+    c2 = 0.5 * h * np.einsum("nij,nj->ni", a_mid, c1) + b_mid
+    m3 = a_mid @ (eye + 0.5 * h * m2)
+    c3 = 0.5 * h * np.einsum("nij,nj->ni", a_mid, c2) + b_mid
+    m4 = a_start @ (eye + h * m3)
+    c4 = h * np.einsum("nij,nj->ni", a_start, c3) + b_start
+    big_a = eye + (h / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+    big_b = (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+    out = np.empty((n + 1, d))
+    out[n] = np.atleast_1d(np.asarray(terminal, dtype=float))
+    v = out[n]
+    for j in range(n - 1, -1, -1):
+        v = big_a[j] @ v + big_b[j]
+        out[j] = v
+    return out[:, 0] if scalar else out
+
+
+def _grid(n, horizon=5.0):
+    """Half grid and step of an n-step grid on [0, horizon]."""
+    t = np.linspace(0.0, horizon, n + 1)
+    return half_grid(t), t[1] - t[0]
+
+
+def test_constant_scalar_system_matches_loop():
+    th, dt = _grid(4000, 20.0)
+    alpha = np.full_like(th, 0.54)
+    beta = 0.3 * np.sin(th) - 1.5
+    got = rk4_backward_affine(alpha, beta, dt, 0.7)
+    want = reference_rk4(alpha, beta, dt, 0.7)
+    assert got.shape == (4001,)
+    assert np.array_equal(got, want)
+
+
+def test_zero_alpha_quadrature_matches_loop():
+    th, dt = _grid(1000)
+    beta = np.exp(-th) - 0.25 * th
+    got = rk4_backward_affine(np.zeros_like(th), beta, dt, 0.0)
+    assert np.array_equal(got, reference_rk4(np.zeros_like(th), beta, dt, 0.0))
+    # a quadrature of x' = beta from x(T) = 0 gives -int_t^T beta
+    t = np.linspace(0.0, 5.0, 1001)
+    exact = -((np.exp(-t) - np.exp(-5.0)) - 0.125 * (25.0 - t ** 2))
+    assert np.max(np.abs(got - exact)) < 1e-12
+
+
+def test_shortest_grid_matches_loop():
+    th, dt = _grid(1)
+    alpha = np.full_like(th, -0.8)
+    beta = np.array([0.1, 0.2, 0.3])
+    got = rk4_backward_affine(alpha, beta, dt, 2.0)
+    assert got.shape == (2,)
+    assert got[1] == 2.0
+    assert np.array_equal(got, reference_rk4(alpha, beta, dt, 2.0))
+
+
+def test_time_varying_scalar_matches_loop():
+    th, dt = _grid(500)
+    alpha = 0.3 + 0.1 * np.cos(th)
+    beta = -1.0 + 0.05 * th
+    got = rk4_backward_affine(alpha, beta, dt, 0.4)
+    assert np.array_equal(got, reference_rk4(alpha, beta, dt, 0.4))
+
+
+def test_lower_triangular_system_matches_loop():
+    th, dt = _grid(400)
+    alpha = np.zeros((len(th), 3, 3))
+    alpha[:, 0, 0] = 0.54
+    alpha[:, 1, 0] = -0.07
+    alpha[:, 1, 1] = 0.27
+    alpha[:, 2, 0] = -0.002
+    alpha[:, 2, 1] = -0.07
+    beta = np.zeros((len(th), 3))
+    beta[:, 0] = -0.5
+    beta[:, 2] = 0.01 * th
+    got = rk4_backward_affine(alpha, beta, dt, np.zeros(3))
+    assert got.shape == (401, 3)
+    assert np.array_equal(got, reference_rk4(alpha, beta, dt, np.zeros(3)))
+
+
+def test_even_length_half_grid_rejected():
+    with pytest.raises(ValueError, match="odd length"):
+        rk4_backward_affine(np.zeros(4), np.zeros(4), 0.1, 0.0)
