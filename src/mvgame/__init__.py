@@ -5,7 +5,7 @@ market, distortion-based exploration regularizers, policy-iteration engines
 with certified convergence envelopes, and a model-free actor-critic learner.
 """
 
-from . import choquet, cli, config, equilibrium, market, policy_iter, rl
+from . import choquet, config, equilibrium, market, policy_iter, rl
 from .choquet import (Distortion, QuantilePolicy, build_optimal_quantile,
                       make_distortion_gini, make_distortion_normal, phi_h)
 from .config import ExperimentConfig, parse_config, serialize_config

@@ -136,7 +136,7 @@ def solve_a_coeffs(agent: AgentParams, market: MarketParams, horizon: float,
     th = half_grid(t)
     a1_h, a2_h = a_coeffs_closed_form(agent, market, horizon, th)
     beta = -a1_h * market.iota * market.y_bar - 0.5 * market.v ** 2 * a2_h
-    a0 = rk4_backward_affine(np.zeros_like(th), beta, t[1] - t[0], 0.0)
+    a0 = rk4_backward_affine(beta, 0.0, t[1] - t[0], 0.0)
     return a0, a1, a2
 
 
@@ -155,17 +155,13 @@ def solve_a_coeffs_ode(agent: AgentParams, market: MarketParams, horizon: float,
     c = _mean_reversion_rate(market)
     g = agent.gamma
     iy = market.iota * market.y_bar
-    n_h = len(th)
     # State ordering (a2, a1, a0): lower-triangular coupling.
-    alpha = np.zeros((n_h, 3, 3))
-    alpha[:, 0, 0] = 2.0 * c
-    alpha[:, 1, 0] = -iy
-    alpha[:, 1, 1] = c
-    alpha[:, 2, 0] = -0.5 * market.v ** 2
-    alpha[:, 2, 1] = -iy
-    beta = np.zeros((n_h, 3))
+    alpha = np.array([[2.0 * c, 0.0, 0.0],
+                      [-iy, c, 0.0],
+                      [-0.5 * market.v ** 2, -iy, 0.0]])
+    beta = np.zeros((len(th), 3))
     beta[:, 0] = -2.0 / g
-    sol = rk4_backward_affine(alpha, beta, t[1] - t[0], np.zeros(3))
+    sol = rk4_backward_affine(beta, alpha, t[1] - t[0], np.zeros(3))
     return sol[:, 2], sol[:, 1], sol[:, 0]
 
 
@@ -219,21 +215,17 @@ def solve_b_coeffs(agent_i: AgentParams, agent_j: AgentParams, market: MarketPar
     sig_j_h = np.asarray(sigma_j(th), dtype=float) * np.ones_like(th)
     l2 = agent_i.distortion.l2_norm
 
-    n_h = len(th)
     # State ordering (b2, b1, b0).
-    alpha = np.zeros((n_h, 3, 3))
-    alpha[:, 0, 0] = 2.0 * market.iota
-    alpha[:, 1, 0] = -iy
-    alpha[:, 1, 1] = market.iota
-    alpha[:, 2, 0] = -0.5 * v2
-    alpha[:, 2, 1] = -iy
-    beta = np.empty((n_h, 3))
+    alpha = np.array([[2.0 * market.iota, 0.0, 0.0],
+                      [-iy, market.iota, 0.0],
+                      [-0.5 * v2, -iy, 0.0]])
+    beta = np.empty((len(th), 3))
     beta[:, 0] = 2.0 * rv * a2_h + g * ortho * a2_h ** 2 - 1.0 / g
     beta[:, 1] = rv * a1_h + g * ortho * a1_h * a2_h
     beta[:, 2] = (0.5 * g * ortho * a1_h ** 2
                   + 0.5 * g * s2 * agent_i.k ** 2 * sig_j_h ** 2
                   - lam_h ** 2 * l2 ** 2 / (2.0 * g * s2))
-    sol = rk4_backward_affine(alpha, beta, t[1] - t[0], np.zeros(3))
+    sol = rk4_backward_affine(beta, alpha, t[1] - t[0], np.zeros(3))
     return sol[:, 2], sol[:, 1], sol[:, 0]
 
 

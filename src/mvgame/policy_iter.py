@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -72,8 +72,6 @@ class ResponseHistory:
     iterates: list[IterateState]
     converged: bool
     tol: float
-    target_a1: np.ndarray = field(repr=False, default=None)
-    target_a2: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_iterations(self) -> int:
@@ -119,14 +117,12 @@ def iterate_response(prev, agent: AgentParams, market: MarketParams,
     prev_a2_h = CubicSpline(t, prev_a2)(th)
     prev_a1_h = CubicSpline(t, prev_a1)(th)
 
-    alpha2 = np.full_like(th, 2.0 * market.iota)
     beta2 = 2.0 * rv * prev_a2_h - 2.0 / agent.gamma
-    a2_new = rk4_backward_affine(alpha2, beta2, dt, 0.0)
+    a2_new = rk4_backward_affine(beta2, 2.0 * market.iota, dt, 0.0)
 
     a2_new_h = CubicSpline(t, a2_new)(th)
-    alpha1 = np.full_like(th, market.iota)
     beta1 = rv * prev_a1_h - market.iota * market.y_bar * a2_new_h
-    a1_new = rk4_backward_affine(alpha1, beta1, dt, 0.0)
+    a1_new = rk4_backward_affine(beta1, market.iota, dt, 0.0)
     return a1_new, a2_new
 
 
@@ -189,8 +185,7 @@ def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: fl
             bound_a2=factorial_bound_a2(n, horizon, market, m_a2)))
         converged = max(err1, err2) < tol
     return ResponseHistory(agent_index=agent_index, times=t, iterates=history,
-                           converged=converged, tol=tol,
-                           target_a1=target_a1, target_a2=target_a2)
+                           converged=converged, tol=tol)
 
 
 def simultaneous_mean_iteration(agents, market: MarketParams, coeffs,

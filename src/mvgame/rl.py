@@ -311,16 +311,13 @@ def actor_gradient(c1_nominal: np.ndarray, c1_perturbed: np.ndarray,
                    z: np.ndarray, kappa: float) -> np.ndarray:
     """Episode actor gradient sum_k (z_k/kappa) (C1_k(pert) - C1_k(nom)).
 
-    ``z`` is either one standard-normal 4-vector for the whole episode or an
-    (n_steps, 4) array of per-step perturbations (matching how the perturbed
-    actions were generated).
+    ``z`` is the (n_steps, 4) array of per-step perturbations that generated
+    the perturbed actions.
     """
     if kappa <= 0.0:
         raise ValueError(f"kappa must be positive, got {kappa!r}")
     z = np.asarray(z, dtype=float)
     diff = np.asarray(c1_perturbed, dtype=float) - np.asarray(c1_nominal, dtype=float)
-    if z.ndim == 1:
-        return z * float(np.sum(diff)) / kappa
     return (z * diff[:, None]).sum(axis=0) / kappa
 
 
@@ -353,7 +350,6 @@ class LstdAccumulator:
 
     def __init__(self, n_features: int):
         k = n_features
-        self.count = 0
         self.a_mat = np.zeros((k, k))
         self.bx = np.zeros(k)
         self.q0 = np.zeros(k)
@@ -362,7 +358,6 @@ class LstdAccumulator:
         self.b_reg = np.zeros(k)
 
     def add_episode(self, f_start, df, dx, reg) -> None:
-        self.count += len(dx)
         self.a_mat += f_start.T @ df
         self.bx += f_start.T @ dx
         self.q0 += f_start.T @ (dx * dx)

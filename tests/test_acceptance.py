@@ -16,7 +16,6 @@ from mvgame.config import serialize_config, table1_config, table2_config
 from mvgame.market import episode_generator
 
 from test_choquet import discrete_phi, standardized_atoms
-from test_rl import simulate_episode
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -322,8 +321,9 @@ def test_criterion_10_learning_at_desk_scale(agents_short, bench_market,
         means1, means2 = [], []
         for m in range(100):
             rng = episode_generator(888, m)
-            tg, y, x1, x2 = simulate_episode(bench_market, agents_short,
-                                             policies_short, sim_cfg, rng)
+            traj = market.simulate_game(bench_market, agents_short,
+                                        policies_short, sim_cfg, rng)
+            tg, y, x1, x2 = traj.times, traj.y, traj.x1, traj.x2
             xh = (x1 - agents_short[0].k * x2) if i == 0 \
                 else (x2 - agents_short[1].k * x1)
             ts = tg[:-1]

@@ -1,11 +1,14 @@
 import csv
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mvgame
 from mvgame import cli, rl
 from mvgame.config import (ConfigError, parse_config, parse_config_text,
                            serialize_config, table1_config, table2_config)
@@ -69,9 +72,23 @@ class TestConfigValidation:
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
 
 
-@pytest.mark.parametrize("name", ["table1.ini", "table2.ini"])
-def test_shipped_configs_parse(name):
-    parse_config(os.path.join(CONFIGS, name))
+@pytest.mark.parametrize("name, preset", [("table1.ini", table1_config),
+                                          ("table2.ini", table2_config)],
+                         ids=["table1.ini", "table2.ini"])
+def test_shipped_configs_parse(name, preset):
+    """Each shipped config is the preset the acceptance tests run."""
+    assert parse_config(os.path.join(CONFIGS, name)) == preset()
+
+
+def test_module_entry_point_has_no_runtime_warning():
+    """``python -m mvgame.cli`` runs without the double-import warning."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mvgame.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-m", "mvgame.cli", "--help"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _set_key(text, section, key, value):

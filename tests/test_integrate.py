@@ -5,8 +5,9 @@ from mvgame._integrate import half_grid, rk4_backward_affine
 
 
 def reference_rk4(alpha_half, beta_half, dt, terminal):
-    """The vectorized RK4 step maps followed by the per-step backward loop:
-    the scan every path of ``rk4_backward_affine`` must reproduce exactly."""
+    """Per-step RK4 maps from a rate sampled on the half grid, followed by
+    the backward loop: the scan ``rk4_backward_affine`` must reproduce
+    exactly when that rate is constant."""
     alpha_half = np.asarray(alpha_half, dtype=float)
     beta_half = np.asarray(beta_half, dtype=float)
     scalar = alpha_half.ndim == 1
@@ -45,10 +46,9 @@ def _grid(n, horizon=5.0):
 
 def test_constant_scalar_system_matches_loop():
     th, dt = _grid(4000, 20.0)
-    alpha = np.full_like(th, 0.54)
     beta = 0.3 * np.sin(th) - 1.5
-    got = rk4_backward_affine(alpha, beta, dt, 0.7)
-    want = reference_rk4(alpha, beta, dt, 0.7)
+    got = rk4_backward_affine(beta, 0.54, dt, 0.7)
+    want = reference_rk4(np.full_like(th, 0.54), beta, dt, 0.7)
     assert got.shape == (4001,)
     assert np.array_equal(got, want)
 
@@ -56,7 +56,7 @@ def test_constant_scalar_system_matches_loop():
 def test_zero_alpha_quadrature_matches_loop():
     th, dt = _grid(1000)
     beta = np.exp(-th) - 0.25 * th
-    got = rk4_backward_affine(np.zeros_like(th), beta, dt, 0.0)
+    got = rk4_backward_affine(beta, 0.0, dt, 0.0)
     assert np.array_equal(got, reference_rk4(np.zeros_like(th), beta, dt, 0.0))
     # a quadrature of x' = beta from x(T) = 0 gives -int_t^T beta
     t = np.linspace(0.0, 5.0, 1001)
@@ -66,38 +66,30 @@ def test_zero_alpha_quadrature_matches_loop():
 
 def test_shortest_grid_matches_loop():
     th, dt = _grid(1)
-    alpha = np.full_like(th, -0.8)
     beta = np.array([0.1, 0.2, 0.3])
-    got = rk4_backward_affine(alpha, beta, dt, 2.0)
+    got = rk4_backward_affine(beta, -0.8, dt, 2.0)
     assert got.shape == (2,)
     assert got[1] == 2.0
-    assert np.array_equal(got, reference_rk4(alpha, beta, dt, 2.0))
+    assert np.array_equal(got, reference_rk4(np.full_like(th, -0.8), beta, dt, 2.0))
 
 
-def test_time_varying_scalar_matches_loop():
-    th, dt = _grid(500)
-    alpha = 0.3 + 0.1 * np.cos(th)
-    beta = -1.0 + 0.05 * th
-    got = rk4_backward_affine(alpha, beta, dt, 0.4)
-    assert np.array_equal(got, reference_rk4(alpha, beta, dt, 0.4))
-
-
-def test_lower_triangular_system_matches_loop():
+@pytest.mark.parametrize("alpha, terminal", [
+    ([[0.54, 0.0, 0.0], [-0.07, 0.27, 0.0], [-0.002, -0.07, 0.0]], [0.0, 0.0, 0.0]),
+    ([[0.31, -0.12, 0.05], [0.08, -0.2, 0.17], [-0.04, 0.09, 0.26]], [0.5, -1.2, 0.3]),
+], ids=["lower_triangular", "full"])
+def test_matrix_system_matches_loop(alpha, terminal):
     th, dt = _grid(400)
-    alpha = np.zeros((len(th), 3, 3))
-    alpha[:, 0, 0] = 0.54
-    alpha[:, 1, 0] = -0.07
-    alpha[:, 1, 1] = 0.27
-    alpha[:, 2, 0] = -0.002
-    alpha[:, 2, 1] = -0.07
+    alpha = np.array(alpha)
     beta = np.zeros((len(th), 3))
     beta[:, 0] = -0.5
     beta[:, 2] = 0.01 * th
-    got = rk4_backward_affine(alpha, beta, dt, np.zeros(3))
+    got = rk4_backward_affine(beta, alpha, dt, terminal)
     assert got.shape == (401, 3)
-    assert np.array_equal(got, reference_rk4(alpha, beta, dt, np.zeros(3)))
+    assert np.array_equal(got[-1], terminal)
+    want = reference_rk4(np.broadcast_to(alpha, (len(th), 3, 3)), beta, dt, terminal)
+    assert np.array_equal(got, want)
 
 
 def test_even_length_half_grid_rejected():
-    with pytest.raises(ValueError, match="odd length"):
-        rk4_backward_affine(np.zeros(4), np.zeros(4), 0.1, 0.0)
+    with pytest.raises(ValueError, match="beta_half .*odd length"):
+        rk4_backward_affine(np.zeros(4), 0.0, 0.1, 0.0)

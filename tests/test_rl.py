@@ -25,21 +25,6 @@ def ls_fit_critic(coeff_set, horizon, d=2, y_center=0.0):
     return rl.CriticParams(v=np.vstack(v_rows), g=np.vstack(g_rows), y_center=c)
 
 
-def simulate_episode(mkt, agents, policies, cfg, rng):
-    """Episode states under given sampling policies (nominal path only)."""
-    y, sd = market.simulate_state_and_price(mkt, cfg, rng)
-    n = cfg.n_steps
-    tg = np.linspace(0.0, cfg.horizon, n + 1)
-    p1 = np.maximum(rng.random(n), 2.0 ** -53)
-    p2 = np.maximum(rng.random(n), 2.0 ** -53)
-    rel = np.diff(sd) / sd[:-1]
-    u1 = policies[0].quantile(tg[:-1], y[:-1], p1)
-    u2 = policies[1].quantile(tg[:-1], y[:-1], p2)
-    x1 = cfg.x1_0 + np.concatenate([[0.0], np.cumsum(u1 * rel)])
-    x2 = cfg.x2_0 + np.concatenate([[0.0], np.cumsum(u2 * rel)])
-    return tg, y, x1, x2
-
-
 class TestActorQuantile:
     def test_matches_terminal_equilibrium_form(self, agents_short, bench_market):
         ag = agents_short[0]
@@ -163,8 +148,9 @@ class TestTdErrors:
         means1, means2 = [], []
         for m in range(n_ep):
             rng = episode_generator(50, m)
-            tg, y, x1, x2 = simulate_episode(bench_market, agents_short,
-                                             policies_short, cfg, rng)
+            traj = market.simulate_game(bench_market, agents_short,
+                                        policies_short, cfg, rng)
+            tg, y, x1, x2 = traj.times, traj.y, traj.x1, traj.x2
             xh = x1 - agents_short[0].k * x2
             ts = tg[:-1]
             reg = (np.asarray(agents_short[0].lam(ts)) * np.ones(250)
@@ -227,8 +213,9 @@ class TestCriticGradient:
         updates = []
         for m in range(40):
             rng = episode_generator(60, m)
-            tg, y, x1, x2 = simulate_episode(bench_market, agents_short,
-                                             policies_short, cfg, rng)
+            traj = market.simulate_game(bench_market, agents_short,
+                                        policies_short, cfg, rng)
+            tg, y, x1, x2 = traj.times, traj.y, traj.x1, traj.x2
             xh = x1 - agents_short[0].k * x2
             ts = tg[:-1]
             reg = (np.asarray(agents_short[0].lam(ts)) * np.ones(250)
@@ -290,12 +277,13 @@ class TestSmoothedFunctional:
     def test_actor_gradient_shapes(self):
         c1n = np.array([1.0, 2.0, 3.0])
         c1p = np.array([1.5, 2.5, 2.0])
-        z_single = np.array([1.0, -1.0, 0.5, 2.0])
-        g = rl.actor_gradient(c1n, c1p, z_single, kappa=0.5)
-        assert np.allclose(g, z_single * (0.5 + 0.5 - 1.0) / 0.5)
-        z_steps = np.tile(z_single, (3, 1))
-        g2 = rl.actor_gradient(c1n, c1p, z_steps, kappa=0.5)
-        assert np.allclose(g2, g)
+        z_steps = np.array([[1.0, -1.0, 0.5, 2.0],
+                            [0.0, 1.0, 2.0, -1.0],
+                            [3.0, 0.0, -1.0, 1.0]])
+        g = rl.actor_gradient(c1n, c1p, z_steps, kappa=0.5)
+        # (0.5 z_0 + 0.5 z_1 - 1.0 z_2) / 0.5
+        assert g.shape == (4,)
+        assert np.allclose(g, [-5.0, 0.0, 4.5, -1.0])
 
 
 class TestAdam:
@@ -497,8 +485,9 @@ class TestZeroExplorationCritic:
         theta = [rl.CriticParams.zeros(2, y_center=0.273) for _ in range(2)]
         for m in range(800):
             rng = episode_generator(71, m)
-            tg, y, x1, x2 = simulate_episode(bench_market, agents_short,
-                                             frozen, cfg, rng)
+            traj = market.simulate_game(bench_market, agents_short,
+                                        frozen, cfg, rng)
+            tg, y, x1, x2 = traj.times, traj.y, traj.x1, traj.x2
             xs = (x1 - agents_short[0].k * x2, x2 - agents_short[1].k * x1)
             for i in (0, 1):
                 f = rl.critic_features(tg, y, 1.0, 2, 0.273)
@@ -509,8 +498,9 @@ class TestZeroExplorationCritic:
             means1, means2 = [], []
             for m in range(60):
                 rng = episode_generator(72, m)
-                tg, y, x1, x2 = simulate_episode(bench_market, agents_short,
-                                                 frozen, cfg, rng)
+                traj = market.simulate_game(bench_market, agents_short,
+                                            frozen, cfg, rng)
+                tg, y, x1, x2 = traj.times, traj.y, traj.x1, traj.x2
                 xh = (x1 - agents_short[0].k * x2) if i == 0 \
                     else (x2 - agents_short[1].k * x1)
                 c1, c2 = rl.td_errors(theta[i], agents_short[i], tg, xh, y,
