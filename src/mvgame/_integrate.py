@@ -1,12 +1,14 @@
 """Backward RK4 integration of constant-rate linear ODE systems.
 
-All coefficient ODEs in this package are affine with a constant rate,
-x'(t) = alpha x + beta(t) with a terminal condition at T, so each classical
-RK4 step from t_{j+1} down to t_j collapses to an affine update
-x_j = A x_{j+1} + B_j with one step map A for the whole grid.  The B_j are
-assembled vectorized from beta sampled on the half-step grid.  A scalar
-system scans as one ``scipy.signal.lfilter`` call; a d x d system runs the
-update as a Python loop.
+All coefficient ODEs in this package are affine with a constant,
+lower-triangular rate, x'(t) = alpha x + beta(t) with a terminal condition
+at T, so each classical RK4 step from t_{j+1} down to t_j collapses to an
+affine update x_j = A x_{j+1} + B_j with one lower-triangular step map A for
+the whole grid.  The B_j are assembled vectorized from beta sampled on the
+half-step grid.  Row r of the update is then a scalar recursion whose
+forcing B_j[r] + A[r, :r] x_{j+1}[:r] is known once the earlier rows are
+solved, so each row scans as one ``scipy.signal.lfilter`` call; a scalar
+system is the case d = 1.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ def rk4_backward_affine(beta_half: np.ndarray, alpha, dt: float,
     """Integrate x' = alpha x + beta(t) backward from x(T) = terminal.
 
     ``beta_half`` has shape (2n+1,) for scalar systems or (2n+1, d), sampled
-    on the half grid; ``alpha`` is the constant rate, a float or a (d, d)
-    matrix; ``dt`` is the main-grid step.  Returns the solution on the main
-    grid, shape (n+1,) or (n+1, d).
+    on the half grid; ``alpha`` is the constant rate, a float or a
+    lower-triangular (d, d) matrix (any other raises ``ValueError``); ``dt``
+    is the main-grid step.  Returns the solution on the main grid, shape
+    (n+1,) or (n+1, d).
     """
     beta_half = np.asarray(beta_half, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
@@ -39,6 +42,8 @@ def rk4_backward_affine(beta_half: np.ndarray, alpha, dt: float,
     if scalar:
         alpha = alpha.reshape(1, 1)
         beta_half = beta_half[:, None]
+    if np.triu(alpha, 1).any():
+        raise ValueError("alpha must be lower-triangular")
     m, d = beta_half.shape
     if m % 2 == 0:
         raise ValueError("beta_half must be sampled on a half grid (odd length)")
@@ -61,16 +66,12 @@ def rk4_backward_affine(beta_half: np.ndarray, alpha, dt: float,
 
     out = np.empty((n + 1, d))
     out[n] = np.atleast_1d(np.asarray(terminal, dtype=float))
-    if scalar:
-        # x_j = A x_{j+1} + B_j is a first-order recursive filter over the
-        # reversed forcing; lfilter evaluates B_j + A*x_{j+1} per step, the
-        # same two roundings as a loop.
-        a = big_a[0, 0]
-        y, _ = lfilter([1.0], [1.0, -a], big_b[::-1, 0], zi=[a * out[n, 0]])
-        out[:n, 0] = y[::-1]
-        return out[:, 0]
-    v = out[n]
-    for j in range(n - 1, -1, -1):
-        v = big_a @ v + big_b[j]
-        out[j] = v
-    return out
+    for r in range(d):
+        # x_j[r] = A[r, r] x_{j+1}[r] + forcing_j is a first-order recursive
+        # filter over the reversed forcing; lfilter evaluates
+        # forcing_j + A[r, r]*x_{j+1}[r] per step.
+        a = big_a[r, r]
+        forcing = big_b[:, r] + out[1:, :r] @ big_a[r, :r]
+        y, _ = lfilter([1.0], [1.0, -a], forcing[::-1], zi=[a * out[n, r]])
+        out[:n, r] = y[::-1]
+    return out[:, 0] if scalar else out

@@ -33,8 +33,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._integrate import half_grid, rk4_backward_affine
-from .equilibrium import (DEFAULT_GRID_SIZE, a_coeffs_closed_form,
-                          equilibrium_means)
+from .equilibrium import (DEFAULT_GRID_SIZE, EquilibriumPolicy, _mean_base,
+                          a_coeffs_closed_form, equilibrium_means,
+                          equilibrium_std)
 from .market import AgentParams, MarketParams
 
 __all__ = [
@@ -207,7 +208,6 @@ def simultaneous_mean_iteration(agents, market: MarketParams, coeffs,
     rate = max(k1, k2)
 
     target1, target2 = equilibrium_means(times, y_value, agents, market, coeffs)
-    from .equilibrium import _mean_base
     base1 = _mean_base(times, y_value, agents[0], market, coeffs[0])
     base2 = _mean_base(times, y_value, agents[1], market, coeffs[1])
 
@@ -237,8 +237,6 @@ def response_policy(agent: AgentParams, market: MarketParams, horizon: float,
     iterate's coefficient grids, std lam(t)||h'||_2/(gamma sigma^2) pinned by
     the first-order condition -- the iteration moves only the mean.
     """
-    from .equilibrium import EquilibriumPolicy, equilibrium_std
-
     a1_sp = CubicSpline(np.asarray(times, dtype=float), np.asarray(a1_grid, dtype=float))
     a2_sp = CubicSpline(np.asarray(times, dtype=float), np.asarray(a2_grid, dtype=float))
     rv = market.rho * market.v

@@ -30,3 +30,15 @@ def test_tracer_installs_and_restores_every_patched_name():
         after = vars(owner)
         assert after.keys() == saved.keys(), owner
         assert all(after[name] is value for name, value in saved.items()), owner
+
+
+def test_tracer_counts_rk4_scans_of_one_solve(agents_long, bench_market):
+    """perfbench's ``integrate.rk4`` span wraps ``rk4_backward_affine`` in
+    both modules that import it and counts steps from ``len(args[0])``: one
+    solve runs one a0 quadrature and one b-system per agent."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        equilibrium.solve_coefficients(agents_long, bench_market, 20.0, 401)
+    assert tracer.span_table()["integrate.rk4"][0] == 4
+    assert tracer.counts["integrate.rk4.steps"] == 1600

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from mvgame import equilibrium as eqm
 from mvgame._integrate import half_grid, rk4_backward_affine
+from mvgame.config import table1_config, table2_config
 
 
 def reference_rk4(alpha_half, beta_half, dt, terminal):
     """Per-step RK4 maps from a rate sampled on the half grid, followed by
-    the backward loop: the scan ``rk4_backward_affine`` must reproduce
-    exactly when that rate is constant."""
+    the backward loop: what ``rk4_backward_affine`` must reproduce when that
+    rate is constant, exactly for a scalar system and to round-off for the
+    rows of a triangular system that couple to earlier rows."""
     alpha_half = np.asarray(alpha_half, dtype=float)
     beta_half = np.asarray(beta_half, dtype=float)
     scalar = alpha_half.ndim == 1
@@ -75,8 +78,7 @@ def test_shortest_grid_matches_loop():
 
 @pytest.mark.parametrize("alpha, terminal", [
     ([[0.54, 0.0, 0.0], [-0.07, 0.27, 0.0], [-0.002, -0.07, 0.0]], [0.0, 0.0, 0.0]),
-    ([[0.31, -0.12, 0.05], [0.08, -0.2, 0.17], [-0.04, 0.09, 0.26]], [0.5, -1.2, 0.3]),
-], ids=["lower_triangular", "full"])
+], ids=["lower_triangular"])
 def test_matrix_system_matches_loop(alpha, terminal):
     th, dt = _grid(400)
     alpha = np.array(alpha)
@@ -87,7 +89,40 @@ def test_matrix_system_matches_loop(alpha, terminal):
     assert got.shape == (401, 3)
     assert np.array_equal(got[-1], terminal)
     want = reference_rk4(np.broadcast_to(alpha, (len(th), 3, 3)), beta, dt, terminal)
-    assert np.array_equal(got, want)
+    # row 0 is a scalar recursion, exact; rows 1-2 add the coupling to the
+    # forcing before the diagonal term, a different order from the loop
+    assert np.array_equal(got[:, 0], want[:, 0])
+    np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("preset", [table1_config, table2_config],
+                         ids=["table1", "table2"])
+def test_b_systems_of_presets_match_loop(preset, monkeypatch):
+    """The b-systems ``solve_b_coeffs`` builds for both agents of a preset,
+    scanned row by row, agree with the per-step loop on the same inputs."""
+    cfg = preset()
+    agents = cfg.build_agents(cfg.sim.horizon)
+    calls = []
+
+    def spy(*args):
+        calls.append((args, rk4_backward_affine(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(eqm, "rk4_backward_affine", spy)
+    for i, j in ((0, 1), (1, 0)):
+        eqm.solve_b_coeffs(agents[i], agents[j], cfg.market, cfg.sim.horizon)
+    assert len(calls) == 2
+    for (beta, alpha, dt, terminal), got in calls:
+        want = reference_rk4(np.broadcast_to(alpha, (len(beta), 3, 3)), beta, dt,
+                             terminal)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_non_triangular_alpha_rejected():
+    th, _ = _grid(4)
+    alpha = [[0.31, -0.12, 0.05], [0.08, -0.2, 0.17], [-0.04, 0.09, 0.26]]
+    with pytest.raises(ValueError, match="lower-triangular"):
+        rk4_backward_affine(np.zeros((len(th), 3)), alpha, 0.1, np.zeros(3))
 
 
 def test_even_length_half_grid_rejected():
