@@ -37,8 +37,8 @@ def curve_error(phis):
 
 
 # actor parameters reproducing the closed form, perturbed by up to 10% per run
-phi_star = (rl.equilibrium_actor_params(agents[0], mkt).as_array(),
-            rl.equilibrium_actor_params(agents[1], mkt).as_array())
+phi_star = (rl.equilibrium_actor_params(agents[0], mkt),
+            rl.equilibrium_actor_params(agents[1], mkt))
 finals = []
 for rep in range(REPS):
     rng = np.random.default_rng(100 + rep)

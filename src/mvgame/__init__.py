@@ -12,7 +12,7 @@ from .config import ExperimentConfig, parse_config, serialize_config
 from .equilibrium import (CoefficientSet, EquilibriumPolicy, equilibrium_means,
                           equilibrium_policy, solve_coefficients, value_functions)
 from .market import (AgentParams, MarketParams, SimConfig, Trajectory,
-                     estimate_objective, simulate_game, simulate_state_and_price)
-from .rl import ActorParams, CriticParams, TrainConfig, train
+                     estimate_objective, simulate_game)
+from .rl import CriticParams, TrainConfig, train
 
 __version__ = "0.1.0"

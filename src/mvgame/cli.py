@@ -192,7 +192,7 @@ def _train_one_replication(args):
     phi_star = (rl.equilibrium_actor_params(agents[0], cfg.market),
                 rl.equilibrium_actor_params(agents[1], cfg.market))
     init_rng = np.random.default_rng(np.random.SeedSequence((cfg.train.seed, 77, rep)))
-    initial = tuple(p.as_array() * (1.0 + init_rng.uniform(-0.1, 0.1, size=4))
+    initial = tuple(p * (1.0 + init_rng.uniform(-0.1, 0.1, size=4))
                     for p in phi_star)
     train_cfg = replace(cfg.train, seed=cfg.train.seed + 1000 * (rep + 1))
     return rl.train(agents, cfg.market, train_cfg, initial_actors=initial,
@@ -244,16 +244,11 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, replications: int | None = No
         warnings.simplefilter("ignore", RuntimeWarning)
         avg_losses = [np.nanmean([r.critic_losses[i] for r in runs], axis=0)
                       for i in (0, 1)]
-    mean_result = rl.TrainResult(
-        phi_history=(avg_hist[0], avg_hist[1]),
-        theta=runs[0].theta, critic_losses=(avg_losses[0], avg_losses[1]),
-        adam_states=runs[0].adam_states,
-        skipped_episodes=skipped_total, episodes_run=runs[0].episodes_run)
-    rl.write_metrics_csv(os.path.join(out_dir, "training_metrics.csv"), mean_result)
+    rl.write_metrics_csv(os.path.join(out_dir, "training_metrics.csv"),
+                         avg_losses, avg_hist)
     rl.save_checkpoint(os.path.join(out_dir, "checkpoint.txt"),
                        runs[0].episodes_run,
-                       (rl.ActorParams.from_array(runs[0].phi_history[0][-1]),
-                        rl.ActorParams.from_array(runs[0].phi_history[1][-1])),
+                       (runs[0].phi_history[0][-1], runs[0].phi_history[1][-1]),
                        runs[0].theta, runs[0].adam_states)
 
     phi_final = (avg_hist[0][-1], avg_hist[1][-1])

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass
+import math
+import typing
+from dataclasses import dataclass, fields
 
 from .choquet import make_distortion_gini, make_distortion_normal
 from .market import AgentParams, MarketParams, SimConfig, constant_weight, exponential_weight
@@ -81,23 +83,19 @@ class ExperimentConfig:
         return (self.agent1.build(horizon), self.agent2.build(horizon))
 
 
-_SCHEMA = {
-    "market": {"r": float, "sigma": float, "iota": float, "y_bar": float,
-               "v": float, "rho": float},
-    "agent1": {"gamma": float, "k": float, "distortion": str,
-               "lambda_kind": str, "lambda0": float},
-    "agent2": {"gamma": float, "k": float, "distortion": str,
-               "lambda_kind": str, "lambda0": float},
-    "sim": {"horizon": float, "n_steps": int, "seed": int, "x1_0": float,
-            "x2_0": float, "y_0": float},
-    "train": {"episodes": int, "n_steps": int, "horizon": float,
-              "learning_rate": float, "kappa": float, "seed": int,
-              "beta1": float, "beta2": float, "eps": float,
-              "x1_0": float, "x2_0": float, "y_0": float,
-              "critic_dim": int, "max_skip_fraction": float,
-              "critic_warmup": int},
-    "output": {"dir": str, "replications": int, "train_band": float},
-}
+# Each section is read into the ExperimentConfig field of the same name; its
+# keys, their order and their types are those of the section's dataclass.
+_SECTIONS = (("market", MarketParams), ("agent1", AgentConfig),
+             ("agent2", AgentConfig), ("sim", SimConfig), ("train", TrainConfig))
+
+
+def _keys(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+_SCHEMA = {name: _keys(cls) for name, cls in _SECTIONS}
+_SCHEMA["output"] = {"dir": str, "replications": int, "train_band": float}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -129,17 +127,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 raise ConfigError(
                     f"[{name}] {key} = {raw!r} is not a valid {typ.__name__}"
                 ) from exc
+            if typ is float and not math.isfinite(out[key]):
+                raise ConfigError(f"[{name}] {key} = {raw!r} is not a finite number")
         return out
 
     try:
-        market = MarketParams(**section("market"))
-        agent1 = AgentConfig(**section("agent1"))
-        agent2 = AgentConfig(**section("agent2"))
-        sim = SimConfig(**section("sim"))
-        train = TrainConfig(**section("train"))
+        parts = {name: cls(**section(name)) for name, cls in _SECTIONS}
         out = section("output")
-        return ExperimentConfig(market=market, agent1=agent1, agent2=agent2,
-                                sim=sim, train=train, output_dir=out["dir"],
+        return ExperimentConfig(**parts, output_dir=out["dir"],
                                 replications=out["replications"],
                                 train_band=out["train_band"])
     except ConfigError:
@@ -166,17 +161,10 @@ def _fmt(value) -> str:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Text form of a config; parse_config_text inverts it exactly."""
     buf = io.StringIO()
-    groups = [
-        ("market", cfg.market, _SCHEMA["market"]),
-        ("agent1", cfg.agent1, _SCHEMA["agent1"]),
-        ("agent2", cfg.agent2, _SCHEMA["agent2"]),
-        ("sim", cfg.sim, _SCHEMA["sim"]),
-        ("train", cfg.train, _SCHEMA["train"]),
-    ]
-    for name, obj, schema in groups:
+    for name, _ in _SECTIONS:
         buf.write(f"[{name}]\n")
-        for key in schema:
-            buf.write(f"{key} = {_fmt(getattr(obj, key))}\n")
+        for key in _SCHEMA[name]:
+            buf.write(f"{key} = {_fmt(getattr(getattr(cfg, name), key))}\n")
         buf.write("\n")
     buf.write("[output]\n")
     buf.write(f"dir = {cfg.output_dir}\n")

@@ -281,7 +281,6 @@ class EquilibriumPolicy:
     """Sampling policy of one agent at equilibrium: state-dependent mean,
     time-dependent std, quantile = mean + std * h'(1-p)/||h'||_2."""
 
-    agent_index: int
     mean_fn: Callable
     std_fn: Callable
     distortion: Distortion
@@ -312,7 +311,7 @@ def equilibrium_policy(agent_index: int, agents, market: MarketParams,
     def mean_fn(t, y):
         return equilibrium_means(t, y, agents, market, coeffs)[agent_index]
 
-    return EquilibriumPolicy(agent_index=agent_index, mean_fn=mean_fn,
+    return EquilibriumPolicy(mean_fn=mean_fn,
                              std_fn=equilibrium_std(agent, market),
                              distortion=agent.distortion)
 
@@ -347,7 +346,6 @@ def black_scholes_policy(agents, a: float, b: float, r: float):
     for i, j in ((0, 1), (1, 0)):
         m = sharpe_sq * (1.0 / gammas[i] + ks[i] / gammas[j]) / denom
         out.append(EquilibriumPolicy(
-            agent_index=i,
             mean_fn=lambda t, y, _m=m: _m * np.ones_like(np.asarray(y, dtype=float))
             if np.ndim(y) else _m,
             std_fn=_std_fn(agents[i], b),

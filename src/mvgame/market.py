@@ -30,12 +30,9 @@ __all__ = [
     "Trajectory",
     "ObjectiveEstimate",
     "SimulationDivergedError",
-    "InvalidPriceError",
     "constant_weight",
     "exponential_weight",
     "episode_generator",
-    "simulate_state_and_price",
-    "step_wealth",
     "simulate_game",
     "estimate_objective",
 ]
@@ -51,10 +48,6 @@ _U_MIN = 2.0 ** -53
 
 class SimulationDivergedError(RuntimeError):
     """A simulated path produced non-finite or guard-exceeding values."""
-
-
-class InvalidPriceError(ValueError):
-    """A wealth step was asked to divide by a nonpositive price."""
 
 
 @dataclass(frozen=True)
@@ -181,21 +174,14 @@ def _check_finite(*arrays) -> None:
             raise SimulationDivergedError("simulation produced non-finite values")
 
 
-def simulate_state_and_price(params: MarketParams, cfg: SimConfig,
-                             rng: np.random.Generator):
-    """Euler-Maruyama state path and log-Euler discounted price path.
-
-    Returns arrays (y, s_disc) of length n_steps+1; s_disc(0) = 1.  The
-    draw order is dB then dB~ (n_steps each), so callers can deterministically
-    append further draws to the same stream.
-    """
-    y, s_disc = _state_and_price_batch(params, cfg, 1, rng)
-    return y[0], s_disc[0]
-
-
 def _state_and_price_batch(params: MarketParams, cfg: SimConfig, n_paths: int,
                            rng: np.random.Generator):
-    """Vectorized paths, shape (n_paths, n_steps+1) each."""
+    """Euler-Maruyama state paths and log-Euler discounted price paths.
+
+    Returns arrays (y, s_disc) of shape (n_paths, n_steps+1); s_disc(0) = 1.
+    The draw order is dB then dB~ ((n_paths, n_steps) each), so callers can
+    deterministically append further draws to the same stream.
+    """
     n = cfg.n_steps
     dt = cfg.dt
     sqdt = np.sqrt(dt)
@@ -222,13 +208,6 @@ def _state_and_price_batch(params: MarketParams, cfg: SimConfig, n_paths: int,
     return y, s_disc
 
 
-def step_wealth(x_prev: float, action: float, price_prev: float, price_next: float) -> float:
-    """One exact discounted-wealth update: x + u * (p_next - p_prev) / p_prev."""
-    if price_prev <= 0.0:
-        raise InvalidPriceError(f"price must be positive, got {price_prev!r}")
-    return x_prev + action * (price_next - price_prev) / price_prev
-
-
 def _draw_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
     return np.maximum(rng.random(shape), _U_MIN)
 
@@ -243,7 +222,8 @@ def simulate_game(params: MarketParams, agents, policies, cfg: SimConfig,
     discounted-price relative change.
     """
     n = cfg.n_steps
-    y, s_disc = simulate_state_and_price(params, cfg, rng)
+    y, s_disc = _state_and_price_batch(params, cfg, 1, rng)
+    y, s_disc = y[0], s_disc[0]
     p1 = _draw_uniforms(rng, n)
     p2 = _draw_uniforms(rng, n)
 

@@ -247,7 +247,7 @@ def response_policy(agent: AgentParams, market: MarketParams, horizon: float,
         return (y / (agent.gamma * market.sigma) + agent.k * mu_j
                 - (rv / market.sigma) * (a2_sp(t) * y + a1_sp(t)))
 
-    return EquilibriumPolicy(agent_index=-1, mean_fn=mean_fn,
+    return EquilibriumPolicy(mean_fn=mean_fn,
                              std_fn=equilibrium_std(agent, market),
                              distortion=agent.distortion)
 

@@ -24,6 +24,7 @@ Parameter updates use Adam.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 
@@ -33,7 +34,6 @@ from .market import (AgentParams, MarketParams, SimConfig, WEALTH_GUARD,
                      _draw_uniforms, _state_and_price_batch, episode_generator)
 
 __all__ = [
-    "ActorParams",
     "CriticParams",
     "AdamState",
     "TrainConfig",
@@ -61,21 +61,6 @@ __all__ = [
 
 class TrainingDivergedError(RuntimeError):
     """More than the allowed fraction of episodes hit the wealth guard."""
-
-
-@dataclass(frozen=True)
-class ActorParams:
-    phi0: float
-    phi1: float
-    phi2: float
-    phi3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.phi0, self.phi1, self.phi2, self.phi3])
-
-    @classmethod
-    def from_array(cls, arr) -> "ActorParams":
-        return cls(*(float(x) for x in arr))
 
 
 @dataclass
@@ -161,12 +146,13 @@ class TrainConfig:
         return self.horizon / self.n_steps
 
 
-def equilibrium_actor_params(agent: AgentParams, market: MarketParams) -> ActorParams:
-    """Actor parameters reproducing the closed-form equilibrium policy."""
+def equilibrium_actor_params(agent: AgentParams, market: MarketParams) -> np.ndarray:
+    """Actor parameters (phi0, phi1, phi2, phi3) reproducing the closed-form
+    equilibrium policy."""
     gs = agent.gamma * market.sigma
     rv = market.rho * market.v
-    return ActorParams(phi0=1.0 / gs, phi1=rv / gs, phi2=market.iota + rv,
-                       phi3=rv * market.iota * market.y_bar / gs)
+    return np.array([1.0 / gs, rv / gs, market.iota + rv,
+                     rv * market.iota * market.y_bar / gs])
 
 
 def _decay_factors(phi2, tau):
@@ -214,12 +200,10 @@ def actor_scale_coeff(phi, agent: AgentParams, t):
     return lam * phi0 ** 2 * agent.gamma
 
 
-def actor_quantile(phi: ActorParams | np.ndarray, agent: AgentParams, t, y,
-                   mu_j, p, horizon: float):
+def actor_quantile(phi, agent: AgentParams, t, y, mu_j, p, horizon: float):
     """The parameterized policy quantile at probability level p."""
-    arr = phi.as_array() if isinstance(phi, ActorParams) else np.asarray(phi, dtype=float)
-    mean = agent.k * np.asarray(mu_j, dtype=float) + actor_base_mean(arr, t, y, horizon)
-    scale = actor_scale_coeff(arr, agent, t)
+    mean = agent.k * np.asarray(mu_j, dtype=float) + actor_base_mean(phi, t, y, horizon)
+    scale = actor_scale_coeff(phi, agent, t)
     return mean + scale * agent.distortion.h_prime(1.0 - np.asarray(p, dtype=float))
 
 
@@ -424,8 +408,7 @@ def train(agents, market: MarketParams, cfg: TrainConfig,
     t_steps = t_grid[:-1]
     trained = (0,) if frozen_opponent is not None else (0, 1)
 
-    phi = [np.asarray(p.as_array() if isinstance(p, ActorParams) else p, dtype=float).copy()
-           for p in initial_actors]
+    phi = [np.array(p, dtype=float) for p in initial_actors]
     theta = [CriticParams.zeros(cfg.critic_dim, y_center=cfg.y_0) for _ in range(2)]
     adam = [AdamState.zeros(4) for _ in range(2)]
 
@@ -524,9 +507,7 @@ def save_checkpoint(path, episode: int, phi_pair, theta_pair, adam_pair) -> None
 
     put("episode", int(episode))
     for i in (0, 1):
-        phi = np.asarray(phi_pair[i].as_array() if isinstance(phi_pair[i], ActorParams)
-                         else phi_pair[i], dtype=float)
-        put(f"agent{i + 1}.phi", phi.tolist())
+        put(f"agent{i + 1}.phi", np.asarray(phi_pair[i], dtype=float).tolist())
         put(f"agent{i + 1}.theta_v", np.asarray(theta_pair[i].v).tolist())
         put(f"agent{i + 1}.theta_g", np.asarray(theta_pair[i].g).tolist())
         put(f"agent{i + 1}.theta_y_center", float(theta_pair[i].y_center))
@@ -554,7 +535,7 @@ def load_checkpoint(path):
     for i in (0, 1):
         pre = f"agent{i + 1}."
         state["agents"].append({
-            "phi": ActorParams.from_array(out[pre + "phi"]),
+            "phi": np.asarray(out[pre + "phi"], dtype=float),
             "theta": CriticParams(v=np.asarray(out[pre + "theta_v"], dtype=float),
                                   g=np.asarray(out[pre + "theta_g"], dtype=float),
                                   y_center=float(out.get(pre + "theta_y_center", 0.0))),
@@ -565,20 +546,22 @@ def load_checkpoint(path):
     return state
 
 
-def write_metrics_csv(path, result: TrainResult) -> None:
-    """Training-metrics CSV: per-episode critic losses and actor parameters."""
-    import csv as _csv
+def write_metrics_csv(path, critic_losses, phi_history) -> None:
+    """Training-metrics CSV: per-episode critic losses and actor parameters.
 
+    ``critic_losses`` is a pair of (M,) arrays, nan where an agent did not
+    train; ``phi_history`` a pair of (M+1, 4) arrays whose row 0 is the
+    initial actor."""
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         header = ["episode", "loss_critic1", "loss_critic2"]
         header += [f"phi{p}_1" for p in range(4)] + [f"phi{p}_2" for p in range(4)]
         writer.writerow(header)
-        for m in range(result.episodes_run):
+        for m in range(len(critic_losses[0])):
             row = [str(m + 1)]
             for i in (0, 1):
-                val = result.critic_losses[i][m]
+                val = critic_losses[i][m]
                 row.append("" if np.isnan(val) else repr(float(val)))
             for i in (0, 1):
-                row += [repr(float(x)) for x in result.phi_history[i][m + 1]]
+                row += [repr(float(x)) for x in phi_history[i][m + 1]]
             writer.writerow(row)

@@ -119,6 +119,13 @@ class TestTrainInputRejected:
         ("output", "replications", "-1"),
         ("output", "train_band", "-1.0"),
         ("output", "train_band", "0.0"),
+        ("market", "r", "nan"),
+        ("market", "sigma", "nan"),
+        ("agent1", "gamma", "inf"),
+        ("agent2", "lambda0", "-inf"),
+        ("sim", "x1_0", "nan"),
+        ("train", "x2_0", "nan"),
+        ("train", "y_0", "nan"),
         (None, "--replications", "-1"),
         (None, "--workers", "0"),
         (None, "--workers", "-3"),
@@ -135,7 +142,10 @@ class TestTrainInputRejected:
         path = tmp_path / "cfg.ini"
         path.write_text(text)
         assert cli.main(argv + ["--config", str(path)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if value in ("nan", "inf", "-inf"):
+            assert f"config error: [{section}] {key} = " in err
 
 
 class TestCliErrors:
@@ -182,7 +192,7 @@ class TestCliErrors:
                       train=replace(cfg.train, episodes=100,
                                     max_skip_fraction=max_skip))
         agents = cfg.build_agents(cfg.train.horizon)
-        phi = [np.tile(rl.equilibrium_actor_params(a, cfg.market).as_array(),
+        phi = [np.tile(rl.equilibrium_actor_params(a, cfg.market),
                        (101, 1)) for a in agents]
 
         def skips_3_percent(args):

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from mvgame import market
-from mvgame.market import (AgentParams, InvalidPriceError, MarketParams,
-                           SimConfig, episode_generator,
-                           run_episode_batch, simulate_game,
-                           simulate_state_and_price, step_wealth)
+from mvgame.market import (AgentParams, MarketParams, SimConfig,
+                           episode_generator, run_episode_batch, simulate_game)
 
 
 class StaticPolicy:
@@ -34,7 +32,6 @@ class StaticPolicy:
 
 def point_mass(value, dist):
     return StaticPolicy(value, 0.0, dist)
-
 
 class TestParamValidation:
     def test_market_params(self):
@@ -77,13 +74,13 @@ class TestStateAndPrice:
     def test_degenerate_state_is_constant(self):
         params = MarketParams(r=0.017, sigma=0.15, iota=0.0, y_bar=0.3, v=0.0, rho=0.0)
         cfg = SimConfig(horizon=1.0, n_steps=50, seed=4, y_0=0.3)
-        y, _ = simulate_state_and_price(params, cfg, episode_generator(4, 0))
+        y, _ = market._state_and_price_batch(params, cfg, 1, episode_generator(4, 0))
         assert np.all(y == 0.3)
 
     def test_zero_vol_price_constant_discounted(self):
         params = MarketParams(r=0.017, sigma=0.0, iota=0.27, y_bar=0.273, v=0.065, rho=0.5)
         cfg = SimConfig(horizon=1.0, n_steps=50, seed=4)
-        _, s_disc = simulate_state_and_price(params, cfg, episode_generator(4, 0))
+        _, s_disc = market._state_and_price_batch(params, cfg, 1, episode_generator(4, 0))
         assert np.allclose(s_disc, 1.0, atol=1e-14)
 
     def test_ou_transition_mean(self, bench_market):
@@ -98,27 +95,9 @@ class TestStateAndPrice:
 
     def test_determinism(self, bench_market):
         cfg = SimConfig(horizon=1.0, n_steps=100, seed=9)
-        y1, s1 = simulate_state_and_price(bench_market, cfg, episode_generator(9, 3))
-        y2, s2 = simulate_state_and_price(bench_market, cfg, episode_generator(9, 3))
+        y1, s1 = market._state_and_price_batch(bench_market, cfg, 1, episode_generator(9, 3))
+        y2, s2 = market._state_and_price_batch(bench_market, cfg, 1, episode_generator(9, 3))
         assert np.array_equal(y1, y2) and np.array_equal(s1, s2)
-
-
-class TestStepWealth:
-    def test_no_investment(self):
-        assert step_wealth(1.7, 0.0, 0.9, 1.4) == 1.7
-
-    def test_one_percent_move(self):
-        assert step_wealth(1.0, 1.0, 100.0, 101.0) == pytest.approx(1.01, abs=1e-12)
-
-    def test_hand_computed(self):
-        expected = 1.3 + 2.5 * (1.013 - 0.98) / 0.98
-        assert step_wealth(1.3, 2.5, 0.98, 1.013) == pytest.approx(expected, abs=1e-12)
-
-    def test_invalid_price(self):
-        with pytest.raises(InvalidPriceError):
-            step_wealth(1.0, 1.0, 0.0, 1.0)
-        with pytest.raises(InvalidPriceError):
-            step_wealth(1.0, 1.0, -0.5, 1.0)
 
 
 class TestSimulateGame:
@@ -137,7 +116,7 @@ class TestSimulateGame:
                              episode_generator(31, 0))
         x = cfg.x1_0
         for k in range(cfg.n_steps):
-            x = step_wealth(x, traj.actions1[k], traj.s_disc[k], traj.s_disc[k + 1])
+            x += traj.actions1[k] * (traj.s_disc[k + 1] - traj.s_disc[k]) / traj.s_disc[k]
             # vectorized accumulation differs from the loop only in the
             # last-bit association order
             assert x == pytest.approx(traj.x1[k + 1], rel=1e-13)

@@ -28,28 +28,27 @@ def ls_fit_critic(coeff_set, horizon, d=2, y_center=0.0):
 class TestActorQuantile:
     def test_matches_terminal_equilibrium_form(self, agents_short, bench_market):
         ag = agents_short[0]
-        phi = rl.ActorParams(phi0=1.0 / (ag.gamma * bench_market.sigma),
-                             phi1=0.0, phi2=0.3, phi3=0.0)
+        phi = np.array([1.0 / (ag.gamma * bench_market.sigma), 0.0, 0.3, 0.0])
         t, y, mu_j = 0.4, 0.5, 1.2
         # mean part: y/(gamma sigma) + k mu_j; scale: lam/(gamma sigma^2)
         q_mid = rl.actor_quantile(phi, ag, t, y, mu_j, 0.5, 1.0)
         assert q_mid == pytest.approx(y / (ag.gamma * bench_market.sigma)
                                       + ag.k * mu_j, abs=1e-12)
-        scale = rl.actor_scale_coeff(phi.as_array(), ag, t)
+        scale = rl.actor_scale_coeff(phi, ag, t)
         assert scale == pytest.approx(float(ag.lam(t)) / (ag.gamma * bench_market.sigma ** 2),
                                       abs=1e-12)
 
     def test_median_is_mean_for_symmetric_distortion(self, agents_short):
-        phi = rl.ActorParams(0.9, 0.1, 0.2, -0.3)
+        phi = np.array([0.9, 0.1, 0.2, -0.3])
         q = rl.actor_quantile(phi, agents_short[0], 0.2, 0.5, 0.7, 0.5, 1.0)
-        base = rl.actor_base_mean(phi.as_array(), 0.2, 0.5, 1.0)
+        base = rl.actor_base_mean(phi, 0.2, 0.5, 1.0)
         assert q == pytest.approx(agents_short[0].k * 0.7 + base, abs=1e-12)
 
     def test_decay_terms_vanish_at_horizon(self, agents_short):
         for phi13 in ((0.7, -0.4), (0.0, 0.0), (-2.0, 5.0)):
-            phi = rl.ActorParams(0.9, phi13[0], 0.4, phi13[1])
+            phi = np.array([0.9, phi13[0], 0.4, phi13[1]])
             q = rl.actor_quantile(phi, agents_short[0], 1.0, 0.5, 0.7, 0.5, 1.0)
-            ref = rl.actor_quantile(rl.ActorParams(0.9, 0.0, 0.4, 0.0),
+            ref = rl.actor_quantile(np.array([0.9, 0.0, 0.4, 0.0]),
                                     agents_short[0], 1.0, 0.5, 0.7, 0.5, 1.0)
             assert q == pytest.approx(ref, abs=1e-12)
 
@@ -69,8 +68,8 @@ class TestActorQuantile:
 
     def test_equilibrium_actor_params_reproduce_means(self, agents_short,
                                                       bench_market, coeffs_short):
-        phis = (rl.equilibrium_actor_params(agents_short[0], bench_market).as_array(),
-                rl.equilibrium_actor_params(agents_short[1], bench_market).as_array())
+        phis = (rl.equilibrium_actor_params(agents_short[0], bench_market),
+                rl.equilibrium_actor_params(agents_short[1], bench_market))
         ts = np.linspace(0.0, 1.0, 7)
         ys = np.linspace(-0.2, 0.7, 7)
         mu1, mu2 = rl.resolve_actor_means(phis, agents_short, ts, ys, 1.0)
@@ -382,8 +381,7 @@ class TestTrain:
         assert len(calls) == 2 * 20
 
     def test_divergence_abort(self, agents_short, bench_market):
-        bad = (rl.ActorParams(1e13, 0.0, 0.1, 0.0),
-               rl.ActorParams(1.0, 0.0, 0.1, 0.0))
+        bad = (np.array([1e13, 0.0, 0.1, 0.0]), np.array([1.0, 0.0, 0.1, 0.0]))
         with pytest.raises(rl.TrainingDivergedError):
             rl.train(agents_short, bench_market,
                      self._cfg(episodes=5, max_skip_fraction=0.0),
@@ -393,7 +391,7 @@ class TestTrain:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(8)
-        phi = (rl.ActorParams(0.1, 0.2, 0.3, 0.4), rl.ActorParams(-1.0, 2.0, -3.0, 4.0))
+        phi = (np.array([0.1, 0.2, 0.3, 0.4]), np.array([-1.0, 2.0, -3.0, 4.0]))
         theta = (rl.CriticParams(v=rng.normal(size=(3, 2)), g=rng.normal(size=(3, 2)),
                                  y_center=0.273),
                  rl.CriticParams(v=rng.normal(size=(3, 2)), g=rng.normal(size=(3, 2))))
@@ -403,7 +401,7 @@ class TestCheckpoint:
         rl.save_checkpoint(path, 321, phi, theta, adam)
         state = rl.load_checkpoint(path)
         assert state["episode"] == 321
-        assert state["agents"][0]["phi"] == phi[0]
+        assert np.array_equal(state["agents"][0]["phi"], phi[0])
         assert np.array_equal(state["agents"][0]["theta"].v, theta[0].v)
         assert state["agents"][0]["theta"].y_center == 0.273
         assert state["agents"][1]["theta"].y_center == 0.0
@@ -425,7 +423,7 @@ class TestMetricsCsv:
                              learning_rate=1e-3, kappa=0.01, seed=5)
         res = rl.train(agents_short, bench_market, cfg, initial_actors=phis)
         path = tmp_path / "metrics.csv"
-        rl.write_metrics_csv(path, res)
+        rl.write_metrics_csv(path, res.critic_losses, res.phi_history)
         import csv as _csv
         rows = list(_csv.DictReader(open(path)))
         assert len(rows) == 6
