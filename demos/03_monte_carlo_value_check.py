@@ -7,7 +7,7 @@ their equilibrium exploration laws and compare the Monte Carlo objective with
 V_i(0, xhat_0, y_0).  It also verifies the simulator's per-step moment
 structure against the exploratory dynamics.
 
-Run:  python demos/03_monte_carlo_value_check.py  (about half a minute)
+Run:  python demos/03_monte_carlo_value_check.py  (about 15 seconds)
 """
 
 import numpy as np

@@ -99,6 +99,38 @@ class TestStateAndPrice:
         y2, s2 = market._state_and_price_batch(bench_market, cfg, 1, episode_generator(9, 3))
         assert np.array_equal(y1, y2) and np.array_equal(s1, s2)
 
+    @pytest.mark.parametrize("n_paths", [1, 5])
+    def test_in_place_matches_out_of_place_formulas(self, bench_market, n_paths):
+        """Reference: the simulator written with a fresh array per operation."""
+        from scipy.signal import lfilter
+
+        cfg = SimConfig(horizon=1.0, n_steps=60, seed=17, y_0=0.4)
+        params, n, dt = bench_market, cfg.n_steps, cfg.dt
+        rng = episode_generator(17, n_paths)
+        db = np.sqrt(dt) * rng.standard_normal((n_paths, n))
+        db_tilde = np.sqrt(dt) * rng.standard_normal((n_paths, n))
+        phi = 1.0 - params.iota * dt
+        noise = params.v * (params.rho * db + np.sqrt(1.0 - params.rho ** 2) * db_tilde)
+        forcing = params.iota * params.y_bar * dt + noise
+        y_ref = np.empty((n_paths, n + 1))
+        y_ref[:, 0] = cfg.y_0
+        y_ref[:, 1:] = lfilter([1.0], [1.0, -phi], forcing, axis=1)
+        y_ref[:, 1:] += cfg.y_0 * np.power(phi, np.arange(1, n + 1))
+        dlog = (params.sigma * y_ref[:, :-1] - 0.5 * params.sigma ** 2) * dt \
+            + params.sigma * db
+        s_ref = np.empty((n_paths, n + 1))
+        s_ref[:, 0] = 1.0
+        s_ref[:, 1:] = np.exp(np.cumsum(dlog, axis=1))
+
+        y, s_disc = market._state_and_price_batch(params, cfg, n_paths,
+                                                  episode_generator(17, n_paths))
+        assert np.array_equal(y, y_ref) and np.array_equal(s_disc, s_ref)
+
+    def test_draw_uniforms_matches_clamped_draw(self):
+        got = market._draw_uniforms(episode_generator(6, 0), (3, 40))
+        ref = np.maximum(episode_generator(6, 0).random((3, 40)), 2.0 ** -53)
+        assert np.array_equal(got, ref)
+
 
 class TestSimulateGame:
     def test_point_mass_policies_keep_wealth_constant(self, bench_market, normal_dist,
@@ -148,6 +180,54 @@ class TestSimulateGame:
         assert len(rows) == 11
         assert [float(r["x1"]) for r in rows] == [float(v) for v in traj.x1]
         assert rows[-1]["u1"] == "" and rows[0]["u2"] != ""
+
+
+def per_step_batch(params, agents, policies, cfg, n_episodes, rng):
+    """Reference: run_episode_batch with one policy call per agent and step."""
+    n = cfg.n_steps
+    t_grid = np.linspace(0.0, cfg.horizon, n + 1)
+    y, s_disc = market._state_and_price_batch(params, cfg, n_episodes, rng)
+    p1 = market._draw_uniforms(rng, (n_episodes, n))
+    p2 = market._draw_uniforms(rng, (n_episodes, n))
+    rel = np.diff(s_disc, axis=1) / s_disc[:, :-1]
+    x0 = (cfg.x1_0, cfg.x2_0)
+    x_T = []
+    resid_sum = np.zeros((2, n))
+    resid_sumsq = np.zeros((2, n))
+    for i, (pol, p) in enumerate(zip(policies, (p1, p2))):
+        u = np.empty((n_episodes, n))
+        for k in range(n):
+            u[:, k] = pol.quantile(t_grid[k], y[:, k], p[:, k])
+            res = u[:, k] - pol.mean(t_grid[k], y[:, k])
+            resid_sum[i, k] = res.sum()
+            resid_sumsq[i, k] = (res * res).sum()
+        x_T.append(x0[i] + np.sum(u * rel, axis=1))
+    xhat = (x_T[0] - agents[0].k * x_T[1], x_T[1] - agents[1].k * x_T[0])
+    return xhat, resid_sum, resid_sumsq
+
+
+class TestEpisodeBatch:
+    @pytest.mark.parametrize("policy_kind", ["equilibrium", "static"])
+    @pytest.mark.parametrize("n_episodes", [1, market._BLOCK_ROWS - 1,
+                                            market._BLOCK_ROWS + 3])
+    def test_blocked_batch_matches_per_step_loop(self, bench_market, agents_short,
+                                                 policies_short, normal_dist,
+                                                 gini_dist, policy_kind, n_episodes):
+        pols = policies_short if policy_kind == "equilibrium" else (
+            StaticPolicy(1.2, 0.5, normal_dist), StaticPolicy(0.8, 0.3, gini_dist))
+        cfg = SimConfig(horizon=1.0, n_steps=40, seed=23)
+        batch = run_episode_batch(bench_market, agents_short, pols, cfg, n_episodes,
+                                  episode_generator(23, n_episodes))
+        xhat, resid_sum, resid_sumsq = per_step_batch(
+            bench_market, agents_short, pols, cfg, n_episodes,
+            episode_generator(23, n_episodes))
+        assert batch.n_episodes == n_episodes
+        assert all(np.array_equal(a, b) for a, b in zip(batch.xhat_T, xhat))
+        # the blocks add the residuals in another order; bound the round-off
+        # by the sum of |residual| <= sqrt(n * sum of squares)
+        np.testing.assert_allclose(batch.resid_sumsq, resid_sumsq, rtol=1e-12, atol=0)
+        scale = np.sqrt(n_episodes * resid_sumsq)
+        assert np.all(np.abs(batch.resid_sum - resid_sum) <= 1e-12 * scale)
 
 
 class TestMomentMatching:
@@ -218,6 +298,15 @@ class TestEstimateObjective:
         with pytest.raises(ValueError):
             market.estimate_objective(0, agents_short, policies_short,
                                       bench_market, cfg, 1, episode_generator(1, 0))
+
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_chunk_size_below_one_rejected(self, bench_market, agents_short,
+                                           policies_short, chunk_size):
+        cfg = SimConfig(horizon=1.0, n_steps=10, seed=1)
+        with pytest.raises(ValueError, match="chunk_size"):
+            market.estimate_objective(0, agents_short, policies_short, bench_market,
+                                      cfg, 10, episode_generator(1, 0),
+                                      chunk_size=chunk_size)
 
 
 class TestGuards:
