@@ -6,8 +6,9 @@ difference, and ascends a smoothed-functional gradient of the HJB criterion
 with Adam.  A single 2000-episode run wanders around the equilibrium (the
 per-episode gradient is extremely noisy); averaging the learned parameters
 over independent replications concentrates the curves onto the closed form.
+All replications train together in one batched call.
 
-Run:  python demos/04_actor_critic_learning.py  (about 20 seconds)
+Run:  python demos/04_actor_critic_learning.py  (about 8 seconds)
 """
 
 import numpy as np
@@ -39,21 +40,25 @@ def curve_error(phis):
 # actor parameters reproducing the closed form, perturbed by up to 10% per run
 phi_star = (rl.equilibrium_actor_params(agents[0], mkt),
             rl.equilibrium_actor_params(agents[1], mkt))
-finals = []
+initial = ([], [])
 for rep in range(REPS):
     rng = np.random.default_rng(100 + rep)
-    initial = tuple(p * (1.0 + rng.uniform(-0.1, 0.1, size=4)) for p in phi_star)
-    cfg = rl.TrainConfig(episodes=M, n_steps=N, horizon=T, learning_rate=1e-3,
-                         kappa=0.01, seed=42 + rep, critic_warmup=250)
-    result = rl.train(agents, mkt, cfg, initial_actors=initial)
-    final = (result.phi_history[0][-1], result.phi_history[1][-1])
-    finals.append(final)
-    print(f"replication {rep}: start curve error {curve_error(initial):.3f} "
-          f"-> final {curve_error(final):.3f} "
-          f"({result.skipped_episodes} skipped episodes)")
+    for i in (0, 1):
+        initial[i].append(phi_star[i] * (1.0 + rng.uniform(-0.1, 0.1, size=4)))
+initial = (np.array(initial[0]), np.array(initial[1]))
+cfg = rl.TrainConfig(episodes=M, n_steps=N, horizon=T, learning_rate=1e-3,
+                     kappa=0.01, seed=42, critic_warmup=250)
+result = rl.train(agents, mkt, cfg, initial_actors=initial,
+                  seeds=[42 + rep for rep in range(REPS)])
+finals = (result.phi_history[0][:, -1], result.phi_history[1][:, -1])
+for rep in range(REPS):
+    start = (initial[0][rep], initial[1][rep])
+    final = (finals[0][rep], finals[1][rep])
+    skips = int(np.isnan(result.critic_losses[0][rep]).sum())
+    print(f"replication {rep}: start curve error {curve_error(start):.3f} "
+          f"-> final {curve_error(final):.3f} ({skips} skipped episodes)")
 
-avg = (np.mean([f[0] for f in finals], axis=0),
-       np.mean([f[1] for f in finals], axis=0))
+avg = (finals[0].mean(axis=0), finals[1].mean(axis=0))
 print(f"\naveraged over {REPS} replications: curve error {curve_error(avg):.3f}")
 
 mu1, mu2 = rl.resolve_actor_means(avg, agents, t_grid, y_slice, T)

@@ -176,13 +176,16 @@ def cmd_iterate(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _train_one_replication(args):
-    """Worker for one training replication (picklable module-level fn).
+def _train_group(args):
+    """Worker training one contiguous group of replications in one batched
+    ``rl.train`` call (picklable module-level fn).
 
-    With ``freeze_opponent`` the closed-form opponent is built here: an
+    Replication ``rep`` trains on seed ``seed + 1000 (rep + 1)`` from actors
+    within 10% of the closed form, drawn from its own stream.  With
+    ``freeze_opponent`` the closed-form opponent is built here: an
     EquilibriumPolicy holds closures and cannot be sent to a worker.
     """
-    cfg, rep, freeze_opponent = args
+    cfg, reps, freeze_opponent = args
     horizon = cfg.train.horizon
     agents = cfg.build_agents(horizon)
     frozen = None
@@ -191,17 +194,26 @@ def _train_one_replication(args):
         frozen = eqm.equilibrium_policy(1, agents, cfg.market, coeffs)
     phi_star = (rl.equilibrium_actor_params(agents[0], cfg.market),
                 rl.equilibrium_actor_params(agents[1], cfg.market))
-    init_rng = np.random.default_rng(np.random.SeedSequence((cfg.train.seed, 77, rep)))
-    initial = tuple(p * (1.0 + init_rng.uniform(-0.1, 0.1, size=4))
-                    for p in phi_star)
-    train_cfg = replace(cfg.train, seed=cfg.train.seed + 1000 * (rep + 1))
-    return rl.train(agents, cfg.market, train_cfg, initial_actors=initial,
-                    frozen_opponent=frozen)
+    initial = ([], [])
+    for rep in reps:
+        init_rng = np.random.default_rng(np.random.SeedSequence((cfg.train.seed, 77, rep)))
+        for i in (0, 1):
+            initial[i].append(phi_star[i] * (1.0 + init_rng.uniform(-0.1, 0.1, size=4)))
+    seeds = [cfg.train.seed + 1000 * (rep + 1) for rep in reps]
+    return rl.train(agents, cfg.market, cfg.train,
+                    initial_actors=(np.array(initial[0]), np.array(initial[1])),
+                    seeds=seeds, frozen_opponent=frozen)
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: str, replications: int | None = None,
               freeze_opponent: bool = False, workers: int = 1) -> int:
-    """Train over replications; write metrics and learned-vs-true curves."""
+    """Train over replications; write metrics and learned-vs-true curves.
+
+    All replications train as one batched program.  ``workers`` > 1 splits
+    them into that many contiguous groups (never an empty one), each trained
+    by one batched call in its own process.  A replication's result does not
+    depend on its group, so every output is byte-identical for any
+    ``workers``."""
     if replications is not None and replications < 0:
         raise ConfigError(f"--replications must be >= 0, got {replications!r}")
     if workers < 1:
@@ -221,12 +233,13 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, replications: int | None = No
         print("train: no episodes configured; wrote true curves only")
         return EXIT_OK
 
-    jobs = [(cfg, rep, freeze_opponent) for rep in range(reps)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_train_one_replication, jobs))
+    groups = np.array_split(np.arange(reps), min(workers, reps))
+    jobs = [(cfg, tuple(int(rep) for rep in group), freeze_opponent) for group in groups]
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            runs = list(pool.map(_train_group, jobs))
     else:
-        runs = [_train_one_replication(job) for job in jobs]
+        runs = [_train_group(jobs[0])]
 
     skipped_total = sum(r.skipped_episodes for r in runs)
     episodes_total = sum(r.episodes_run for r in runs)
@@ -238,18 +251,20 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, replications: int | None = No
 
     # Average actor histories across replications, then evaluate the final
     # averaged parameters.
-    avg_hist = [np.mean([r.phi_history[i] for r in runs], axis=0) for i in (0, 1)]
+    avg_hist = [np.concatenate([r.phi_history[i] for r in runs]).mean(axis=0)
+                for i in (0, 1)]
     with warnings.catch_warnings():
         # all-NaN loss columns (an agent that never trained) stay NaN
         warnings.simplefilter("ignore", RuntimeWarning)
-        avg_losses = [np.nanmean([r.critic_losses[i] for r in runs], axis=0)
+        avg_losses = [np.nanmean(np.concatenate([r.critic_losses[i] for r in runs]), axis=0)
                       for i in (0, 1)]
     rl.write_metrics_csv(os.path.join(out_dir, "training_metrics.csv"),
                          avg_losses, avg_hist)
-    rl.save_checkpoint(os.path.join(out_dir, "checkpoint.txt"),
-                       runs[0].episodes_run,
-                       (runs[0].phi_history[0][-1], runs[0].phi_history[1][-1]),
-                       runs[0].theta, runs[0].adam_states)
+    first = runs[0]  # its row 0 is replication 0
+    rl.save_checkpoint(os.path.join(out_dir, "checkpoint.txt"), cfg.train.episodes,
+                       (first.phi_history[0][0, -1], first.phi_history[1][0, -1]),
+                       (first.theta[0][0], first.theta[1][0]),
+                       (first.adam_states[0][0], first.adam_states[1][0]))
 
     phi_final = (avg_hist[0][-1], avg_hist[1][-1])
     if freeze_opponent:
@@ -315,7 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "closed-form opponent")
             p.add_argument("--replications", type=int, default=None)
             p.add_argument("--workers", type=int, default=1,
-                           help="parallel replication workers")
+                           help="processes, each training one contiguous "
+                                "group of replications")
     return parser
 
 

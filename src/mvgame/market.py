@@ -175,14 +175,23 @@ def _state_and_price_batch(params: MarketParams, cfg: SimConfig, n_paths: int,
     """Euler-Maruyama state paths and log-Euler discounted price paths.
 
     Returns arrays (y, s_disc) of shape (n_paths, n_steps+1); s_disc(0) = 1.
-    The draw order is dB then dB~ ((n_paths, n_steps) each), so callers can
-    deterministically append further draws to the same stream.
+    ``rng`` is one Generator, which draws every path's dB and then every
+    path's dB~ ((n_paths, n_steps) each), or a sequence of ``n_paths``
+    Generators, path r drawing its dB and then its dB~ from ``rng[r]``.
+    Either way callers can deterministically append further draws to the
+    same streams.
     """
     n = cfg.n_steps
     dt = cfg.dt
     sqdt = np.sqrt(dt)
-    db = sqdt * rng.standard_normal((n_paths, n))
-    forcing = sqdt * rng.standard_normal((n_paths, n))  # dB~, turned into the forcing in place
+    # forcing holds dB~ and is turned into the forcing in place
+    if isinstance(rng, np.random.Generator):
+        db = sqdt * rng.standard_normal((n_paths, n))
+        forcing = sqdt * rng.standard_normal((n_paths, n))
+    else:
+        if len(rng) != n_paths:
+            raise ValueError(f"need one generator per path: {len(rng)} for {n_paths}")
+        db, forcing = sqdt * np.stack([g.standard_normal((2, n)) for g in rng], axis=1)
 
     # Y_{k+1} = phi*Y_k + (iota*y_bar*dt + noise_k) is an AR(1) recursion.
     phi = 1.0 - params.iota * dt

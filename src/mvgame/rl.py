@@ -20,6 +20,12 @@ residuals over all episodes so far; the actor ascends a smoothed-functional
 (Gaussian-perturbation) estimate of the HJB criterion, with nominal and
 perturbed actions generated from the same uniform draws and market noise.
 Parameter updates use Adam.
+
+:func:`train` runs R independent replications as one batched program: every
+per-episode array has a leading replication axis, and replication r draws
+episode m from its own counter-based stream ``episode_generator(seeds[r], m)``.
+No computation mixes two replications' rows, so a replication's result does
+not depend on which others share its batch.
 """
 
 from __future__ import annotations
@@ -66,7 +72,9 @@ class TrainingDivergedError(RuntimeError):
 @dataclass
 class CriticParams:
     """Six coefficient vectors in R^d: rows of ``v``/``g`` are the (y-c)^0,
-    (y-c)^1, (y-c)^2 blocks of the V and g surrogates.
+    (y-c)^1, (y-c)^2 blocks of the V and g surrogates.  ``v`` and ``g`` have
+    shape (3, d), or (R, 3, d) for R replications; indexing selects
+    replications.
 
     ``y_center`` is the fixed observable state offset c used by the basis
     (0 keeps raw powers of y).  Centering at the start state decorrelates the
@@ -85,18 +93,38 @@ class CriticParams:
 
     @property
     def d(self) -> int:
-        return self.v.shape[1]
+        return self.v.shape[-1]
+
+    def __getitem__(self, rows) -> "CriticParams":
+        return CriticParams(v=self.v[rows], g=self.g[rows], y_center=self.y_center)
+
+    def __setitem__(self, rows, other: "CriticParams") -> None:
+        self.v[rows] = other.v
+        self.g[rows] = other.g
 
 
 @dataclass
 class AdamState:
+    """Adam moments and step count.  Leading axes of ``m`` and ``v`` are
+    replications, each with its own entry in ``step``: a skipped episode
+    does not step.  Indexing selects replications."""
+
     m: np.ndarray
     v: np.ndarray
-    step: int = 0
+    step: np.ndarray | int = 0
 
     @classmethod
-    def zeros(cls, n: int) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n), step=0)
+    def zeros(cls, shape) -> "AdamState":
+        m = np.zeros(shape)
+        return cls(m=m, v=np.zeros(shape), step=np.zeros(m.shape[:-1], dtype=int))
+
+    def __getitem__(self, rows) -> "AdamState":
+        return AdamState(m=self.m[rows], v=self.v[rows], step=self.step[rows])
+
+    def __setitem__(self, rows, other: "AdamState") -> None:
+        self.m[rows] = other.m
+        self.v[rows] = other.v
+        self.step[rows] = other.step
 
 
 @dataclass(frozen=True)
@@ -106,6 +134,8 @@ class TrainConfig:
     horizon: float
     learning_rate: float
     kappa: float
+    # The CLI derives each replication's seed from this one; rl.train takes
+    # the replication seeds themselves.
     seed: int
     beta1: float = 0.9
     beta2: float = 0.999
@@ -170,17 +200,15 @@ def _decay_factors(phi2, tau):
 def actor_base_mean(phi, t, y, horizon: float):
     """Actor mean net of the opponent term: phi0*y - phi1*f1(tau)*y - phi3*f2(tau).
 
-    ``phi`` is a length-4 array or an (n, 4) array of per-step parameters;
-    broadcasts against arrays t, y.
+    ``phi`` holds the four parameters on its last axis; its other axes
+    broadcast against arrays t, y.  A length-4 array, (R, 1, 4) per
+    replication and (R, n, 4) per replication and step all work.
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim == 1:
-        phi0, phi1, phi2, phi3 = phi
-    else:
-        phi0, phi1, phi2, phi3 = phi[..., 0], phi[..., 1], phi[..., 2], phi[..., 3]
+    phi0, phi1, phi2, phi3 = np.moveaxis(np.asarray(phi, dtype=float), -1, 0)
     tau = horizon - np.asarray(t, dtype=float)
     f1, f2 = _decay_factors(phi2, tau)
-    return phi0 * np.asarray(y, dtype=float) - phi1 * f1 * np.asarray(y, dtype=float) - phi3 * f2
+    y = np.asarray(y, dtype=float)
+    return phi0 * y - phi1 * f1 * y - phi3 * f2
 
 
 def resolve_actor_means(phi_pair, agents, t, y, horizon: float):
@@ -193,9 +221,9 @@ def resolve_actor_means(phi_pair, agents, t, y, horizon: float):
 
 
 def actor_scale_coeff(phi, agent: AgentParams, t):
-    """Coefficient lam_i(t) phi0^2 gamma_i multiplying h'(1-p) in the quantile."""
-    phi = np.asarray(phi, dtype=float)
-    phi0 = phi[..., 0] if phi.ndim > 1 else phi[0]
+    """Coefficient lam_i(t) phi0^2 gamma_i multiplying h'(1-p) in the quantile;
+    ``phi`` broadcasts as in :func:`actor_base_mean`."""
+    phi0 = np.asarray(phi, dtype=float)[..., 0]
     lam = np.asarray(agent.lam(t), dtype=float)
     return lam * phi0 ** 2 * agent.gamma
 
@@ -208,11 +236,14 @@ def actor_quantile(phi, agent: AgentParams, t, y, mu_j, p, horizon: float):
 
 
 def critic_features(t, y, horizon: float, d: int, y_center: float = 0.0) -> np.ndarray:
-    """Feature vector of length 3d: blocks (y-c)^r * (tau, tau^2, ..., tau^d)."""
+    """Feature vector of length 3d: blocks (y-c)^r * (tau, tau^2, ..., tau^d).
+
+    t and y broadcast, so one time grid serves an (R, n+1) array of paths."""
     tau = np.asarray(horizon - np.asarray(t, dtype=float), dtype=float)
-    yc = np.asarray(y, dtype=float) - y_center
+    yc = (np.asarray(y, dtype=float) - y_center)[..., None]
     powers = tau[..., None] ** np.arange(1, d + 1)  # vanishes at tau = 0
-    blocks = [powers, powers * yc[..., None], powers * yc[..., None] ** 2]
+    shape = np.broadcast_shapes(powers.shape, yc.shape)
+    blocks = [np.broadcast_to(powers, shape), powers * yc, powers * yc ** 2]
     return np.concatenate(blocks, axis=-1)
 
 
@@ -233,9 +264,13 @@ def _td_residuals(theta: CriticParams, gamma: float, df, dx, dt: float, reg):
     C1 = dV/dt + gamma*g_k*dg/dt - (gamma/2)*d(g^2)/dt + reg_k, which
     collapses algebraically to dV/dt - (gamma/2)(dg)^2/dt + reg_k;
     C2 = dg/dt.  ``reg`` is lam_i(t_k) * Phi_h of the policy at step k.
+    A stacked theta (R, 3, d) pairs with (R, n, 3d) increments.
     """
-    dv = dx + df @ theta.v.reshape(-1)
-    dg = dx + df @ theta.g.reshape(-1)
+    def increment(block):
+        return dx + (df @ block.reshape(*block.shape[:-2], 3 * block.shape[-1], 1))[..., 0]
+
+    dv = increment(theta.v)
+    dg = increment(theta.g)
     c1 = dv / dt - 0.5 * gamma * dg * dg / dt + reg
     c2 = dg / dt
     return c1, c2, dg
@@ -296,30 +331,34 @@ def actor_gradient(c1_nominal: np.ndarray, c1_perturbed: np.ndarray,
     """Episode actor gradient sum_k (z_k/kappa) (C1_k(pert) - C1_k(nom)).
 
     ``z`` is the (n_steps, 4) array of per-step perturbations that generated
-    the perturbed actions.
+    the perturbed actions; leading axes, if any, are replications.
     """
     if kappa <= 0.0:
         raise ValueError(f"kappa must be positive, got {kappa!r}")
     z = np.asarray(z, dtype=float)
     diff = np.asarray(c1_perturbed, dtype=float) - np.asarray(c1_nominal, dtype=float)
-    return (z * diff[:, None]).sum(axis=0) / kappa
+    return (z * diff[..., None]).sum(axis=-2) / kappa
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
               alpha: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8):
-    """One bias-corrected Adam descent step; returns (state', params')."""
+    """One bias-corrected Adam descent step; returns (state', params').
+
+    Leading axes of ``params`` are replications, each bias-corrected by its
+    own step count."""
     step = state.step + 1
     m = beta1 * state.m + (1.0 - beta1) * grad
     v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** step)
-    v_hat = v / (1.0 - beta2 ** step)
+    m_hat = m / (1.0 - np.power(beta1, step))[..., None]
+    v_hat = v / (1.0 - np.power(beta2, step))[..., None]
     new_params = params - alpha * m_hat / (np.sqrt(v_hat) + eps)
     return AdamState(m=m, v=v, step=step), new_params
 
 
 class LstdAccumulator:
-    """Running least-squares TD statistics for one agent's critic.
+    """Running least-squares TD statistics for one agent's critic, stacked
+    over R replications.
 
     Stores everything needed to re-solve the orthogonality conditions
     E[f C2] = 0 and E[f C1] = 0 exactly for any theta_g: with per-step
@@ -330,49 +369,79 @@ class LstdAccumulator:
 
     so theta_v solves (A/dt) theta_v = -(bx/dt - (gamma/2) E[f (dg)^2]/dt
     + b_reg) with the current theta_g plugged in.
+
+    Every statistic sums, over steps, one block of the columns
+    c = [df, dx df, df (x) df, dx, dx^2, reg] times the feature row f, so one
+    stacked matmul per episode adds them all.  They sit side by side in
+    ``stats``, of shape (R, 2k + k^2 + 3, k) for k features.
     """
 
-    def __init__(self, n_features: int):
-        k = n_features
-        self.a_mat = np.zeros((k, k))
-        self.bx = np.zeros(k)
-        self.q0 = np.zeros(k)
-        self.q1 = np.zeros((k, k))
-        self.t3 = np.zeros((k, k, k))
-        self.b_reg = np.zeros(k)
+    def __init__(self, n_replications: int, n_features: int):
+        k = self.k = n_features
+        self.stats = np.zeros((n_replications, 2 * k + k * k + 3, k))
 
-    def add_episode(self, f_start, df, dx, reg) -> None:
-        self.a_mat += f_start.T @ df
-        self.bx += f_start.T @ dx
-        self.q0 += f_start.T @ (dx * dx)
-        self.q1 += f_start.T @ (dx[:, None] * df)
-        self.t3 += np.einsum("ni,nj,nk->ijk", f_start, df, df)
-        self.b_reg += f_start.T @ reg
+    def add_episode(self, f_start, df, dx, reg, rows=slice(None)) -> None:
+        """Add one episode for each replication in ``rows``: (R', n, k)
+        feature rows and increments, (R', n) xhat increments and regularizer.
+
+        The columns are built transposed, (R', 2k + k^2 + 3, n), so every
+        product runs along the n steps."""
+        k = self.k
+        lead, n = dx.shape[:-1], dx.shape[-1]
+        cols = np.empty(lead + (2 * k + k * k + 3, n))
+        dft = cols[..., :k, :]
+        dft[...] = df.swapaxes(-1, -2)
+        np.multiply(dx[..., None, :], dft, out=cols[..., k:2 * k, :])
+        np.multiply(dft[..., :, None, :], dft[..., None, :, :],
+                    out=cols[..., 2 * k:2 * k + k * k, :].reshape(lead + (k, k, n)))
+        cols[..., -3, :] = dx
+        np.multiply(dx, dx, out=cols[..., -2, :])
+        cols[..., -1, :] = reg
+        self.stats[rows] += cols @ f_start
 
     def solve(self, gamma: float, dt: float, d: int, y_center: float) -> CriticParams:
-        theta_g, *_ = np.linalg.lstsq(self.a_mat, -self.bx, rcond=None)
-        dg_sq = (self.q0 + 2.0 * self.q1 @ theta_g
-                 + np.einsum("ijk,j,k->i", self.t3, theta_g, theta_g))
-        rhs = self.bx / dt - 0.5 * gamma * dg_sq / dt + self.b_reg
-        theta_v, *_ = np.linalg.lstsq(self.a_mat / dt, -rhs, rcond=None)
-        return CriticParams(v=theta_v.reshape(3, d), g=theta_g.reshape(3, d),
+        """Critic parameters of every replication, stacked (R, 3, d).
+
+        Both systems have the matrix A (theta_v's is A/dt), so one stacked
+        pseudo-inverse, one SVD per replication, gives both of
+        np.linalg.lstsq's minimum-norm solutions.  It keeps lstsq's cutoff:
+        singular values at or below eps * k * s_max count as zero, as they do
+        when A is rank deficient (a few steps per episode).
+        """
+        k, stats = self.k, self.stats.swapaxes(-1, -2)
+        a_mat, q1, t3 = stats[..., :k], stats[..., k:2 * k], stats[..., 2 * k:2 * k + k * k]
+        bx, q0, b_reg = np.moveaxis(stats[..., 2 * k + k * k:], -1, 0)
+        pinv = np.linalg.pinv(a_mat, rcond=k * np.finfo(float).eps)
+        theta_g = (pinv @ -bx[..., None])[..., 0]
+        gg = (theta_g[..., :, None] * theta_g[..., None, :]).reshape(
+            *theta_g.shape[:-1], k * k)
+        dg_sq = (q0 + 2.0 * (q1 @ theta_g[..., None])[..., 0]
+                 + (t3 @ gg[..., None])[..., 0])
+        rhs = bx / dt - 0.5 * gamma * dg_sq / dt + b_reg
+        theta_v = dt * (pinv @ -rhs[..., None])[..., 0]
+        shape = theta_g.shape[:-1] + (3, d)
+        return CriticParams(v=theta_v.reshape(shape), g=theta_g.reshape(shape),
                             y_center=y_center)
 
 
 @dataclass
 class TrainResult:
-    phi_history: tuple[np.ndarray, np.ndarray]   # (M+1, 4) each
-    theta: tuple[CriticParams, CriticParams]
-    critic_losses: tuple[np.ndarray, np.ndarray]  # (M,) each, nan on skips
-    adam_states: tuple[AdamState, AdamState]
-    skipped_episodes: int
-    episodes_run: int
+    """Stacked over R replications: row r of every array is replication r."""
+
+    phi_history: tuple[np.ndarray, np.ndarray]   # (R, M+1, 4) each
+    theta: tuple[CriticParams, CriticParams]     # (R, 3, d) blocks
+    critic_losses: tuple[np.ndarray, np.ndarray]  # (R, M) each, nan on skips
+    adam_states: tuple[AdamState, AdamState]     # (R, 4) moments, (R,) steps
+    skipped_episodes: int                        # summed over replications
+    episodes_run: int                            # R * M
 
 
 def _nominal_actions(phi_pair, agents, t_steps, y_steps, p_draws, horizon,
                      frozen_opponent):
-    """Nominal actions (u1, u2) along one episode's step grid, and the
-    opponent mean each agent's quantile is conditioned on."""
+    """Nominal actions (u1, u2) on the (R, n) step grids of one batched
+    episode, and the opponent mean each agent's quantile is conditioned on.
+    ``phi_pair`` holds two (R, 4) arrays."""
+    phi_pair = [p[:, None, :] for p in phi_pair]
     if frozen_opponent is None:
         mu1, mu2 = resolve_actor_means(phi_pair, agents, t_steps, y_steps, horizon)
         mu_opp = (mu2, mu1)
@@ -388,34 +457,46 @@ def _nominal_actions(phi_pair, agents, t_steps, y_steps, p_draws, horizon,
     return u, (mu2, None)
 
 
-def train(agents, market: MarketParams, cfg: TrainConfig,
-          initial_actors, frozen_opponent=None) -> TrainResult:
-    """Run the two-agent actor-critic loop for cfg.episodes episodes.
+def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
+          frozen_opponent=None) -> TrainResult:
+    """Run the two-agent actor-critic loop for cfg.episodes episodes in each
+    of R = len(seeds) replications at once.
+
+    Replication r starts from the actors ``initial_actors[0][r]`` and
+    ``initial_actors[1][r]`` (two (R, 4) arrays) and draws episode m from
+    ``episode_generator(seeds[r], m)``; ``cfg.seed`` plays no part.
 
     Market parameters are used only to drive the simulator; the learners see
     sampled (state, price) transitions.  Both agents update each episode
     unless ``frozen_opponent`` is given, in which case agent 2's actions come
     from that policy and only agent 1 learns (the single-agent algorithm with
-    the opponent held fixed).  Episodes whose wealth exceeds the guard are
-    skipped; more than ``cfg.max_skip_fraction`` of skips aborts.
+    the opponent held fixed).  A replication's episode whose wealth exceeds
+    the guard is skipped for that replication alone; a replication with more
+    than ``cfg.max_skip_fraction`` of skips aborts the run.
 
     Each trained agent's episode is one transition record: the critic
     feature increments ``df`` and the xhat increments ``dx``.  The critic
     loss, the LSTD statistics and both actor replays all read it.
     """
-    n, horizon, dt = cfg.n_steps, cfg.horizon, cfg.dt
+    seeds = list(seeds)
+    n_rep = len(seeds)
+    phi = [np.array(p, dtype=float) for p in initial_actors]
+    if any(p.shape != (n_rep, 4) for p in phi):
+        raise ValueError(f"initial_actors must be two ({n_rep}, 4) arrays, "
+                         f"one row per seed")
+    n, horizon, dt, d = cfg.n_steps, cfg.horizon, cfg.dt, cfg.critic_dim
     t_grid = np.linspace(0.0, horizon, n + 1)
     t_steps = t_grid[:-1]
     trained = (0,) if frozen_opponent is not None else (0, 1)
 
-    phi = [np.array(p, dtype=float) for p in initial_actors]
-    theta = [CriticParams.zeros(cfg.critic_dim, y_center=cfg.y_0) for _ in range(2)]
-    adam = [AdamState.zeros(4) for _ in range(2)]
+    theta = [CriticParams(v=np.zeros((n_rep, 3, d)), g=np.zeros((n_rep, 3, d)),
+                          y_center=cfg.y_0) for _ in range(2)]
+    adam = [AdamState.zeros((n_rep, 4)) for _ in range(2)]
 
-    phi_hist = [np.empty((cfg.episodes + 1, 4)) for _ in range(2)]
-    losses = [np.full(cfg.episodes, np.nan) for _ in range(2)]
+    phi_hist = [np.empty((n_rep, cfg.episodes + 1, 4)) for _ in range(2)]
+    losses = [np.full((n_rep, cfg.episodes), np.nan) for _ in range(2)]
     for i in range(2):
-        phi_hist[i][0] = phi[i]
+        phi_hist[i][:, 0] = phi[i]
 
     sim = SimConfig(horizon=horizon, n_steps=n, seed=cfg.seed,
                     x1_0=cfg.x1_0, x2_0=cfg.x2_0, y_0=cfg.y_0)
@@ -424,75 +505,76 @@ def train(agents, market: MarketParams, cfg: TrainConfig,
     ks = (agents[0].k, agents[1].k)
     x0 = (cfg.x1_0, cfg.x2_0)
     max_skips = int(np.ceil(cfg.max_skip_fraction * cfg.episodes))
-    skipped = 0
-    lstd = [LstdAccumulator(3 * cfg.critic_dim) for _ in range(2)]
+    skipped = np.zeros(n_rep, dtype=int)
+    lstd = [LstdAccumulator(n_rep, 3 * d) for _ in range(2)]
 
     for m in range(cfg.episodes):
-        rng = episode_generator(cfg.seed, m)
-        y_path, s_disc = _state_and_price_batch(market, sim, 1, rng)
-        y_path, s_disc = y_path[0], s_disc[0]
-        p_draws = [_draw_uniforms(rng, n) for _ in range(2)]
-        z_draws = [rng.standard_normal((n, 4)) for _ in range(2)]
-        rel = np.diff(s_disc) / s_disc[:-1]
-        y_steps = y_path[:-1]
+        rngs = [episode_generator(seed, m) for seed in seeds]
+        y_path, s_disc = _state_and_price_batch(market, sim, n_rep, rngs)
+        # Each stream goes on with the agents' uniforms, then their actor
+        # perturbations: (agent, replication, ...) arrays.
+        p_draws = np.stack([_draw_uniforms(g, (2, n)) for g in rngs], axis=1)
+        z_draws = np.stack([g.standard_normal((2, n, 4)) for g in rngs], axis=1)
+        rel = np.diff(s_disc, axis=1) / s_disc[:, :-1]
+        y_steps = y_path[:, :-1]
 
         u, mu_opp = _nominal_actions(phi, agents, t_steps, y_steps, p_draws,
                                      horizon, frozen_opponent)
-        x = [x0[i] + np.concatenate([[0.0], np.cumsum(u[i] * rel)]) for i in range(2)]
-        if any(not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > WEALTH_GUARD
-               for xi in x):
-            skipped += 1
-            if skipped > max_skips:
-                raise TrainingDivergedError(
-                    f"{skipped} skipped episodes out of {m + 1} exceeds the "
-                    f"{cfg.max_skip_fraction:.0%} cap")
-            for i in range(2):
-                phi_hist[i][m + 1] = phi[i]
-            continue
+        x = [x0[i] + np.concatenate((np.zeros((n_rep, 1)), np.cumsum(u[i] * rel, axis=1)),
+                                    axis=1) for i in range(2)]
+        bad = ~np.all([np.abs(xi) <= WEALTH_GUARD for xi in x], axis=(0, 2))
+        skipped += bad
+        if np.any(skipped > max_skips):
+            r = int(np.argmax(skipped > max_skips))
+            raise TrainingDivergedError(
+                f"replication with seed {seeds[r]}: {skipped[r]} skipped episodes "
+                f"out of {m + 1} exceeds the {cfg.max_skip_fraction:.0%} cap")
+        # Only the replications that kept their episode update, by indexing:
+        # a skipped row may hold inf, and 0 * inf is nan.
+        rows = np.flatnonzero(~bad) if bad.any() else slice(None)
 
-        new_phi = [phi[i].copy() for i in range(2)]
-        new_theta = [theta[i] for i in range(2)]
         for i in trained:
             j = 1 - i
             gamma = agents[i].gamma
-            xhat = x[i] - ks[i] * x[j]
-            f = critic_features(t_grid, y_path, horizon, theta[i].d, theta[i].y_center)
-            df = np.diff(f, axis=0)
-            dx = np.diff(xhat)
-            reg = lam[i] * actor_scale_coeff(phi[i], agents[i], t_steps) * l2sq[i]
+            xhat = x[i][rows] - ks[i] * x[j][rows]
+            f = critic_features(t_grid, y_path[rows], horizon, d, cfg.y_0)
+            df = np.diff(f, axis=1)
+            dx = np.diff(xhat, axis=1)
+            phi_i = phi[i][rows]
+            reg = lam[i] * actor_scale_coeff(phi_i[:, None], agents[i], t_steps) * l2sq[i]
 
-            lstd[i].add_episode(f[:-1], df, dx, reg)
-            c1, c2, _ = _td_residuals(theta[i], gamma, df, dx, dt, reg)
-            losses[i][m] = float(np.sum(c1 * c1) + np.sum(c2 * c2))
-            new_theta[i] = lstd[i].solve(gamma, dt, cfg.critic_dim, theta[i].y_center)
+            lstd[i].add_episode(f[:, :-1], df, dx, reg, rows)
+            c1, c2, _ = _td_residuals(theta[i][rows], gamma, df, dx, dt, reg)
+            losses[i][rows, m] = np.sum(c1 * c1, axis=1) + np.sum(c2 * c2, axis=1)
+            new_theta = lstd[i].solve(gamma, dt, d, cfg.y_0)[rows]
+            theta[i][rows] = new_theta
             if m < cfg.critic_warmup:
                 continue
 
             # Perturbed replay: same uniforms and market noise, one-step
             # deviations from the nominal states.
-            phi_bar = phi[i][None, :] + cfg.kappa * z_draws[i]
-            u_bar = actor_quantile(phi_bar, agents[i], t_steps, y_steps, mu_opp[i],
-                                   p_draws[i], horizon)
-            dx_bar = dx + (u_bar - u[i]) * rel
+            z = z_draws[i][rows]
+            phi_bar = phi_i[:, None, :] + cfg.kappa * z
+            u_bar = actor_quantile(phi_bar, agents[i], t_steps, y_steps[rows],
+                                   mu_opp[i][rows], p_draws[i][rows], horizon)
+            dx_bar = dx + (u_bar - u[i][rows]) * rel[rows]
             reg_bar = lam[i] * actor_scale_coeff(phi_bar, agents[i], t_steps) * l2sq[i]
-            c1_nom, _, _ = _td_residuals(new_theta[i], gamma, df, dx, dt, reg)
-            c1_bar, _, _ = _td_residuals(new_theta[i], gamma, df, dx_bar, dt, reg_bar)
-            grad_phi = actor_gradient(c1_nom, c1_bar, z_draws[i], cfg.kappa)
+            c1_nom, _, _ = _td_residuals(new_theta, gamma, df, dx, dt, reg)
+            c1_bar, _, _ = _td_residuals(new_theta, gamma, df, dx_bar, dt, reg_bar)
+            grad_phi = actor_gradient(c1_nom, c1_bar, z, cfg.kappa)
             # The HJB criterion is maximized, so ascend: feed -grad to Adam.
-            adam[i], new_phi[i] = adam_step(adam[i], phi[i], -grad_phi,
-                                            cfg.learning_rate, cfg.beta1,
-                                            cfg.beta2, cfg.eps)
-        phi = new_phi
-        theta = new_theta
+            adam[i][rows], phi[i][rows] = adam_step(adam[i][rows], phi_i, -grad_phi,
+                                                    cfg.learning_rate, cfg.beta1,
+                                                    cfg.beta2, cfg.eps)
         for i in range(2):
-            phi_hist[i][m + 1] = phi[i]
+            phi_hist[i][:, m + 1] = phi[i]
 
     return TrainResult(phi_history=(phi_hist[0], phi_hist[1]),
                        theta=(theta[0], theta[1]),
                        critic_losses=(losses[0], losses[1]),
                        adam_states=(adam[0], adam[1]),
-                       skipped_episodes=skipped,
-                       episodes_run=cfg.episodes)
+                       skipped_episodes=int(skipped.sum()),
+                       episodes_run=n_rep * cfg.episodes)
 
 
 CHECKPOINT_VERSION = 1

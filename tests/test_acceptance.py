@@ -314,7 +314,9 @@ def test_criterion_10_learning_at_desk_scale(agents_short, bench_market,
     train_cfg = rl.TrainConfig(episodes=2000, n_steps=250, horizon=1.0,
                                learning_rate=1e-3, kappa=0.01, seed=777,
                                critic_warmup=2000)
-    res = rl.train(agents_short, bench_market, train_cfg, initial_actors=phi_star)
+    res = rl.train(agents_short, bench_market, train_cfg,
+                   initial_actors=(phi_star[0][None], phi_star[1][None]), seeds=[777])
+    theta = (res.theta[0][0], res.theta[1][0])  # replication 0
     sim_cfg = market.SimConfig(horizon=1.0, n_steps=250, seed=777)
     td_ok = True
     for i in (0, 1):
@@ -330,7 +332,7 @@ def test_criterion_10_learning_at_desk_scale(agents_short, bench_market,
             reg = (np.asarray(agents_short[i].lam(ts)) * np.ones(250)
                    * np.asarray(policies_short[i].std(ts))
                    * agents_short[i].distortion.l2_norm)
-            c1, c2 = rl.td_errors(res.theta[i], agents_short[i], tg, xh, y,
+            c1, c2 = rl.td_errors(theta[i], agents_short[i], tg, xh, y,
                                   sim_cfg.dt, reg, 1.0)
             means1.append(c1.mean())
             means2.append(c2.mean())

@@ -192,18 +192,22 @@ class TestCliErrors:
                       train=replace(cfg.train, episodes=100,
                                     max_skip_fraction=max_skip))
         agents = cfg.build_agents(cfg.train.horizon)
+        # one replication: a leading axis of length 1 on every array
         phi = [np.tile(rl.equilibrium_actor_params(a, cfg.market),
-                       (101, 1)) for a in agents]
+                       (1, 101, 1)) for a in agents]
+
+        def critic():
+            return rl.CriticParams(v=np.zeros((1, 3, 2)), g=np.zeros((1, 3, 2)))
 
         def skips_3_percent(args):
             return rl.TrainResult(
                 phi_history=(phi[0], phi[1]),
-                theta=(rl.CriticParams.zeros(), rl.CriticParams.zeros()),
-                critic_losses=(np.zeros(100), np.zeros(100)),
-                adam_states=(rl.AdamState.zeros(4), rl.AdamState.zeros(4)),
+                theta=(critic(), critic()),
+                critic_losses=(np.zeros((1, 100)), np.zeros((1, 100))),
+                adam_states=(rl.AdamState.zeros((1, 4)), rl.AdamState.zeros((1, 4))),
                 skipped_episodes=3, episodes_run=100)
 
-        monkeypatch.setattr(cli, "_train_one_replication", skips_3_percent)
+        monkeypatch.setattr(cli, "_train_group", skips_3_percent)
         path = tmp_path / "cfg.ini"
         path.write_text(serialize_config(cfg))
         assert cli.main(["train", "--config", str(path),
@@ -421,4 +425,20 @@ class TestParallelReplications:
         assert cli.main(["train", "--config", str(path), "--out", str(par),
                          "--workers", "2"] + mode) == 0
         for name in ("learned_vs_true.csv", "training_metrics.csv"):
+            assert (seq / name).read_bytes() == (par / name).read_bytes(), name
+
+    def test_more_workers_than_replications(self, tmp_path):
+        # 3 workers for 2 replications make two one-replication groups; an
+        # empty group would fail its worker
+        cfg = replace(table2_config(),
+                      train=replace(table2_config().train, episodes=40,
+                                    critic_warmup=10, n_steps=30),
+                      replications=2)
+        path = tmp_path / "cfg.ini"
+        path.write_text(serialize_config(cfg))
+        seq, par = tmp_path / "seq", tmp_path / "par"
+        assert cli.main(["train", "--config", str(path), "--out", str(seq)]) == 0
+        assert cli.main(["train", "--config", str(path), "--out", str(par),
+                         "--workers", "3", "--replications", "2"]) == 0
+        for name in ("learned_vs_true.csv", "training_metrics.csv", "checkpoint.txt"):
             assert (seq / name).read_bytes() == (par / name).read_bytes(), name

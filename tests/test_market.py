@@ -99,6 +99,20 @@ class TestStateAndPrice:
         y2, s2 = market._state_and_price_batch(bench_market, cfg, 1, episode_generator(9, 3))
         assert np.array_equal(y1, y2) and np.array_equal(s1, s2)
 
+    def test_one_generator_per_path_matches_solo_paths(self, bench_market):
+        """Path r of a batch over a sequence of generators is the one-path
+        simulation on rngs[r], and each stream goes on where the solo run left it."""
+        cfg = SimConfig(horizon=1.0, n_steps=40, seed=3)
+        rngs = [episode_generator(seed, 2) for seed in (3, 4, 5)]
+        y, s_disc = market._state_and_price_batch(bench_market, cfg, 3, rngs)
+        for r, seed in enumerate((3, 4, 5)):
+            solo_rng = episode_generator(seed, 2)
+            y_r, s_r = market._state_and_price_batch(bench_market, cfg, 1, solo_rng)
+            assert np.array_equal(y[r], y_r[0]) and np.array_equal(s_disc[r], s_r[0])
+            assert rngs[r].random() == solo_rng.random()
+        with pytest.raises(ValueError, match="one generator per path"):
+            market._state_and_price_batch(bench_market, cfg, 2, rngs)
+
     @pytest.mark.parametrize("n_paths", [1, 5])
     def test_in_place_matches_out_of_place_formulas(self, bench_market, n_paths):
         """Reference: the simulator written with a fresh array per operation."""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -316,6 +318,11 @@ class TestAdam:
         assert np.array_equal(run(), run())
 
 
+def _one_replication(phis):
+    """A pair of length-4 actors as the (1, 4) arrays of one replication."""
+    return tuple(np.asarray(p, dtype=float)[None, :] for p in phis)
+
+
 class TestTrain:
     def _cfg(self, episodes=40, **kw):
         defaults = dict(episodes=episodes, n_steps=50, horizon=1.0,
@@ -324,44 +331,47 @@ class TestTrain:
         defaults.update(kw)
         return rl.TrainConfig(**defaults)
 
+    def _phis(self, agents, mkt):
+        return _one_replication(rl.equilibrium_actor_params(a, mkt) for a in agents)
+
     def test_deterministic(self, agents_short, bench_market):
-        phis = (rl.equilibrium_actor_params(agents_short[0], bench_market),
-                rl.equilibrium_actor_params(agents_short[1], bench_market))
-        r1 = rl.train(agents_short, bench_market, self._cfg(), initial_actors=phis)
-        r2 = rl.train(agents_short, bench_market, self._cfg(), initial_actors=phis)
-        assert np.array_equal(r1.phi_history[0], r2.phi_history[0])
-        assert np.array_equal(r1.phi_history[1], r2.phi_history[1])
-        assert np.array_equal(r1.theta[0].g, r2.theta[0].g)
+        phis = self._phis(agents_short, bench_market)
+        r1 = rl.train(agents_short, bench_market, self._cfg(), initial_actors=phis,
+                      seeds=[123])
+        r2 = rl.train(agents_short, bench_market, self._cfg(), initial_actors=phis,
+                      seeds=[123])
+        assert np.array_equal(r1.phi_history[0][0], r2.phi_history[0][0])
+        assert np.array_equal(r1.phi_history[1][0], r2.phi_history[1][0])
+        assert np.array_equal(r1.theta[0][0].g, r2.theta[0][0].g)
 
     def test_distinct_seeds_distinct_histories(self, agents_short, bench_market):
-        phis = (rl.equilibrium_actor_params(agents_short[0], bench_market),
-                rl.equilibrium_actor_params(agents_short[1], bench_market))
-        r1 = rl.train(agents_short, bench_market, self._cfg(seed=1),
-                      initial_actors=phis)
-        r2 = rl.train(agents_short, bench_market, self._cfg(seed=2),
-                      initial_actors=phis)
-        assert not np.array_equal(r1.phi_history[0], r2.phi_history[0])
-        assert np.all(np.isfinite(r1.phi_history[0]))
-        assert np.all(np.isfinite(r2.phi_history[0]))
+        phis = self._phis(agents_short, bench_market)
+        r1 = rl.train(agents_short, bench_market, self._cfg(), initial_actors=phis,
+                      seeds=[1])
+        r2 = rl.train(agents_short, bench_market, self._cfg(), initial_actors=phis,
+                      seeds=[2])
+        assert not np.array_equal(r1.phi_history[0][0], r2.phi_history[0][0])
+        assert np.all(np.isfinite(r1.phi_history[0][0]))
+        assert np.all(np.isfinite(r2.phi_history[0][0]))
 
     def test_warmup_freezes_actors(self, agents_short, bench_market):
-        phis = (rl.equilibrium_actor_params(agents_short[0], bench_market),
-                rl.equilibrium_actor_params(agents_short[1], bench_market))
+        phis = self._phis(agents_short, bench_market)
         res = rl.train(agents_short, bench_market,
                        self._cfg(episodes=10, critic_warmup=10),
-                       initial_actors=phis)
-        assert np.array_equal(res.phi_history[0][0], res.phi_history[0][-1])
+                       initial_actors=phis, seeds=[123])
+        # replication 0's first and last episode
+        assert np.array_equal(res.phi_history[0][0, 0], res.phi_history[0][0, -1])
         # critics moved during warmup
-        assert np.any(res.theta[0].g != 0.0)
+        assert np.any(res.theta[0][0].g != 0.0)
 
     def test_freeze_opponent_trains_agent1_only(self, agents_short, bench_market,
                                                 coeffs_short, policies_short):
-        phis = (rl.equilibrium_actor_params(agents_short[0], bench_market),
-                rl.equilibrium_actor_params(agents_short[1], bench_market))
+        phis = self._phis(agents_short, bench_market)
         res = rl.train(agents_short, bench_market, self._cfg(),
-                       initial_actors=phis, frozen_opponent=policies_short[1])
-        assert np.array_equal(res.phi_history[1][0], res.phi_history[1][-1])
-        assert not np.array_equal(res.phi_history[0][0], res.phi_history[0][-1])
+                       initial_actors=phis, seeds=[123],
+                       frozen_opponent=policies_short[1])
+        assert np.array_equal(res.phi_history[1][0, 0], res.phi_history[1][0, -1])
+        assert not np.array_equal(res.phi_history[0][0, 0], res.phi_history[0][0, -1])
 
     def test_one_feature_evaluation_per_trained_agent_and_episode(
             self, agents_short, bench_market, monkeypatch):
@@ -373,19 +383,248 @@ class TestTrain:
             return features(*args, **kwargs)
 
         monkeypatch.setattr(rl, "critic_features", counting)
-        phis = (rl.equilibrium_actor_params(agents_short[0], bench_market),
-                rl.equilibrium_actor_params(agents_short[1], bench_market))
+        phis = self._phis(agents_short, bench_market)
         res = rl.train(agents_short, bench_market,
-                       self._cfg(episodes=20, critic_warmup=10), initial_actors=phis)
+                       self._cfg(episodes=20, critic_warmup=10), initial_actors=phis,
+                       seeds=[123])
         assert res.skipped_episodes == 0
         assert len(calls) == 2 * 20
 
     def test_divergence_abort(self, agents_short, bench_market):
-        bad = (np.array([1e13, 0.0, 0.1, 0.0]), np.array([1.0, 0.0, 0.1, 0.0]))
-        with pytest.raises(rl.TrainingDivergedError):
+        # replication 1 diverges; the error names its seed
+        good = rl.equilibrium_actor_params(agents_short[0], bench_market)
+        bad = (np.array([good, [1e13, 0.0, 0.1, 0.0]]),
+               np.array([[1.0, 0.0, 0.1, 0.0]] * 2))
+        with pytest.raises(rl.TrainingDivergedError, match="seed 6"):
             rl.train(agents_short, bench_market,
                      self._cfg(episodes=5, max_skip_fraction=0.0),
-                     initial_actors=bad)
+                     initial_actors=bad, seeds=[5, 6])
+
+
+def _reference_train(agents, mkt, cfg, initial_actors, frozen_opponent=None):
+    """The one-replication training loop as it was before replications were
+    batched, with its np.linalg.lstsq critic solves.  Returns (phi history,
+    critic params, losses, Adam states, skip count) of replication cfg.seed."""
+    n, horizon, dt = cfg.n_steps, cfg.horizon, cfg.dt
+    t_grid = np.linspace(0.0, horizon, n + 1)
+    t_steps = t_grid[:-1]
+    trained = (0,) if frozen_opponent is not None else (0, 1)
+    k = 3 * cfg.critic_dim
+
+    phi = [np.array(p, dtype=float) for p in initial_actors]
+    theta = [rl.CriticParams.zeros(cfg.critic_dim, y_center=cfg.y_0) for _ in range(2)]
+    adam = [rl.AdamState.zeros(4) for _ in range(2)]
+    phi_hist = [np.empty((cfg.episodes + 1, 4)) for _ in range(2)]
+    losses = [np.full(cfg.episodes, np.nan) for _ in range(2)]
+    for i in range(2):
+        phi_hist[i][0] = phi[i]
+
+    sim = market.SimConfig(horizon=horizon, n_steps=n, seed=cfg.seed,
+                           x1_0=cfg.x1_0, x2_0=cfg.x2_0, y_0=cfg.y_0)
+    lam = [np.asarray(agents[i].lam(t_steps), dtype=float) * np.ones(n) for i in range(2)]
+    l2sq = [agents[i].distortion.l2_norm ** 2 for i in range(2)]
+    ks = (agents[0].k, agents[1].k)
+    x0 = (cfg.x1_0, cfg.x2_0)
+    skipped = 0
+    stats = [dict(a=np.zeros((k, k)), bx=np.zeros(k), q0=np.zeros(k),
+                  q1=np.zeros((k, k)), t3=np.zeros((k, k, k)), b_reg=np.zeros(k))
+             for _ in range(2)]
+
+    for m in range(cfg.episodes):
+        rng = episode_generator(cfg.seed, m)
+        y_path, s_disc = market._state_and_price_batch(mkt, sim, 1, rng)
+        y_path, s_disc = y_path[0], s_disc[0]
+        p_draws = [market._draw_uniforms(rng, n) for _ in range(2)]
+        z_draws = [rng.standard_normal((n, 4)) for _ in range(2)]
+        rel = np.diff(s_disc) / s_disc[:-1]
+        y_steps = y_path[:-1]
+
+        if frozen_opponent is None:
+            mu1, mu2 = rl.resolve_actor_means(phi, agents, t_steps, y_steps, horizon)
+            mu_opp = (mu2, mu1)
+            u = [rl.actor_quantile(phi[i], agents[i], t_steps, y_steps, mu_opp[i],
+                                   p_draws[i], horizon) for i in range(2)]
+        else:
+            mu2 = np.asarray(frozen_opponent.mean(t_steps, y_steps), dtype=float) \
+                * np.ones_like(y_steps)
+            mu_opp = (mu2, None)
+            u = [rl.actor_quantile(phi[0], agents[0], t_steps, y_steps, mu2,
+                                   p_draws[0], horizon),
+                 np.asarray(frozen_opponent.quantile(t_steps, y_steps, p_draws[1]),
+                            dtype=float)]
+        x = [x0[i] + np.concatenate([[0.0], np.cumsum(u[i] * rel)]) for i in range(2)]
+        if any(not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > market.WEALTH_GUARD
+               for xi in x):
+            skipped += 1
+            for i in range(2):
+                phi_hist[i][m + 1] = phi[i]
+            continue
+
+        new_phi = [phi[i].copy() for i in range(2)]
+        new_theta = [theta[i] for i in range(2)]
+        for i in trained:
+            j = 1 - i
+            gamma = agents[i].gamma
+            xhat = x[i] - ks[i] * x[j]
+            f = rl.critic_features(t_grid, y_path, horizon, cfg.critic_dim, cfg.y_0)
+            f_start, df, dx = f[:-1], np.diff(f, axis=0), np.diff(xhat)
+            reg = lam[i] * rl.actor_scale_coeff(phi[i], agents[i], t_steps) * l2sq[i]
+
+            st = stats[i]
+            st["a"] += f_start.T @ df
+            st["bx"] += f_start.T @ dx
+            st["q0"] += f_start.T @ (dx * dx)
+            st["q1"] += f_start.T @ (dx[:, None] * df)
+            st["t3"] += np.einsum("ni,nj,nk->ijk", f_start, df, df)
+            st["b_reg"] += f_start.T @ reg
+            c1, c2, _ = rl._td_residuals(theta[i], gamma, df, dx, dt, reg)
+            losses[i][m] = float(np.sum(c1 * c1) + np.sum(c2 * c2))
+            theta_g, *_ = np.linalg.lstsq(st["a"], -st["bx"], rcond=None)
+            dg_sq = (st["q0"] + 2.0 * st["q1"] @ theta_g
+                     + np.einsum("ijk,j,k->i", st["t3"], theta_g, theta_g))
+            rhs = st["bx"] / dt - 0.5 * gamma * dg_sq / dt + st["b_reg"]
+            theta_v, *_ = np.linalg.lstsq(st["a"] / dt, -rhs, rcond=None)
+            new_theta[i] = rl.CriticParams(v=theta_v.reshape(3, -1),
+                                           g=theta_g.reshape(3, -1), y_center=cfg.y_0)
+            if m < cfg.critic_warmup:
+                continue
+
+            phi_bar = phi[i][None, :] + cfg.kappa * z_draws[i]
+            u_bar = rl.actor_quantile(phi_bar, agents[i], t_steps, y_steps, mu_opp[i],
+                                      p_draws[i], horizon)
+            dx_bar = dx + (u_bar - u[i]) * rel
+            reg_bar = lam[i] * rl.actor_scale_coeff(phi_bar, agents[i], t_steps) * l2sq[i]
+            c1_nom, _, _ = rl._td_residuals(new_theta[i], gamma, df, dx, dt, reg)
+            c1_bar, _, _ = rl._td_residuals(new_theta[i], gamma, df, dx_bar, dt, reg_bar)
+            grad_phi = rl.actor_gradient(c1_nom, c1_bar, z_draws[i], cfg.kappa)
+            adam[i], new_phi[i] = rl.adam_step(adam[i], phi[i], -grad_phi,
+                                               cfg.learning_rate, cfg.beta1,
+                                               cfg.beta2, cfg.eps)
+        phi = new_phi
+        theta = new_theta
+        for i in range(2):
+            phi_hist[i][m + 1] = phi[i]
+    return phi_hist, theta, losses, adam, skipped
+
+
+def _replication(res: rl.TrainResult, r: int):
+    """Replication r of a batched result, in _reference_train's layout."""
+    return ([res.phi_history[i][r] for i in (0, 1)],
+            [res.theta[i][r] for i in (0, 1)],
+            [res.critic_losses[i][r] for i in (0, 1)],
+            [res.adam_states[i][r] for i in (0, 1)])
+
+
+def _assert_matches_reference(res, r, ref, rtol):
+    """Row r of a batched result against a _reference_train result: relative
+    tolerance ``rtol``, or 1e-15 absolute near zero; NaN where it is NaN."""
+    phi_hist, theta, losses, adam = _replication(res, r)
+    for i in (0, 1):
+        close = dict(rtol=rtol, atol=1e-15)
+        np.testing.assert_allclose(phi_hist[i], ref[0][i], **close)
+        np.testing.assert_allclose(theta[i].v, ref[1][i].v, **close)
+        np.testing.assert_allclose(theta[i].g, ref[1][i].g, **close)
+        np.testing.assert_allclose(losses[i], ref[2][i], **close)
+        np.testing.assert_allclose(adam[i].m, ref[3][i].m, **close)
+        np.testing.assert_allclose(adam[i].v, ref[3][i].v, **close)
+        assert adam[i].step == ref[3][i].step
+
+
+class TestBatchedTrain:
+    """Replications batched in one rl.train call against the one-replication
+    loop, each other, and their solo runs."""
+
+    SEEDS = (101, 202, 303)
+
+    def _cfg(self, **kw):
+        defaults = dict(episodes=40, n_steps=30, horizon=1.0, learning_rate=1e-3,
+                        kappa=0.01, seed=0, critic_warmup=10)
+        defaults.update(kw)
+        return rl.TrainConfig(**defaults)
+
+    def _initial(self, agents, mkt, n_rep):
+        """Actors within 10% of the closed form, one row per replication."""
+        rng = np.random.default_rng(5)
+        return tuple(rl.equilibrium_actor_params(a, mkt)
+                     * (1.0 + rng.uniform(-0.1, 0.1, size=(n_rep, 4))) for a in agents)
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["joint", "freeze"])
+    def test_matches_one_replication_loop(self, agents_short, bench_market,
+                                          policies_short, frozen):
+        cfg = self._cfg()
+        initial = self._initial(agents_short, bench_market, len(self.SEEDS))
+        opponent = policies_short[1] if frozen else None
+        res = rl.train(agents_short, bench_market, cfg, initial, self.SEEDS,
+                       frozen_opponent=opponent)
+        skips = 0
+        for r, seed in enumerate(self.SEEDS):
+            ref = _reference_train(agents_short, bench_market, replace(cfg, seed=seed),
+                                   (initial[0][r], initial[1][r]), opponent)
+            _assert_matches_reference(res, r, ref, rtol=1e-12)
+            skips += ref[4]
+        assert res.skipped_episodes == skips
+        assert res.episodes_run == len(self.SEEDS) * cfg.episodes
+
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    def test_rank_deficient_critic_keeps_lstsq_minimum_norm(
+            self, agents_short, bench_market, n_steps):
+        # with 1 or 3 steps per episode A has rank below k = 6 for a while
+        cfg = self._cfg(episodes=20, n_steps=n_steps, critic_warmup=5, critic_dim=2)
+        seeds = self.SEEDS[:2]
+        initial = self._initial(agents_short, bench_market, len(seeds))
+        res = rl.train(agents_short, bench_market, cfg, initial, seeds)
+        for r, seed in enumerate(seeds):
+            phi_hist, theta, _, _ = _replication(res, r)
+            for i in (0, 1):
+                assert np.all(np.isfinite(phi_hist[i]))
+                assert np.all(np.isfinite(theta[i].v)) and np.all(np.isfinite(theta[i].g))
+            ref = _reference_train(agents_short, bench_market, replace(cfg, seed=seed),
+                                   (initial[0][r], initial[1][r]))
+            _assert_matches_reference(res, r, ref, rtol=1e-10)
+
+    def test_replication_does_not_depend_on_its_batch(self, agents_short,
+                                                      bench_market):
+        cfg = self._cfg()
+        initial = self._initial(agents_short, bench_market, len(self.SEEDS))
+        batch = rl.train(agents_short, bench_market, cfg, initial, self.SEEDS)
+        for r, seed in enumerate(self.SEEDS):
+            solo = rl.train(agents_short, bench_market, cfg,
+                            (initial[0][r:r + 1], initial[1][r:r + 1]), [seed])
+            self._assert_rows_equal(batch, [r], solo, [0])
+
+    def test_forced_skips_stay_in_their_replication(self, agents_short, bench_market):
+        cfg = self._cfg(max_skip_fraction=1.0)
+        initial = self._initial(agents_short, bench_market, len(self.SEEDS))
+        initial[0][1, 0] = 1e13  # replication 1 exceeds the wealth guard every episode
+        res = rl.train(agents_short, bench_market, cfg, initial, self.SEEDS)
+        alone = rl.train(agents_short, bench_market, cfg,
+                         (initial[0][1:2], initial[1][1:2]), self.SEEDS[1:2])
+        for run, r in ((res, 1), (alone, 0)):
+            for i in (0, 1):
+                assert np.array_equal(run.phi_history[i][r],
+                                      np.tile(initial[i][1], (cfg.episodes + 1, 1)))
+                assert np.all(np.isnan(run.critic_losses[i][r]))
+                assert run.adam_states[i].step[r] == 0
+        assert res.skipped_episodes == alone.skipped_episodes == cfg.episodes
+        keep = [0, 2]
+        others = rl.train(agents_short, bench_market, cfg,
+                          (initial[0][keep], initial[1][keep]),
+                          [self.SEEDS[r] for r in keep])
+        self._assert_rows_equal(res, keep, others, [0, 1])
+
+    @staticmethod
+    def _assert_rows_equal(a, rows_a, b, rows_b):
+        """Replications ``rows_a`` of result a equal ``rows_b`` of b bit for bit."""
+        def arrays(res, rows):
+            return ([res.phi_history[i][rows] for i in (0, 1)]
+                    + [res.critic_losses[i][rows] for i in (0, 1)]
+                    + [res.theta[i][rows].v for i in (0, 1)]
+                    + [res.theta[i][rows].g for i in (0, 1)]
+                    + [getattr(res.adam_states[i][rows], field)
+                       for i in (0, 1) for field in ("m", "v", "step")])
+
+        for x, y in zip(arrays(a, rows_a), arrays(b, rows_b), strict=True):
+            assert np.array_equal(x, y, equal_nan=True)
 
 
 class TestCheckpoint:
@@ -421,16 +660,19 @@ class TestMetricsCsv:
                 rl.equilibrium_actor_params(agents_short[1], bench_market))
         cfg = rl.TrainConfig(episodes=6, n_steps=30, horizon=1.0,
                              learning_rate=1e-3, kappa=0.01, seed=5)
-        res = rl.train(agents_short, bench_market, cfg, initial_actors=phis)
+        res = rl.train(agents_short, bench_market, cfg,
+                       initial_actors=_one_replication(phis), seeds=[5])
         path = tmp_path / "metrics.csv"
-        rl.write_metrics_csv(path, res.critic_losses, res.phi_history)
+        # replication 0
+        rl.write_metrics_csv(path, (res.critic_losses[0][0], res.critic_losses[1][0]),
+                             (res.phi_history[0][0], res.phi_history[1][0]))
         import csv as _csv
         rows = list(_csv.DictReader(open(path)))
         assert len(rows) == 6
         assert list(rows[0].keys()) == (
             ["episode", "loss_critic1", "loss_critic2"]
             + [f"phi{p}_1" for p in range(4)] + [f"phi{p}_2" for p in range(4)])
-        assert float(rows[2]["phi0_1"]) == res.phi_history[0][3][0]
+        assert float(rows[2]["phi0_1"]) == res.phi_history[0][0, 3, 0]
 
 
 class TestSharedNoiseCoupling:
@@ -479,7 +721,7 @@ class TestZeroExplorationCritic:
 
         frozen = (MeanOnly(policies_short[0]), MeanOnly(policies_short[1]))
         cfg = market.SimConfig(horizon=1.0, n_steps=250, seed=71)
-        acc = [rl.LstdAccumulator(6) for _ in range(2)]
+        acc = [rl.LstdAccumulator(1, 6) for _ in range(2)]
         theta = [rl.CriticParams.zeros(2, y_center=0.273) for _ in range(2)]
         for m in range(800):
             rng = episode_generator(71, m)
@@ -488,10 +730,10 @@ class TestZeroExplorationCritic:
             tg, y, x1, x2 = traj.times, traj.y, traj.x1, traj.x2
             xs = (x1 - agents_short[0].k * x2, x2 - agents_short[1].k * x1)
             for i in (0, 1):
-                f = rl.critic_features(tg, y, 1.0, 2, 0.273)
-                acc[i].add_episode(f[:-1], np.diff(f, axis=0), np.diff(xs[i]),
-                                   np.zeros(250))
-                theta[i] = acc[i].solve(agents_short[i].gamma, cfg.dt, 2, 0.273)
+                f = rl.critic_features(tg, y, 1.0, 2, 0.273)[None]
+                acc[i].add_episode(f[:, :-1], np.diff(f, axis=1), np.diff(xs[i])[None],
+                                   np.zeros((1, 250)))
+                theta[i] = acc[i].solve(agents_short[i].gamma, cfg.dt, 2, 0.273)[0]
         for i in (0, 1):
             means1, means2 = [], []
             for m in range(60):
