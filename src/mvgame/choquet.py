@@ -35,6 +35,7 @@ __all__ = [
     "make_distortion_gini",
     "phi_h",
     "build_optimal_quantile",
+    "location_scale_quantile",
     "sample",
 ]
 
@@ -169,6 +170,13 @@ def phi_h(distortion: Distortion, quantile_fn: Callable[[float], float]) -> floa
     return float(val)
 
 
+def location_scale_quantile(mean, scale, distortion: Distortion, p):
+    """mean + scale * h'(1-p) / ||h'||_2, elementwise over broadcast arrays:
+    the quantile at p of the location-scale law over h'."""
+    return mean + scale * distortion.h_prime(1.0 - np.asarray(p, dtype=float)) \
+        / distortion.l2_norm
+
+
 @dataclass(frozen=True)
 class QuantilePolicy:
     """Location-scale exploration law over a distortion derivative.
@@ -183,9 +191,7 @@ class QuantilePolicy:
     distortion: Distortion
 
     def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        hp = np.asarray(self.distortion.h_prime(1.0 - p), dtype=float)
-        out = self.mean + self.scale * hp / self.distortion.l2_norm
+        out = np.asarray(location_scale_quantile(self.mean, self.scale, self.distortion, p))
         return out if out.ndim else float(out)
 
     def phi(self) -> float:

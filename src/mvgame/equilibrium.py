@@ -25,7 +25,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._integrate import half_grid, rk4_backward_affine
-from .choquet import Distortion, build_optimal_quantile
+from .choquet import Distortion, build_optimal_quantile, location_scale_quantile
 from .market import AgentParams, MarketParams
 
 __all__ = [
@@ -166,14 +166,9 @@ def solve_a_coeffs_ode(agent: AgentParams, market: MarketParams, horizon: float,
 
 
 def _std_fn(agent: AgentParams, vol: float) -> Callable:
-    """t -> lam(t) ||h'||_2 / (gamma vol^2)."""
+    """t -> lam(t) ||h'||_2 / (gamma vol^2), vectorized over t."""
     scale = agent.distortion.l2_norm / (agent.gamma * vol ** 2)
-
-    def std(t):
-        return np.asarray(agent.lam(t), dtype=float) * scale if np.ndim(t) \
-            else float(agent.lam(t)) * scale
-
-    return std
+    return lambda t: np.asarray(agent.lam(t), dtype=float) * scale
 
 
 def equilibrium_std(agent: AgentParams, market: MarketParams) -> Callable:
@@ -278,41 +273,45 @@ def mean_system_residuals(t, y, agents, market: MarketParams, coeffs, mus):
 
 @dataclass(frozen=True)
 class EquilibriumPolicy:
-    """Sampling policy of one agent at equilibrium: state-dependent mean,
-    time-dependent std, quantile = mean + std * h'(1-p)/||h'||_2."""
+    """Sampling policy with mean slope(t) y + intercept(t), time-dependent
+    std, quantile = mean + std * h'(1-p)/||h'||_2.  ``affine(t) -> (slope,
+    intercept)`` and ``std(t)`` are vectorized over t (constants may be
+    scalars), so the Monte Carlo engine evaluates them once per step grid."""
 
-    mean_fn: Callable
-    std_fn: Callable
+    affine: Callable
+    std: Callable
     distortion: Distortion
 
     def mean(self, t, y):
-        return self.mean_fn(t, y)
-
-    def std(self, t):
-        return self.std_fn(t)
+        slope, intercept = self.affine(t)
+        return slope * np.asarray(y, dtype=float) + intercept
 
     def quantile(self, t, y, p):
-        m = self.mean_fn(t, y)
-        s = self.std_fn(t)
-        return m + s * self.distortion.h_prime(1.0 - np.asarray(p, dtype=float)) \
-            / self.distortion.l2_norm
+        return location_scale_quantile(self.mean(t, y), self.std(t), self.distortion, p)
 
     def policy_at(self, t: float, y: float):
         """Frozen one-instant exploration law (a QuantilePolicy)."""
-        return build_optimal_quantile(self.distortion, float(self.mean_fn(t, y)),
-                                      float(self.std_fn(t)))
+        return build_optimal_quantile(self.distortion, float(self.mean(t, y)),
+                                      float(self.std(t)))
 
 
 def equilibrium_policy(agent_index: int, agents, market: MarketParams,
                        coeffs) -> EquilibriumPolicy:
-    """Assemble agent ``agent_index``'s equilibrium sampling policy."""
-    agent = agents[agent_index]
+    """Agent ``agent_index``'s equilibrium sampling policy: both agents' base
+    slopes 1/(gamma sigma) - (rho v/sigma) a2 and intercepts -(rho v/sigma) a1
+    coupled as (base_i + k_i base_j)/(1 - k1 k2), with rho v/sigma factored out."""
+    agent, other = agents[agent_index], agents[1 - agent_index]
+    own, opp = coeffs[agent_index], coeffs[1 - agent_index]
+    denom = 1.0 - agents[0].k * agents[1].k
+    rv_s = market.rho * market.v / market.sigma
+    slope0 = 1.0 / (agent.gamma * market.sigma) + agent.k / (other.gamma * market.sigma)
 
-    def mean_fn(t, y):
-        return equilibrium_means(t, y, agents, market, coeffs)[agent_index]
+    def affine(t):
+        (_, a1_i, a2_i), (_, a1_j, a2_j) = own.a_at(t), opp.a_at(t)
+        return ((slope0 - rv_s * (a2_i + agent.k * a2_j)) / denom,
+                -rv_s * (a1_i + agent.k * a1_j) / denom)
 
-    return EquilibriumPolicy(mean_fn=mean_fn,
-                             std_fn=equilibrium_std(agent, market),
+    return EquilibriumPolicy(affine=affine, std=equilibrium_std(agent, market),
                              distortion=agent.distortion)
 
 
@@ -340,17 +339,12 @@ def black_scholes_policy(agents, a: float, b: float, r: float):
     if denom <= 0.0:
         raise SingularMeanSystemError(f"k1*k2 = {k1 * k2!r} >= 1")
     sharpe_sq = (a - r) / b ** 2
-    gammas = (agents[0].gamma, agents[1].gamma)
-    ks = (k1, k2)
     out = []
     for i, j in ((0, 1), (1, 0)):
-        m = sharpe_sq * (1.0 / gammas[i] + ks[i] / gammas[j]) / denom
-        out.append(EquilibriumPolicy(
-            mean_fn=lambda t, y, _m=m: _m * np.ones_like(np.asarray(y, dtype=float))
-            if np.ndim(y) else _m,
-            std_fn=_std_fn(agents[i], b),
-            distortion=agents[i].distortion,
-        ))
+        m = sharpe_sq * (1.0 / agents[i].gamma + agents[i].k / agents[j].gamma) / denom
+        out.append(EquilibriumPolicy(affine=lambda t, _m=m: (0.0, _m),
+                                     std=_std_fn(agents[i], b),
+                                     distortion=agents[i].distortion))
     return tuple(out)
 
 

@@ -11,7 +11,8 @@ held in the risky asset, so one step of the discounted wealth is exactly
 x + u * (relative change of e^{-rt} S(t)).  Episodes sample both agents'
 actions by inverse transform from their policy quantile functions, one
 uniform draw per agent per step (the same uniforms are reused by the
-perturbed-actor replay during training).
+perturbed-actor replay during training).  ``run_episode_batch`` evaluates
+affine-in-state policies once per batch and runs blocks of episodes end to end.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.signal import lfilter
+
+from .choquet import location_scale_quantile
 
 __all__ = [
     "MarketParams",
@@ -45,8 +48,10 @@ WEALTH_GUARD = 1e12
 # must be lifted off the closed endpoint before inverse-transform sampling.
 _U_MIN = 2.0 ** -53
 
-# Episodes per policy call in run_episode_batch: 128 to 256 timed best.
-_BLOCK_ROWS = 256
+# Episodes per block in run_episode_batch.  One 20k-episode table2 chunk on one
+# CPU, two alternating sweeps: 0.82/0.75 s at 128, 0.81/0.79 s at 256 and
+# 0.85/0.82 s at 512 (medians of 5); 128 also peaks 3 MB lower.
+_BLOCK_ROWS = 128
 
 
 class SimulationDivergedError(RuntimeError):
@@ -170,36 +175,33 @@ def _check_finite(*arrays) -> None:
             raise SimulationDivergedError("simulation produced non-finite values")
 
 
-def _state_and_price_batch(params: MarketParams, cfg: SimConfig, n_paths: int,
-                           rng: np.random.Generator):
-    """Euler-Maruyama state paths and log-Euler discounted price paths.
-
-    Returns arrays (y, s_disc) of shape (n_paths, n_steps+1); s_disc(0) = 1.
-    ``rng`` is one Generator, which draws every path's dB and then every
-    path's dB~ ((n_paths, n_steps) each), or a sequence of ``n_paths``
-    Generators, path r drawing its dB and then its dB~ from ``rng[r]``.
-    Either way callers can deterministically append further draws to the
-    same streams.
-    """
-    n = cfg.n_steps
-    dt = cfg.dt
-    sqdt = np.sqrt(dt)
-    # forcing holds dB~ and is turned into the forcing in place
+def _draw_state_noise(cfg: SimConfig, n_paths: int, rng) -> np.ndarray:
+    """Increments (dB, dB~) * sqrt(dt) as one (2, n_paths, n_steps) array,
+    from one Generator (every path's dB, then every dB~) or one Generator
+    per path (its dB, then its dB~); callers may append further draws."""
     if isinstance(rng, np.random.Generator):
-        db = sqdt * rng.standard_normal((n_paths, n))
-        forcing = sqdt * rng.standard_normal((n_paths, n))
+        noise = rng.standard_normal((2, n_paths, cfg.n_steps))
+    elif len(rng) == n_paths:
+        noise = np.stack([g.standard_normal((2, cfg.n_steps)) for g in rng], axis=1)
     else:
-        if len(rng) != n_paths:
-            raise ValueError(f"need one generator per path: {len(rng)} for {n_paths}")
-        db, forcing = sqdt * np.stack([g.standard_normal((2, n)) for g in rng], axis=1)
+        raise ValueError(f"need one generator per path: {len(rng)} for {n_paths}")
+    noise *= np.sqrt(cfg.dt)
+    return noise
 
+
+def _state_and_price(params: MarketParams, cfg: SimConfig, db, forcing):
+    """Euler-Maruyama state paths and log-Euler discounted price paths
+    (y, s_disc), each (paths, n_steps+1) with s_disc(0) = 1, from rows of
+    ``_draw_state_noise``.  Overwrites ``db`` and ``forcing`` (dB~ on entry).
+    """
+    n, dt = cfg.n_steps, cfg.dt
     # Y_{k+1} = phi*Y_k + (iota*y_bar*dt + noise_k) is an AR(1) recursion.
     phi = 1.0 - params.iota * dt
     forcing *= np.sqrt(1.0 - params.rho ** 2)
     forcing += params.rho * db
     forcing *= params.v
     forcing += params.iota * params.y_bar * dt
-    y = np.empty((n_paths, n + 1))
+    y = np.empty((len(db), n + 1))
     y[:, 0] = cfg.y_0
     y[:, 1:] = lfilter([1.0], [1.0, -phi], forcing, axis=1)
     y[:, 1:] += cfg.y_0 * np.power(phi, np.arange(1, n + 1))
@@ -208,12 +210,18 @@ def _state_and_price_batch(params: MarketParams, cfg: SimConfig, n_paths: int,
     # then e^{-rt} S(t); the r terms cancel.  The log increments overwrite dB.
     db *= params.sigma
     db += (params.sigma * y[:, :-1] - 0.5 * params.sigma ** 2) * dt
-    s_disc = np.empty((n_paths, n + 1))
+    s_disc = np.empty((len(db), n + 1))
     s_disc[:, 0] = 1.0
     np.exp(np.cumsum(db, axis=1, out=s_disc[:, 1:]), out=s_disc[:, 1:])
 
     _check_finite(y, s_disc)
     return y, s_disc
+
+
+def _state_and_price_batch(params: MarketParams, cfg: SimConfig, n_paths: int,
+                           rng: np.random.Generator):
+    """(y, s_disc) of ``n_paths`` paths drawn as ``_draw_state_noise`` does."""
+    return _state_and_price(params, cfg, *_draw_state_noise(cfg, n_paths, rng))
 
 
 def _draw_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
@@ -267,14 +275,17 @@ def run_episode_batch(params: MarketParams, agents, policies, cfg: SimConfig,
     """Simulate ``n_episodes`` independent episodes vectorized over episodes.
 
     Draws dB, dB~, then agent 1's and agent 2's action uniforms, each over the
-    whole batch.  Policies are called per block of ``_BLOCK_ROWS`` episodes,
-    so ``quantile`` and ``mean`` must broadcast (n_steps,) t against
-    (block, n_steps) y.
+    whole batch.  A policy exposes ``affine(t) -> (slope, intercept)`` of its
+    mean slope*y + intercept, ``std(t)`` and ``distortion``, evaluated once on
+    the step grid; actions are their ``location_scale_quantile``.  Each block
+    of ``_BLOCK_ROWS`` episodes then runs end to end, in cache: state and price
+    paths, actions, residual moments and terminal wealth.
     """
     n = cfg.n_steps
     t_steps = np.linspace(0.0, cfg.horizon, n + 1)[:-1]
-    y, s_disc = _state_and_price_batch(params, cfg, n_episodes, rng)
+    db, forcing = _draw_state_noise(cfg, n_episodes, rng)
     draws = (_draw_uniforms(rng, (n_episodes, n)), _draw_uniforms(rng, (n_episodes, n)))
+    laws = [(*pol.affine(t_steps), pol.std(t_steps), pol.distortion) for pol in policies]
 
     x0 = (cfg.x1_0, cfg.x2_0)
     x_T = np.empty((2, n_episodes))
@@ -282,11 +293,12 @@ def run_episode_batch(params: MarketParams, agents, policies, cfg: SimConfig,
     resid_sumsq = np.zeros((2, n))
     for start in range(0, n_episodes, _BLOCK_ROWS):
         blk = slice(start, start + _BLOCK_ROWS)
-        y_blk = y[blk, :-1]
-        rel = np.diff(s_disc[blk], axis=1) / s_disc[blk, :-1]
-        for i, (pol, p) in enumerate(zip(policies, draws)):
-            u = pol.quantile(t_steps, y_blk, p[blk])
-            res = u - pol.mean(t_steps, y_blk)
+        y, s_disc = _state_and_price(params, cfg, db[blk], forcing[blk])
+        rel = np.diff(s_disc, axis=1) / s_disc[:, :-1]
+        for i, ((slope, intercept, std, dist), p) in enumerate(zip(laws, draws)):
+            mean = slope * y[:, :-1] + intercept
+            u = location_scale_quantile(mean, std, dist, p[blk])
+            res = u - mean
             resid_sum[i] += res.sum(axis=0)
             resid_sumsq[i] += (res * res).sum(axis=0)
             x_T[i, blk] = x0[i] + np.sum(u * rel, axis=1)
@@ -311,27 +323,19 @@ class ObjectiveEstimate:
 def _regularizer_integral(agent, policy, t_grid: np.ndarray, dt: float) -> float:
     """Discrete-time integral sum_k lam(t_k) * Phi_h(policy(t_k)) * dt.
 
-    Phi is evaluated analytically as std(t)*||h'||_2 when the policy is a
-    location-scale family over the agent's own distortion derivative, else
-    by fixed-order quantile quadrature.
+    Phi_h is translation invariant and positively homogeneous, so it is
+    std(t) times Phi_h of the policy's standardized law: ||h'||_2 when the
+    policy's distortion is the agent's own, else a fixed-order quadrature.
     """
     ts = t_grid[:-1]
-    pol_dist = getattr(policy, "distortion", None)
-    if pol_dist is agent.distortion and hasattr(policy, "std"):
-        phis = np.asarray(policy.std(ts), dtype=float) * agent.distortion.l2_norm
+    phis = np.asarray(policy.std(ts), dtype=float)
+    if policy.distortion is agent.distortion:
+        phis = phis * agent.distortion.l2_norm
     else:
         nodes, weights = np.polynomial.legendre.leggauss(256)
-        p = 0.5 * (nodes + 1.0)
-        w = 0.5 * weights
-        hp = agent.distortion.h_prime(1.0 - p)
-        phis = np.empty(len(ts))
-        for k, t in enumerate(ts):
-            q = np.asarray(policy.quantile(t, 0.0, p), dtype=float)
-            # Phi_h is translation invariant, so evaluating the quantile at a
-            # reference state y=0 is only valid for state-independent shapes;
-            # subtract the mean to be explicit about that.
-            q = q - float(np.sum(w * q))
-            phis[k] = float(np.sum(w * q * hp))
+        p, w = 0.5 * (nodes + 1.0), 0.5 * weights
+        q = location_scale_quantile(0.0, 1.0, policy.distortion, p)
+        phis = phis * float(np.sum(w * (q - np.sum(w * q)) * agent.distortion.h_prime(1.0 - p)))
     lam = np.asarray([float(agent.lam(t)) for t in ts])
     return float(np.sum(lam * phis) * dt)
 

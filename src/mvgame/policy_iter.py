@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -229,26 +228,23 @@ def simultaneous_mean_iteration(agents, market: MarketParams, coeffs,
 
 
 def response_policy(agent: AgentParams, market: MarketParams, horizon: float,
-                    a1_grid, a2_grid, times, mu_opponent: Callable = None):
-    """Sampling policy of one response iterate.
+                    a1_grid, a2_grid, times):
+    """Sampling policy of one response iterate against a zero-mean opponent.
 
     Every iterate is a location-scale family over h': mean
-    y/(gamma sigma) + k*mu_j(t) - (rho v/sigma)(a2^n(t) y + a1^n(t)) from the
-    iterate's coefficient grids, std lam(t)||h'||_2/(gamma sigma^2) pinned by
-    the first-order condition -- the iteration moves only the mean.
+    y/(gamma sigma) - (rho v/sigma)(a2^n(t) y + a1^n(t)) from the iterate's
+    coefficient grids, std lam(t)||h'||_2/(gamma sigma^2) pinned by the
+    first-order condition -- the iteration moves only the mean.
     """
     a1_sp = CubicSpline(np.asarray(times, dtype=float), np.asarray(a1_grid, dtype=float))
     a2_sp = CubicSpline(np.asarray(times, dtype=float), np.asarray(a2_grid, dtype=float))
-    rv = market.rho * market.v
+    rv_s = market.rho * market.v / market.sigma
 
-    def mean_fn(t, y):
-        y = np.asarray(y, dtype=float)
-        mu_j = mu_opponent(t, y) if mu_opponent is not None else 0.0
-        return (y / (agent.gamma * market.sigma) + agent.k * mu_j
-                - (rv / market.sigma) * (a2_sp(t) * y + a1_sp(t)))
+    def affine(t):
+        return 1.0 / (agent.gamma * market.sigma) - rv_s * a2_sp(t), -rv_s * a1_sp(t)
 
-    return EquilibriumPolicy(mean_fn=mean_fn,
-                             std_fn=equilibrium_std(agent, market),
+    return EquilibriumPolicy(affine=affine,
+                             std=equilibrium_std(agent, market),
                              distortion=agent.distortion)
 
 

@@ -448,12 +448,10 @@ def _nominal_actions(phi_pair, agents, t_steps, y_steps, p_draws, horizon,
         u = [actor_quantile(phi_pair[i], agents[i], t_steps, y_steps, mu_opp[i],
                             p_draws[i], horizon) for i in range(2)]
         return u, mu_opp
-    mu2 = np.asarray(frozen_opponent.mean(t_steps, y_steps), dtype=float) \
-        * np.ones_like(y_steps)
+    mu2 = frozen_opponent.mean(t_steps, y_steps)  # affine in y: (R, n)
     u = [actor_quantile(phi_pair[0], agents[0], t_steps, y_steps, mu2,
                         p_draws[0], horizon),
-         np.asarray(frozen_opponent.quantile(t_steps, y_steps, p_draws[1]),
-                    dtype=float)]
+         frozen_opponent.quantile(t_steps, y_steps, p_draws[1])]
     return u, (mu2, None)
 
 

@@ -150,6 +150,67 @@ class TestEquilibriumPolicy:
             assert pol.quantile(t, y, p) == pytest.approx(law.quantile(p), abs=1e-12)
 
 
+def _t_grid(horizon):
+    """Times on the 4001-point coefficient grid and between its nodes."""
+    nodes = np.linspace(0.0, horizon, eqm.DEFAULT_GRID_SIZE)
+    return np.concatenate((nodes[::97], nodes[:-1:89] + 0.37 * (nodes[1] - nodes[0]),
+                           [0.1 * horizon, 0.9 * horizon]))
+
+
+class TestAffinePolicies:
+    """The affine (slope, intercept) policies equal the mean closures they
+    replaced, on and off the coefficient grid's nodes."""
+
+    Y = np.linspace(-1.0, 1.0, 9)
+
+    def _check(self, pol, old_mean, horizon):
+        t, y = np.meshgrid(_t_grid(horizon), self.Y, indexing="ij")
+        np.testing.assert_allclose(pol.mean(t, y), old_mean(t, y), rtol=1e-12, atol=1e-15)
+        slope, intercept = (np.broadcast_to(c, t.shape[:1])[:, None]
+                            for c in pol.affine(t[:, 0]))
+        np.testing.assert_allclose(slope * y + intercept, old_mean(t, y),
+                                   rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("preset", ["long", "short"])
+    def test_equilibrium_policy(self, bench_market, agents_long, coeffs_long,
+                                agents_short, coeffs_short, preset):
+        agents, coeffs, horizon = ((agents_long, coeffs_long, 20.0) if preset == "long"
+                                   else (agents_short, coeffs_short, 1.0))
+        for i in (0, 1):
+            pol = eqm.equilibrium_policy(i, agents, bench_market, coeffs)
+            self._check(pol, lambda t, y: eqm.equilibrium_means(
+                t, y, agents, bench_market, coeffs)[i], horizon)
+
+    def test_black_scholes_policy(self, agents_short):
+        a, b, r = 0.08, 0.3, 0.02
+        k1, k2 = agents_short[0].k, agents_short[1].k
+        g1, g2 = agents_short[0].gamma, agents_short[1].gamma
+        pols = eqm.black_scholes_policy(agents_short, a, b, r)
+        for pol, m in zip(pols, ((1.0 / g1 + k1 / g2), (1.0 / g2 + k2 / g1))):
+            m *= (a - r) / b ** 2 / (1.0 - k1 * k2)
+            self._check(pol, lambda t, y: m * np.ones_like(y), 1.0)
+
+    def test_response_policy(self, bench_market, agents_long):
+        from scipy.interpolate import CubicSpline
+
+        from mvgame import policy_iter as pit
+
+        agent = agents_long[0]
+        times = np.linspace(0.0, 20.0, 801)
+        a1, a2 = eqm.a_coeffs_closed_form(agent, bench_market, 20.0, times)
+        a1, a2 = 0.8 * a1, 1.1 * a2  # an iterate short of the fixed point
+        pol = pit.response_policy(agent, bench_market, 20.0, a1, a2, times)
+        a1_sp, a2_sp = CubicSpline(times, a1), CubicSpline(times, a2)
+        rv = bench_market.rho * bench_market.v
+        sigma = bench_market.sigma
+
+        def old_mean(t, y):
+            return (y / (agent.gamma * sigma)
+                    - (rv / sigma) * (a2_sp(t) * y + a1_sp(t)))
+
+        self._check(pol, old_mean, 20.0)
+
+
 class TestValueFunctions:
     def test_terminal_identity(self, coeffs_long):
         v, g = eqm.value_functions(0, 20.0, 1.7, 0.4, coeffs_long)

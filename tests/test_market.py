@@ -16,6 +16,9 @@ class StaticPolicy:
         self._std = std
         self.distortion = distortion
 
+    def affine(self, t):
+        return 0.0, self._mean
+
     def mean(self, t, y):
         return self._mean * np.ones_like(np.asarray(y, dtype=float)) \
             if np.ndim(y) else self._mean
@@ -321,6 +324,63 @@ class TestEstimateObjective:
             market.estimate_objective(0, agents_short, policies_short, bench_market,
                                       cfg, 10, episode_generator(1, 0),
                                       chunk_size=chunk_size)
+
+
+# Monte Carlo outputs of the engine that built each episode block from
+# per-block policy calls on whole-batch state and price arrays (the commit
+# before the block-wise engine), on the ``agents_short`` fixtures.  The
+# random streams are the same, so only the arithmetic of the policy means
+# may move the values, by round-off.
+PINNED_ESTIMATES = {  # (chunk_size, agent): value, std_error, mean_terminal, var_terminal
+    (1000, 0): (0.9244927660589548, 0.0029949038932629564, 0.9413044703635743,
+                0.021811704304619595),
+    (1000, 1): (0.9661896519988654, 0.0018974034439156442, 0.9777948750129534,
+                0.009053687770708772),
+    (None, 0): (0.9270926827631832, 0.0028887322040711777, 0.9433658722634297,
+                0.021273189500246523),
+    (None, 1): (0.9618798139463272, 0.0019616921438276504, 0.9743878714192616,
+                0.009655577409939832),
+}
+PINNED_RESID_SUM = [
+    [13.388341068065891, -15.21922080083673, -0.1776804574052795, 0.28313575915713174,
+     -2.4481961675301593, -14.272917055015768, 10.806102407219196, 6.38810636832784,
+     -0.8703720605085886, -2.4279437700820496],
+    [-4.758175212156564, 3.2162333764382196, -6.2337536910725895, 4.72795228008734,
+     2.478513485448378, 1.4247461387084261, -3.401217827157149, 3.7859092141645196,
+     2.2652723790304647, -0.5273774576532153],
+]
+PINNED_RESID_SUMSQ = [
+    [66.5552475710508, 63.07669266524538, 64.33601225360377, 66.74937376915399,
+     57.7073672360363, 66.44772003642899, 68.78258767847527, 64.64784953176664,
+     69.65501777612133, 67.21572269269524],
+    [18.081795911142127, 17.685022961895747, 17.347694271575982, 17.48714814981102,
+     17.788688058430694, 16.539314929958465, 18.02047984111203, 17.5237734510115,
+     17.236941203971064, 17.940137876752107],
+]
+
+
+class TestPinnedMonteCarlo:
+    @pytest.mark.parametrize("chunk_size", [1000, None])
+    def test_estimates_match_pinned_values(self, bench_market, agents_short,
+                                           policies_short, chunk_size):
+        cfg = SimConfig(horizon=1.0, n_steps=250, seed=31)
+        kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
+        for i in (0, 1):
+            est = market.estimate_objective(i, agents_short, policies_short,
+                                            bench_market, cfg, 3000,
+                                            episode_generator(31, 10_000 + i), **kwargs)
+            got = (est.value, est.std_error, est.mean_terminal, est.var_terminal)
+            np.testing.assert_allclose(got, PINNED_ESTIMATES[chunk_size, i],
+                                       rtol=1e-12, atol=0)
+
+    def test_residual_moments_match_pinned_values(self, bench_market, agents_short,
+                                                  policies_short):
+        cfg = SimConfig(horizon=1.0, n_steps=10, seed=31)
+        batch = run_episode_batch(bench_market, agents_short, policies_short, cfg,
+                                  600, episode_generator(31, 7))
+        np.testing.assert_allclose(batch.resid_sum, PINNED_RESID_SUM, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(batch.resid_sumsq, PINNED_RESID_SUMSQ,
+                                   rtol=1e-12, atol=0)
 
 
 class TestGuards:
