@@ -225,8 +225,9 @@ def per_step_batch(params, agents, policies, cfg, n_episodes, rng):
 
 class TestEpisodeBatch:
     @pytest.mark.parametrize("policy_kind", ["equilibrium", "static"])
-    @pytest.mark.parametrize("n_episodes", [1, market._BLOCK_ROWS - 1,
-                                            market._BLOCK_ROWS + 3])
+    # Literal sizes keep the test ids fixed when the block size is retuned;
+    # with 128-row blocks they fall just under and over one and two blocks.
+    @pytest.mark.parametrize("n_episodes", [1, 127, 131, 255, 259])
     def test_blocked_batch_matches_per_step_loop(self, bench_market, agents_short,
                                                  policies_short, normal_dist,
                                                  gini_dist, policy_kind, n_episodes):
