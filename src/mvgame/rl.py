@@ -25,7 +25,9 @@ Parameter updates use Adam.
 per-episode array has a leading replication axis, and replication r draws
 episode m from its own counter-based stream ``episode_generator(seeds[r], m)``.
 No computation mixes two replications' rows, so a replication's result does
-not depend on which others share its batch.
+not depend on which others share its batch.  An agent axis precedes it: both
+agents learn from one market path, so the work that depends on the path
+alone, such as the critic features, is done once per episode and shared.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ __all__ = [
     "actor_scale_coeff",
     "actor_quantile",
     "critic_features",
-    "critic_eval",
     "td_errors",
     "td_errors_from_states",
     "critic_loss_and_grad",
@@ -223,9 +224,12 @@ def resolve_actor_means(phi_pair, agents, t, y, horizon: float):
 def actor_scale_coeff(phi, agent: AgentParams, t):
     """Coefficient lam_i(t) phi0^2 gamma_i multiplying h'(1-p) in the quantile;
     ``phi`` broadcasts as in :func:`actor_base_mean`."""
-    phi0 = np.asarray(phi, dtype=float)[..., 0]
-    lam = np.asarray(agent.lam(t), dtype=float)
-    return lam * phi0 ** 2 * agent.gamma
+    return _scale_coeff(phi, np.asarray(agent.lam(t), dtype=float), agent.gamma)
+
+
+def _scale_coeff(phi, lam, gamma):
+    """lam * phi0^2 * gamma; lam and gamma may carry a leading agent axis."""
+    return lam * np.asarray(phi, dtype=float)[..., 0] ** 2 * gamma
 
 
 def actor_quantile(phi, agent: AgentParams, t, y, mu_j, p, horizon: float):
@@ -247,16 +251,6 @@ def critic_features(t, y, horizon: float, d: int, y_center: float = 0.0) -> np.n
     return np.concatenate(blocks, axis=-1)
 
 
-def critic_eval(theta: CriticParams, t, xhat, y, horizon: float):
-    """(V, g) surrogate values; the terminal identity V(T)=g(T)=xhat holds for
-    every theta because the basis vanishes at zero time-to-go."""
-    f = critic_features(t, y, horizon, theta.d, theta.y_center)
-    xhat = np.asarray(xhat, dtype=float)
-    v = xhat + f @ theta.v.reshape(-1)
-    g = xhat + f @ theta.g.reshape(-1)
-    return v, g
-
-
 def _td_residuals(theta: CriticParams, gamma: float, df, dx, dt: float, reg):
     """TD residuals (C1, C2) and the g increments from one episode's feature
     increments ``df`` and xhat increments ``dx``.
@@ -264,7 +258,9 @@ def _td_residuals(theta: CriticParams, gamma: float, df, dx, dt: float, reg):
     C1 = dV/dt + gamma*g_k*dg/dt - (gamma/2)*d(g^2)/dt + reg_k, which
     collapses algebraically to dV/dt - (gamma/2)(dg)^2/dt + reg_k;
     C2 = dg/dt.  ``reg`` is lam_i(t_k) * Phi_h of the policy at step k.
-    A stacked theta (R, 3, d) pairs with (R, n, 3d) increments.
+    A stacked theta (R, 3, d) pairs with (R, n, 3d) increments, and A agents'
+    (A, R, 3, d) with gamma (A, 1, 1) share them; leading axes of ``dx`` and
+    ``reg`` alone, such as two replays, reuse the products df @ theta.
     """
     def increment(block):
         return dx + (df @ block.reshape(*block.shape[:-2], 3 * block.shape[-1], 1))[..., 0]
@@ -357,8 +353,8 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
 
 
 class LstdAccumulator:
-    """Running least-squares TD statistics for one agent's critic, stacked
-    over R replications.
+    """Running least-squares TD statistics of A agents' critics, stacked over
+    R replications, for agents that learn from one shared market.
 
     Stores everything needed to re-solve the orthogonality conditions
     E[f C2] = 0 and E[f C1] = 0 exactly for any theta_g: with per-step
@@ -370,47 +366,56 @@ class LstdAccumulator:
     so theta_v solves (A/dt) theta_v = -(bx/dt - (gamma/2) E[f (dg)^2]/dt
     + b_reg) with the current theta_g plugged in.
 
-    Every statistic sums, over steps, one block of the columns
-    c = [df, dx df, df (x) df, dx, dx^2, reg] times the feature row f, so one
-    stacked matmul per episode adds them all.  They sit side by side in
-    ``stats``, of shape (R, 2k + k^2 + 3, k) for k features.
+    Every statistic sums, over steps, a column times the feature row f, so
+    one stacked matmul per block adds them.  The market block ``market``,
+    of shape (R, k + k^2, k) for k features, holds the columns [df, df (x) df]:
+    A and t3 depend on the state path only, so all agents share them.  The
+    agent block ``agent``, of shape (A, R, k + 3, k), holds the columns
+    [dx df, dx, dx^2, reg], which are linear in each agent's dx and reg.
     """
 
-    def __init__(self, n_replications: int, n_features: int):
+    def __init__(self, n_agents: int, n_replications: int, n_features: int):
         k = self.k = n_features
-        self.stats = np.zeros((n_replications, 2 * k + k * k + 3, k))
+        self.market = np.zeros((n_replications, k + k * k, k))
+        self.agent = np.zeros((n_agents, n_replications, k + 3, k))
 
     def add_episode(self, f_start, df, dx, reg, rows=slice(None)) -> None:
         """Add one episode for each replication in ``rows``: (R', n, k)
-        feature rows and increments, (R', n) xhat increments and regularizer.
+        feature rows and increments shared by the agents, (A, R', n) xhat
+        increments and regularizers.
 
-        The columns are built transposed, (R', 2k + k^2 + 3, n), so every
+        The columns are built transposed, (..., columns, n), so every
         product runs along the n steps."""
-        k = self.k
-        lead, n = dx.shape[:-1], dx.shape[-1]
-        cols = np.empty(lead + (2 * k + k * k + 3, n))
-        dft = cols[..., :k, :]
-        dft[...] = df.swapaxes(-1, -2)
-        np.multiply(dx[..., None, :], dft, out=cols[..., k:2 * k, :])
-        np.multiply(dft[..., :, None, :], dft[..., None, :, :],
-                    out=cols[..., 2 * k:2 * k + k * k, :].reshape(lead + (k, k, n)))
+        k, n = self.k, df.shape[-2]
+        dft = df.swapaxes(-1, -2)
+        cols = np.empty(dx.shape[:-1] + (k + 3, n))
+        np.multiply(dx[..., None, :], dft, out=cols[..., :k, :])
         cols[..., -3, :] = dx
         np.multiply(dx, dx, out=cols[..., -2, :])
         cols[..., -1, :] = reg
-        self.stats[rows] += cols @ f_start
+        self.agent[:, rows] += cols @ f_start
+        del cols  # before the larger market columns are built
+        cols = np.empty(df.shape[:-2] + (k + k * k, n))
+        cols[..., :k, :] = dft
+        np.multiply(dft[..., :, None, :], dft[..., None, :, :],
+                    out=cols[..., k:, :].reshape(df.shape[:-2] + (k, k, n)))
+        self.market[rows] += cols @ f_start
 
-    def solve(self, gamma: float, dt: float, d: int, y_center: float) -> CriticParams:
-        """Critic parameters of every replication, stacked (R, 3, d).
+    def solve(self, gammas, dt: float, d: int, y_center: float) -> CriticParams:
+        """Critic parameters of every agent and replication, stacked
+        (A, R, 3, d); ``gammas`` holds the A agents' risk aversions.
 
-        Both systems have the matrix A (theta_v's is A/dt), so one stacked
-        pseudo-inverse, one SVD per replication, gives both of
-        np.linalg.lstsq's minimum-norm solutions.  It keeps lstsq's cutoff:
-        singular values at or below eps * k * s_max count as zero, as they do
-        when A is rank deficient (a few steps per episode).
+        Both systems of every agent have the shared matrix A (theta_v's is
+        A/dt), so one stacked pseudo-inverse, one SVD per replication, gives
+        all of np.linalg.lstsq's minimum-norm solutions.  It keeps lstsq's
+        cutoff: singular values at or below eps * k * s_max count as zero, as
+        they do when A is rank deficient (a few steps per episode).
         """
-        k, stats = self.k, self.stats.swapaxes(-1, -2)
-        a_mat, q1, t3 = stats[..., :k], stats[..., k:2 * k], stats[..., 2 * k:2 * k + k * k]
-        bx, q0, b_reg = np.moveaxis(stats[..., 2 * k + k * k:], -1, 0)
+        k = self.k
+        market, agent = self.market.swapaxes(-1, -2), self.agent.swapaxes(-1, -2)
+        a_mat, t3, q1 = market[..., :k], market[..., k:], agent[..., :k]
+        bx, q0, b_reg = np.moveaxis(agent[..., k:], -1, 0)
+        gamma = np.reshape(gammas, (-1, 1, 1))
         pinv = np.linalg.pinv(a_mat, rcond=k * np.finfo(float).eps)
         theta_g = (pinv @ -bx[..., None])[..., 0]
         gg = (theta_g[..., :, None] * theta_g[..., None, :]).reshape(
@@ -436,25 +441,6 @@ class TrainResult:
     episodes_run: int                            # R * M
 
 
-def _nominal_actions(phi_pair, agents, t_steps, y_steps, p_draws, horizon,
-                     frozen_opponent):
-    """Nominal actions (u1, u2) on the (R, n) step grids of one batched
-    episode, and the opponent mean each agent's quantile is conditioned on.
-    ``phi_pair`` holds two (R, 4) arrays."""
-    phi_pair = [p[:, None, :] for p in phi_pair]
-    if frozen_opponent is None:
-        mu1, mu2 = resolve_actor_means(phi_pair, agents, t_steps, y_steps, horizon)
-        mu_opp = (mu2, mu1)
-        u = [actor_quantile(phi_pair[i], agents[i], t_steps, y_steps, mu_opp[i],
-                            p_draws[i], horizon) for i in range(2)]
-        return u, mu_opp
-    mu2 = frozen_opponent.mean(t_steps, y_steps)  # affine in y: (R, n)
-    u = [actor_quantile(phi_pair[0], agents[0], t_steps, y_steps, mu2,
-                        p_draws[0], horizon),
-         frozen_opponent.quantile(t_steps, y_steps, p_draws[1])]
-    return u, (mu2, None)
-
-
 def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
           frozen_opponent=None) -> TrainResult:
     """Run the two-agent actor-critic loop for cfg.episodes episodes in each
@@ -472,55 +458,72 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
     the guard is skipped for that replication alone; a replication with more
     than ``cfg.max_skip_fraction`` of skips aborts the run.
 
-    Each trained agent's episode is one transition record: the critic
-    feature increments ``df`` and the xhat increments ``dx``.  The critic
-    loss, the LSTD statistics and both actor replays all read it.
+    Actors, critics, Adam states and losses carry a leading agent axis, and
+    the trained agents are its first A rows (A = 1 with a frozen opponent).
+    Each episode's market work is done once and shared by the agents: the
+    critic features and their increments ``df``, the LSTD market moments and
+    their pseudo-inverse.  Each agent's h'(1-p) serves both its nominal and
+    its perturbed actions.  Everything else, from the xhat increments ``dx``
+    to the Adam step, is one stacked computation over the agents.
     """
     seeds = list(seeds)
     n_rep = len(seeds)
-    phi = [np.array(p, dtype=float) for p in initial_actors]
-    if any(p.shape != (n_rep, 4) for p in phi):
+    phi = np.array(initial_actors, dtype=float)
+    if phi.shape != (2, n_rep, 4):
         raise ValueError(f"initial_actors must be two ({n_rep}, 4) arrays, "
                          f"one row per seed")
     n, horizon, dt, d = cfg.n_steps, cfg.horizon, cfg.dt, cfg.critic_dim
     t_grid = np.linspace(0.0, horizon, n + 1)
     t_steps = t_grid[:-1]
-    trained = (0,) if frozen_opponent is not None else (0, 1)
+    n_agents = 1 if frozen_opponent is not None else 2
+    trained = slice(n_agents)
 
-    theta = [CriticParams(v=np.zeros((n_rep, 3, d)), g=np.zeros((n_rep, 3, d)),
-                          y_center=cfg.y_0) for _ in range(2)]
-    adam = [AdamState.zeros((n_rep, 4)) for _ in range(2)]
-
-    phi_hist = [np.empty((n_rep, cfg.episodes + 1, 4)) for _ in range(2)]
-    losses = [np.full((n_rep, cfg.episodes), np.nan) for _ in range(2)]
-    for i in range(2):
-        phi_hist[i][:, 0] = phi[i]
+    theta = CriticParams(v=np.zeros((2, n_rep, 3, d)), g=np.zeros((2, n_rep, 3, d)),
+                         y_center=cfg.y_0)
+    adam = AdamState.zeros((2, n_rep, 4))
+    phi_hist = np.empty((2, n_rep, cfg.episodes + 1, 4))
+    losses = np.full((2, n_rep, cfg.episodes), np.nan)
+    phi_hist[:, :, 0] = phi
 
     sim = SimConfig(horizon=horizon, n_steps=n, seed=cfg.seed,
                     x1_0=cfg.x1_0, x2_0=cfg.x2_0, y_0=cfg.y_0)
-    lam = [np.asarray(agents[i].lam(t_steps), dtype=float) * np.ones(n) for i in range(2)]
-    l2sq = [agents[i].distortion.l2_norm ** 2 for i in range(2)]
-    ks = (agents[0].k, agents[1].k)
-    x0 = (cfg.x1_0, cfg.x2_0)
+
+    # The trained agents' constants, shaped (A, 1, n) or (A, 1, 1).
+    lam, gammas, l2sq, ks = (np.reshape(c, (2, 1, -1))[trained] for c in (
+        [np.asarray(a.lam(t_steps), dtype=float) * np.ones(n) for a in agents],
+        [a.gamma for a in agents], [a.distortion.l2_norm ** 2 for a in agents],
+        [a.k for a in agents]))
+    x0 = np.reshape([cfg.x1_0, cfg.x2_0], (2, 1, 1))
     max_skips = int(np.ceil(cfg.max_skip_fraction * cfg.episodes))
     skipped = np.zeros(n_rep, dtype=int)
-    lstd = [LstdAccumulator(n_rep, 3 * d) for _ in range(2)]
+    lstd = LstdAccumulator(n_agents, n_rep, 3 * d)
 
     for m in range(cfg.episodes):
         rngs = [episode_generator(seed, m) for seed in seeds]
         y_path, s_disc = _state_and_price_batch(market, sim, n_rep, rngs)
-        # Each stream goes on with the agents' uniforms, then their actor
-        # perturbations: (agent, replication, ...) arrays.
+        # Each stream goes on with the agents' uniforms, then, once the
+        # actors train, their perturbations: (agent, replication, ...) arrays.
         p_draws = np.stack([_draw_uniforms(g, (2, n)) for g in rngs], axis=1)
-        z_draws = np.stack([g.standard_normal((2, n, 4)) for g in rngs], axis=1)
         rel = np.diff(s_disc, axis=1) / s_disc[:, :-1]
         y_steps = y_path[:, :-1]
 
-        u, mu_opp = _nominal_actions(phi, agents, t_steps, y_steps, p_draws,
-                                     horizon, frozen_opponent)
-        x = [x0[i] + np.concatenate((np.zeros((n_rep, 1)), np.cumsum(u[i] * rel, axis=1)),
-                                    axis=1) for i in range(2)]
-        bad = ~np.all([np.abs(xi) <= WEALTH_GUARD for xi in x], axis=(0, 2))
+        # Nominal actions; the trained agents' terms serve the replay too.
+        phi_a = phi[trained]
+        base = actor_base_mean(phi_a[:, :, None], t_steps, y_steps, horizon)
+        scale = _scale_coeff(phi_a[:, :, None], lam, gammas)
+        h_p = np.stack([agents[i].distortion.h_prime(1.0 - p_draws[i])
+                        for i in range(n_agents)])
+        u = np.empty((2, n_rep, n))
+        if frozen_opponent is None:
+            mu_opp = (base[::-1] + ks[::-1] * base) / (1.0 - ks[0] * ks[1])
+        else:
+            mu_opp = frozen_opponent.mean(t_steps, y_steps)[None]  # affine in y
+            u[1] = frozen_opponent.quantile(t_steps, y_steps, p_draws[1])
+        k_mu = ks * mu_opp
+        u[trained] = k_mu + base + scale * h_p
+        x = x0 + np.concatenate((np.zeros((2, n_rep, 1)), np.cumsum(u * rel, axis=-1)),
+                                axis=-1)
+        bad = ~np.all(np.abs(x) <= WEALTH_GUARD, axis=(0, 2))
         skipped += bad
         if np.any(skipped > max_skips):
             r = int(np.argmax(skipped > max_skips))
@@ -530,42 +533,39 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
         # Only the replications that kept their episode update, by indexing:
         # a skipped row may hold inf, and 0 * inf is nan.
         rows = np.flatnonzero(~bad) if bad.any() else slice(None)
+        kept = (trained, rows)
 
-        for i in trained:
-            j = 1 - i
-            gamma = agents[i].gamma
-            xhat = x[i][rows] - ks[i] * x[j][rows]
-            f = critic_features(t_grid, y_path[rows], horizon, d, cfg.y_0)
-            df = np.diff(f, axis=1)
-            dx = np.diff(xhat, axis=1)
-            phi_i = phi[i][rows]
-            reg = lam[i] * actor_scale_coeff(phi_i[:, None], agents[i], t_steps) * l2sq[i]
-
-            lstd[i].add_episode(f[:, :-1], df, dx, reg, rows)
-            c1, c2, _ = _td_residuals(theta[i][rows], gamma, df, dx, dt, reg)
-            losses[i][rows, m] = np.sum(c1 * c1, axis=1) + np.sum(c2 * c2, axis=1)
-            new_theta = lstd[i].solve(gamma, dt, d, cfg.y_0)[rows]
-            theta[i][rows] = new_theta
-            if m < cfg.critic_warmup:
-                continue
-
+        f = critic_features(t_grid, y_path[rows], horizon, d, cfg.y_0)
+        df = np.diff(f, axis=1)
+        dx = np.diff(x[trained, rows] - ks * x[::-1][trained, rows], axis=-1)
+        reg = lam * scale[:, rows] * l2sq
+        lstd.add_episode(f[:, :-1], df, dx, reg, rows)
+        c1, c2, _ = _td_residuals(theta[kept], gammas, df, dx, dt, reg)
+        losses[trained, rows, m] = np.sum(c1 * c1, axis=-1) + np.sum(c2 * c2, axis=-1)
+        new_theta = lstd.solve(gammas, dt, d, cfg.y_0)[:, rows]
+        theta[kept] = new_theta
+        if m >= cfg.critic_warmup:
             # Perturbed replay: same uniforms and market noise, one-step
             # deviations from the nominal states.
-            z = z_draws[i][rows]
-            phi_bar = phi_i[:, None, :] + cfg.kappa * z
-            u_bar = actor_quantile(phi_bar, agents[i], t_steps, y_steps[rows],
-                                   mu_opp[i][rows], p_draws[i][rows], horizon)
-            dx_bar = dx + (u_bar - u[i][rows]) * rel[rows]
-            reg_bar = lam[i] * actor_scale_coeff(phi_bar, agents[i], t_steps) * l2sq[i]
-            c1_nom, _, _ = _td_residuals(new_theta, gamma, df, dx, dt, reg)
-            c1_bar, _, _ = _td_residuals(new_theta, gamma, df, dx_bar, dt, reg_bar)
-            grad_phi = actor_gradient(c1_nom, c1_bar, z, cfg.kappa)
+            z = np.stack([g.standard_normal((n_agents, n, 4)) for g in rngs], axis=1)[:, rows]
+            phi_bar = phi_a[:, rows, None, :] + cfg.kappa * z
+            base_bar = actor_base_mean(phi_bar, t_steps, y_steps[rows], horizon)
+            scale_bar = _scale_coeff(phi_bar, lam, gammas)
+            u_bar = k_mu[:, rows] + base_bar + scale_bar * h_p[:, rows]
+            dx_bar = dx + (u_bar - u[kept]) * rel[rows]
+            reg_bar = lam * scale_bar * l2sq
+            # Nominal and perturbed replays share the increments df @ theta.
+            c1, _, _ = _td_residuals(new_theta, gammas, df, np.stack((dx, dx_bar)), dt,
+                                     np.stack((reg, reg_bar)))
+            grad_phi = actor_gradient(c1[0], c1[1], z, cfg.kappa)
             # The HJB criterion is maximized, so ascend: feed -grad to Adam.
-            adam[i][rows], phi[i][rows] = adam_step(adam[i][rows], phi_i, -grad_phi,
-                                                    cfg.learning_rate, cfg.beta1,
-                                                    cfg.beta2, cfg.eps)
-        for i in range(2):
-            phi_hist[i][:, m + 1] = phi[i]
+            adam[kept], phi[kept] = adam_step(adam[kept], phi_a[:, rows], -grad_phi,
+                                              cfg.learning_rate, cfg.beta1,
+                                              cfg.beta2, cfg.eps)
+            # The replay's arrays would otherwise live on through the next
+            # episode's simulation and critic phases, raising the peak.
+            del z, phi_bar, base_bar, scale_bar, u_bar, dx_bar, reg_bar, c1, grad_phi
+        phi_hist[:, :, m + 1] = phi
 
     return TrainResult(phi_history=(phi_hist[0], phi_hist[1]),
                        theta=(theta[0], theta[1]),
