@@ -59,15 +59,14 @@ print(f"regularizer values: {law1.phi():.4f} (normal), {law2.phi():.4f} (gini)")
 # ---------------------------------------------------------------------------
 from dataclasses import replace
 
+# Policies are closed-form, so the sweep solves no coefficient grids.
 print("\nmean_1 at (t=0.1, y=0.273) as parameters vary:")
 for k1 in (0.05, 0.1, 0.2, 0.4):
     ag = (replace(agents[0], k=k1), agents[1])
-    cs = eqm.solve_coefficients(ag, mkt, T, 801)
-    print(f"  k1 = {k1:4.2f}:  mean_1 = {eqm.equilibrium_means(0.1, 0.273, ag, mkt, cs)[0]:.4f}")
+    print(f"  k1 = {k1:4.2f}:  mean_1 = {eqm.closed_form_policy(0, ag, mkt, T).mean(0.1, 0.273):.4f}")
 for g1 in (1.0, 2.0, 4.0, 8.0):
     ag = (replace(agents[0], gamma=g1), agents[1])
-    cs = eqm.solve_coefficients(ag, mkt, T, 801)
-    print(f"  gamma1 = {g1:4.1f}:  mean_1 = {eqm.equilibrium_means(0.1, 0.273, ag, mkt, cs)[0]:.4f}")
+    print(f"  gamma1 = {g1:4.1f}:  mean_1 = {eqm.closed_form_policy(0, ag, mkt, T).mean(0.1, 0.273):.4f}")
 
 # The extended-HJB residual of the assembled solution is numerically zero.
 rng = np.random.default_rng(0)

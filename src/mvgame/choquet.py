@@ -36,7 +36,6 @@ __all__ = [
     "phi_h",
     "build_optimal_quantile",
     "location_scale_quantile",
-    "sample",
 ]
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=500)
@@ -215,10 +214,3 @@ def build_optimal_quantile(distortion: Distortion, m: float, s: float) -> Quanti
         )
     return QuantilePolicy(mean=float(m), scale=float(s), distortion=distortion)
 
-
-def sample(policy: QuantilePolicy, u):
-    """Inverse-transform sample: the policy quantile at uniform draw(s) u in (0,1)."""
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise ValueError("uniform draws must lie strictly inside (0,1)")
-    return policy.quantile(u)

@@ -82,46 +82,28 @@ def _sweep_variants(agents):
             + [("gamma2", v, (a1, replace(a2, gamma=v))) for v in SWEEP_VALUES["gamma2"]])
 
 
-def _density_curves(agents, market, coeffs, times, y0):
-    """{(agent index, t): (u, density)} for both agents at each time.
-
-    Only these curves outlive the call: holding a solved coefficient pair
-    per sweep point would raise the command's peak memory."""
-    return {(i, t): _density_curve(eqm.equilibrium_policy(i, agents, market, coeffs), t, y0)
-            for i in (0, 1) for t in times}
-
-
 def cmd_equilibrium(cfg: ExperimentConfig, out_dir: str) -> int:
     """Write coefficient grids and density-curve sweeps at benchmark states.
 
-    Coefficients are solved once per distinct agent pair: sweep points that
-    equal the base config reuse its curves."""
+    Coefficients are solved once, for their CSVs; each sweep point's policy
+    is closed-form and needs no solve."""
     os.makedirs(out_dir, exist_ok=True)
     horizon = cfg.sim.horizon
     agents = cfg.build_agents(horizon)
     y0 = cfg.market.y_bar
     times = [t for t in DENSITY_TIMES if t < horizon] or [0.1 * horizon]
 
-    coeffs = eqm.solve_coefficients(agents, cfg.market, horizon)
-    for i in (0, 1):
-        coeffs[i].to_csv(os.path.join(out_dir, f"coefficients_agent{i + 1}.csv"))
-    curves = {agents: _density_curves(agents, cfg.market, coeffs, times, y0)}
-    del coeffs  # not held while the sweep solves: it would raise peak memory
-    variants = _sweep_variants(agents)
-    for _, _, pair in variants:
-        if pair not in curves:
-            curves[pair] = _density_curves(
-                pair, cfg.market, eqm.solve_coefficients(pair, cfg.market, horizon),
-                times, y0)
-
+    for i, coeff in enumerate(eqm.solve_coefficients(agents, cfg.market, horizon)):
+        coeff.to_csv(os.path.join(out_dir, f"coefficients_agent{i + 1}.csv"))
     for i in (0, 1):
         path = os.path.join(out_dir, f"densities_agent{i + 1}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["param", "value", "t", "u", "density"])
             for t in times:
-                for param, value, pair in [("base", t, agents)] + variants:
-                    u, dens = curves[pair][i, t]
+                for param, value, pair in [("base", t, agents)] + _sweep_variants(agents):
+                    policy = eqm.closed_form_policy(i, pair, cfg.market, horizon)
+                    u, dens = _density_curve(policy, t, y0)
                     for uu, dd in zip(u, dens):
                         writer.writerow([param, _r(value), _r(t), _r(uu), _r(dd)])
     print(f"equilibrium: wrote coefficient and density CSVs to {out_dir}")
@@ -182,16 +164,15 @@ def _train_group(args):
 
     Replication ``rep`` trains on seed ``seed + 1000 (rep + 1)`` from actors
     within 10% of the closed form, drawn from its own stream.  With
-    ``freeze_opponent`` the closed-form opponent is built here: an
-    EquilibriumPolicy holds closures and cannot be sent to a worker.
+    ``freeze_opponent`` the closed-form opponent is built here, without a
+    coefficient solve: an EquilibriumPolicy holds closures and cannot be sent
+    to a worker.
     """
     cfg, reps, freeze_opponent = args
     horizon = cfg.train.horizon
     agents = cfg.build_agents(horizon)
-    frozen = None
-    if freeze_opponent:
-        coeffs = eqm.solve_coefficients(agents, cfg.market, horizon)
-        frozen = eqm.equilibrium_policy(1, agents, cfg.market, coeffs)
+    frozen = (eqm.closed_form_policy(1, agents, cfg.market, horizon)
+              if freeze_opponent else None)
     phi_star = (rl.equilibrium_actor_params(agents[0], cfg.market),
                 rl.equilibrium_actor_params(agents[1], cfg.market))
     initial = ([], [])
@@ -304,9 +285,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     horizon = cfg.sim.horizon
     agents = cfg.build_agents(horizon)
-    coeffs = eqm.solve_coefficients(agents, cfg.market, horizon)
-    policies = (eqm.equilibrium_policy(0, agents, cfg.market, coeffs),
-                eqm.equilibrium_policy(1, agents, cfg.market, coeffs))
+    policies = (eqm.closed_form_policy(0, agents, cfg.market, horizon),
+                eqm.closed_form_policy(1, agents, cfg.market, horizon))
     rng = mkt.episode_generator(cfg.sim.seed, 0)
     traj = mkt.simulate_game(cfg.market, agents, policies, cfg.sim, rng)
     traj.to_csv(os.path.join(out_dir, "trajectory.csv"))

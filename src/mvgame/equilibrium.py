@@ -10,7 +10,8 @@ with coefficient functions solved backward from zero terminal values.  The
 a-coefficients have closed forms (a0 by quadrature); the b-coefficients are
 obtained by RK4 back-integration of the linear system that the extended HJB
 equation induces on the quadratic ansatz.  Equilibrium action means solve a
-2x2 linear system coupling the two agents through their sensitivities; the
+2x2 linear system coupling the two agents through their sensitivities, and
+read only the closed-form a1, a2, so a policy needs no solved grid; the
 action standard deviation lam_i(t) ||h_i'||_2 / (gamma_i sigma^2) involves
 only the agent's own preferences.
 """
@@ -41,6 +42,7 @@ __all__ = [
     "equilibrium_std",
     "equilibrium_means",
     "mean_system_residuals",
+    "closed_form_policy",
     "equilibrium_policy",
     "value_functions",
     "black_scholes_policy",
@@ -237,11 +239,10 @@ def solve_coefficients(agents, market: MarketParams, horizon: float,
     return tuple(out)
 
 
-def _mean_base(t, y, agent: AgentParams, market: MarketParams, coeff: CoefficientSet):
+def _mean_base(t, y, agent: AgentParams, market: MarketParams, horizon: float):
     """y/(gamma*sigma) - (rho v/sigma)(a2 y + a1): the agent's response mean
-    net of the opponent coupling term."""
-    a = coeff.a_at(t)
-    a1, a2 = a[1], a[2]
+    net of the opponent coupling term, from the closed-form a1, a2."""
+    a1, a2 = a_coeffs_closed_form(agent, market, horizon, t)
     rv = market.rho * market.v
     y = np.asarray(y, dtype=float)
     return (y / (agent.gamma * market.sigma)
@@ -252,22 +253,25 @@ def equilibrium_means(t, y, agents, market: MarketParams, coeffs):
     """Equilibrium action means (mu1*, mu2*) at (t, y).
 
     Solves mu_i - k_i mu_j = base_i exactly: mu_i = (base_i + k_i base_j)
-    /(1 - k1 k2).  Vectorized over t and/or y.
+    /(1 - k1 k2).  Vectorized over t and/or y.  ``coeffs`` supplies only the
+    horizon: the means read the closed-form a1, a2.
     """
     k1, k2 = agents[0].k, agents[1].k
     denom = 1.0 - k1 * k2
     if denom <= 0.0:
         raise SingularMeanSystemError(f"k1*k2 = {k1 * k2!r} >= 1")
-    base1 = _mean_base(t, y, agents[0], market, coeffs[0])
-    base2 = _mean_base(t, y, agents[1], market, coeffs[1])
+    horizon = coeffs[0].times[-1]
+    base1 = _mean_base(t, y, agents[0], market, horizon)
+    base2 = _mean_base(t, y, agents[1], market, horizon)
     return (base1 + k1 * base2) / denom, (base2 + k2 * base1) / denom
 
 
 def mean_system_residuals(t, y, agents, market: MarketParams, coeffs, mus):
     """Residuals of mu_i - k_i mu_j = base_i for a candidate mean pair."""
     mu1, mu2 = mus
-    r1 = (mu1 - agents[0].k * mu2) - _mean_base(t, y, agents[0], market, coeffs[0])
-    r2 = (mu2 - agents[1].k * mu1) - _mean_base(t, y, agents[1], market, coeffs[1])
+    horizon = coeffs[0].times[-1]
+    r1 = (mu1 - agents[0].k * mu2) - _mean_base(t, y, agents[0], market, horizon)
+    r2 = (mu2 - agents[1].k * mu1) - _mean_base(t, y, agents[1], market, horizon)
     return r1, r2
 
 
@@ -295,24 +299,31 @@ class EquilibriumPolicy:
                                       float(self.std(t)))
 
 
-def equilibrium_policy(agent_index: int, agents, market: MarketParams,
-                       coeffs) -> EquilibriumPolicy:
+def closed_form_policy(agent_index: int, agents, market: MarketParams,
+                       horizon: float) -> EquilibriumPolicy:
     """Agent ``agent_index``'s equilibrium sampling policy: both agents' base
-    slopes 1/(gamma sigma) - (rho v/sigma) a2 and intercepts -(rho v/sigma) a1
-    coupled as (base_i + k_i base_j)/(1 - k1 k2), with rho v/sigma factored out."""
+    slopes 1/(gamma sigma) - (rho v/sigma) a2 and intercepts -(rho v/sigma) a1,
+    from the closed-form a1, a2, coupled as (base_i + k_i base_j)/(1 - k1 k2)
+    with rho v/sigma factored out."""
     agent, other = agents[agent_index], agents[1 - agent_index]
-    own, opp = coeffs[agent_index], coeffs[1 - agent_index]
     denom = 1.0 - agents[0].k * agents[1].k
     rv_s = market.rho * market.v / market.sigma
     slope0 = 1.0 / (agent.gamma * market.sigma) + agent.k / (other.gamma * market.sigma)
 
     def affine(t):
-        (_, a1_i, a2_i), (_, a1_j, a2_j) = own.a_at(t), opp.a_at(t)
+        (a1_i, a2_i), (a1_j, a2_j) = (a_coeffs_closed_form(a, market, horizon, t)
+                                      for a in (agent, other))
         return ((slope0 - rv_s * (a2_i + agent.k * a2_j)) / denom,
                 -rv_s * (a1_i + agent.k * a1_j) / denom)
 
     return EquilibriumPolicy(affine=affine, std=equilibrium_std(agent, market),
                              distortion=agent.distortion)
+
+
+def equilibrium_policy(agent_index: int, agents, market: MarketParams,
+                       coeffs) -> EquilibriumPolicy:
+    """The closed-form policy on the horizon of a solved coefficient pair."""
+    return closed_form_policy(agent_index, agents, market, coeffs[agent_index].times[-1])
 
 
 def value_functions(agent_index: int, t, xhat, y, coeffs):

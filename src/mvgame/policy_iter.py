@@ -207,8 +207,8 @@ def simultaneous_mean_iteration(agents, market: MarketParams, coeffs,
     rate = max(k1, k2)
 
     target1, target2 = equilibrium_means(times, y_value, agents, market, coeffs)
-    base1 = _mean_base(times, y_value, agents[0], market, coeffs[0])
-    base2 = _mean_base(times, y_value, agents[1], market, coeffs[1])
+    base1 = _mean_base(times, y_value, agents[0], market, coeffs[0].times[-1])
+    base2 = _mean_base(times, y_value, agents[1], market, coeffs[1].times[-1])
 
     mu1 = np.asarray(initial_means[0], dtype=float).copy()
     mu2 = np.asarray(initial_means[1], dtype=float).copy()

@@ -321,20 +321,24 @@ class TestEquilibriumCommand:
         for dens in dens_by_curve.values():
             assert len(set(dens)) == 1
 
-    def test_one_solve_per_distinct_agent_pair(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _count_solves(monkeypatch):
         from mvgame import equilibrium as eqm
         solved = []
         inner = eqm.solve_coefficients
 
-        def counting(agents, *args, **kwargs):
-            solved.append(tuple((a.gamma, a.k) for a in agents))
-            return inner(agents, *args, **kwargs)
+        def counting(*args, **kwargs):
+            solved.append(args)
+            return inner(*args, **kwargs)
 
         monkeypatch.setattr(eqm, "solve_coefficients", counting)
+        return solved
+
+    def test_one_solve_for_the_coefficient_csvs(self, tmp_path, monkeypatch):
+        solved = self._count_solves(monkeypatch)
         out = tmp_path / "o"
         assert cli.cmd_equilibrium(table1_config(), str(out)) == 0
-        assert len(solved) == 13
-        assert len(set(solved)) == 13
+        assert len(solved) == 1
         params = ["base", "k1", "gamma1", "k2", "gamma2"]
         for i in (1, 2):
             groups = []
@@ -342,6 +346,16 @@ class TestEquilibriumCommand:
                 if not groups or groups[-1] != (r["t"], r["param"]):
                     groups.append((r["t"], r["param"]))
             assert groups == [(t, p) for t in ("0.1", "18.0") for p in params]
+
+    def test_policies_need_no_solve(self, tmp_path, monkeypatch):
+        """Simulation and a frozen-opponent training worker build closed-form
+        policies without solving coefficients."""
+        solved = self._count_solves(monkeypatch)
+        assert cli.cmd_simulate(table1_config(), str(tmp_path / "sim")) == 0
+        cfg = table2_config()
+        cfg = replace(cfg, train=replace(cfg.train, episodes=4, critic_warmup=2, n_steps=10))
+        cli._train_group((cfg, (0,), True))
+        assert solved == []
 
     def test_normal_density_peaks_at_mean(self, tmp_path, t1_text):
         from mvgame import equilibrium as eqm

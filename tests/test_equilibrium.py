@@ -211,6 +211,66 @@ class TestAffinePolicies:
         self._check(pol, old_mean, 20.0)
 
 
+
+class TestClosedFormMeans:
+    """Policies and equilibrium means read the closed-form a1, a2.  They equal
+    the spline of the solved 4001-point grid byte for byte at its nodes below
+    T, and within the spline's interpolation error between them.  At T the
+    spline evaluates its last cubic at the right end, about 1e-25 from the
+    terminal a1 = a2 = 0 that the closed form returns exactly."""
+
+    Y = np.linspace(-1.0, 1.0, 5)
+
+    @staticmethod
+    def _spline_affine(i, agents, market, coeffs, t):
+        agent, other = agents[i], agents[1 - i]
+        (_, a1_i, a2_i), (_, a1_j, a2_j) = coeffs[i].a_at(t), coeffs[1 - i].a_at(t)
+        denom = 1.0 - agents[0].k * agents[1].k
+        rv_s = market.rho * market.v / market.sigma
+        slope0 = 1.0 / (agent.gamma * market.sigma) + agent.k / (other.gamma * market.sigma)
+        return ((slope0 - rv_s * (a2_i + agent.k * a2_j)) / denom,
+                -rv_s * (a1_i + agent.k * a1_j) / denom)
+
+    @staticmethod
+    def _spline_means(agents, market, coeffs, t, y):
+        rv = market.rho * market.v
+        base = []
+        for agent, coeff in zip(agents, coeffs):
+            _, a1, a2 = coeff.a_at(t)
+            base.append(y / (agent.gamma * market.sigma)
+                        - (rv / market.sigma) * (a2 * y + a1))
+        k1, k2 = agents[0].k, agents[1].k
+        denom = 1.0 - k1 * k2
+        return (base[0] + k1 * base[1]) / denom, (base[1] + k2 * base[0]) / denom
+
+    def _compare(self, agents, market, coeffs, horizon, t, check):
+        for i in (0, 1):
+            pol = eqm.closed_form_policy(i, agents, market, horizon)
+            for got, want in zip(pol.affine(t), self._spline_affine(i, agents, market,
+                                                                    coeffs, t)):
+                check(got, want)
+        ty, yy = np.meshgrid(t, self.Y, indexing="ij")
+        for got, want in zip(eqm.equilibrium_means(ty, yy, agents, market, coeffs),
+                             self._spline_means(agents, market, coeffs, ty, yy)):
+            check(got, want)
+
+    @pytest.mark.parametrize("preset", ["long", "short"])
+    def test_nodes_and_between(self, bench_market, agents_long, coeffs_long,
+                               agents_short, coeffs_short, preset):
+        agents, coeffs, horizon = ((agents_long, coeffs_long, 20.0) if preset == "long"
+                                   else (agents_short, coeffs_short, 1.0))
+        nodes = coeffs[0].times
+        assert len(nodes) == eqm.DEFAULT_GRID_SIZE and nodes[-1] == horizon
+        self._compare(agents, bench_market, coeffs, horizon, nodes[:-1],
+                      np.testing.assert_array_equal)
+        between = np.concatenate([nodes[:-1] + f * np.diff(nodes) for f in (0.25, 0.5)]
+                                 + [nodes[-1:]])
+        # relative to each curve's scale: the intercepts vanish like (T - t)^2
+        self._compare(agents, bench_market, coeffs, horizon, between,
+                      lambda got, want: np.testing.assert_allclose(
+                          got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want))))
+
+
 class TestValueFunctions:
     def test_terminal_identity(self, coeffs_long):
         v, g = eqm.value_functions(0, 20.0, 1.7, 0.4, coeffs_long)

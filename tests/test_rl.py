@@ -707,52 +707,52 @@ PINNED_TRAINING = {  # flattened over (agent, replication, ...)
     },
     "frozen": {
         "phi": [
-            3.539326469296121, -0.21609990440575474, 0.2070641731440529,
-            -0.02175376385577016, 3.0260735043713005, -0.19217464949760996,
-            0.2024453968696236, -0.015703412993311964, 3.042675707906539,
-            -0.22528577102134492, 0.21969431473021295, -0.011613755810516865,
+            3.539326469296121, -0.21609990440575477, 0.2070641731440528,
+            -0.02175376385577016, 3.0260735043712996, -0.19217464949761004,
+            0.20244539686962357, -0.01570341299331211, 3.042675707906539,
+            -0.22528577102134517, 0.21969431473021309, -0.011613755810516855,
             2.193310023211174, -0.14707313572556535, 0.22621666855582928,
             -0.010583405181480172, 2.174402073037679, -0.1341458851032595,
             0.21695505073524002, -0.009031949166184786, 2.2469316075203216,
             -0.1281929997750421, 0.22546118067446658, -0.009038705547215701
         ],
         "theta_v": [
-            -0.043150906723058956, 0.08118418399874675, 3.207325722456541,
-            -3.081856037475236, -2.210303049481297, 14.596720262888486, -0.0376973554465564,
-            0.038193788500342614, -0.5393838862179317, 1.0879894654249866,
-            -15.652998853750928, 21.79985419372893, -0.03534554029768627,
-            0.008258679142225514, -2.6118147951173754, 2.5931935909247206,
-            -17.654557834580675, 26.56695366089144, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+            -0.043150906723058984, 0.08118418399874677, 3.2073257224565412,
+            -3.081856037475236, -2.210303049481278, 14.59672026288847, -0.03769735544655656,
+            0.038193788500342746, -0.5393838862179328, 1.0879894654249878,
+            -15.652998853750907, 21.799854193728898, -0.03534554029768641,
+            0.008258679142225629, -2.611814795117375, 2.5931935909247206,
+            -17.654557834580665, 26.56695366089145, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
             0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
         ],
         "theta_g": [
-            -0.03772621608979783, 0.08536612035607495, 3.416337777645797,
-            -3.3091887471024406, -1.8830054674626844, 14.23101067125021,
-            -0.018608262479127308, 0.03281003950817586, -0.3024309298353206,
-            0.9556365188731708, -15.564345881131285, 21.753990868598002,
-            -0.010068196296735245, 0.005293202253532223, -2.160485013615876,
-            2.2995888172020686, -17.705421368369187, 26.107059939965445, 0.0, 0.0, 0.0, 0.0,
+            -0.03772621608979783, 0.08536612035607495, 3.4163377776457975,
+            -3.309188747102441, -1.8830054674626773, 14.23101067125021,
+            -0.018608262479127363, 0.032810039508175945, -0.30243092983532344,
+            0.9556365188731727, -15.564345881131274, 21.753990868597977,
+            -0.01006819629673529, 0.005293202253532274, -2.160485013615875,
+            2.2995888172020673, -17.705421368369194, 26.107059939965485, 0.0, 0.0, 0.0, 0.0,
             0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
         ],
         "adam_m": [
-            -0.841953518491187, 1.0073538082720408, -0.01945685305244854,
-            1.1224934077428308, 1.3241711865101677, -0.7651361769811329,
-            -0.5732242502921153, -0.7946449415805246, -0.2874658920778668,
-            -0.4114742383652333, 0.3664778149670937, -0.26908110353721865, 0.0, 0.0, 0.0,
+            -0.8419535184911837, 1.0073538082720446, -0.019456853052437217,
+            1.1224934077428494, 1.3241711865101906, -0.7651361769811297,
+            -0.5732242502921424, -0.7946449415805309, -0.287465892077882,
+            -0.4114742383652261, 0.3664778149670958, -0.2690811035372166, 0.0, 0.0, 0.0,
             0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
         ],
         "adam_v": [
-            0.26272176403193237, 0.27779152115214095, 0.1850516630786723,
-            0.40857114901620917, 0.15910871006455107, 0.35202841135351837,
-            0.1881272864776534, 0.3462780877245657, 0.2563610806978611, 0.11537650999091936,
-            0.13684770826244494, 0.36546453100394916, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-            0.0, 0.0, 0.0, 0.0, 0.0
+            0.26272176403193165, 0.27779152115214073, 0.18505166307867146,
+            0.4085711490162113, 0.15910871006455782, 0.35202841135351876,
+            0.18812728647765412, 0.3462780877245678, 0.2563610806978622,
+            0.11537650999091893, 0.13684770826244588, 0.36546453100394977, 0.0, 0.0, 0.0,
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
         ],
         "adam_step": [
             30, 30, 30, 0, 0, 0
         ],
         "loss_sum": [
-            1607.696226213682, 1326.377301094942, 2064.498728939998, np.nan, np.nan, np.nan
+            1607.696226213682, 1326.3773010949421, 2064.498728939998, np.nan, np.nan, np.nan
         ],
         "skipped": 0,
     },
