@@ -50,9 +50,8 @@ print(f"iterate-5 policy std at t=3: {pol5.std(3.0):.4f} "
 # ---------------------------------------------------------------------------
 # Simultaneous mean iteration: both agents at once, geometric contraction.
 # ---------------------------------------------------------------------------
-coeffs = eqm.solve_coefficients(agents, mkt, T)
 times = np.linspace(0.0, T, 201)
-mh = pit.simultaneous_mean_iteration(agents, mkt, coeffs,
+mh = pit.simultaneous_mean_iteration(agents, mkt, T,
                                      (np.zeros(201), np.zeros(201)), 8,
                                      times=times, y_value=mkt.y_bar)
 print(f"simultaneous mean iteration (rate = max(k1,k2) = {mh.contraction_rate}):")

@@ -24,11 +24,9 @@ agents = (
     market.AgentParams(gamma=3.0, k=0.05, lam=market.constant_weight(0.02),
                        distortion=choquet.make_distortion_gini()),
 )
-coeffs = eqm.solve_coefficients(agents, mkt, T)
-
 t_grid = np.linspace(0.0, T, 11)
 y_slice = np.full_like(t_grid, mkt.y_bar)
-true1, true2 = eqm.equilibrium_means(t_grid, mkt.y_bar, agents, mkt, coeffs)
+true1, true2 = eqm.equilibrium_means(t_grid, mkt.y_bar, agents, mkt, T)
 
 
 def curve_error(phis):

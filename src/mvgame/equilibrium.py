@@ -18,7 +18,6 @@ only the agent's own preferences.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,6 +25,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._integrate import half_grid, rk4_backward_affine
+from ._table import write_table
 from .choquet import Distortion, build_optimal_quantile, location_scale_quantile
 from .market import AgentParams, MarketParams
 
@@ -94,13 +94,8 @@ class CoefficientSet:
         return self._b_spline.derivative()(t)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "a0", "a1", "a2", "b0", "b1", "b2"])
-            for j, t in enumerate(self.times):
-                writer.writerow([repr(float(t))]
-                                + [repr(float(self.a[i, j])) for i in range(3)]
-                                + [repr(float(self.b[i, j])) for i in range(3)])
+        write_table(path, ["t", "a0", "a1", "a2", "b0", "b1", "b2"],
+                    [[self.times, *self.a, *self.b]])
 
 
 def _mean_reversion_rate(market: MarketParams) -> float:
@@ -249,27 +244,25 @@ def _mean_base(t, y, agent: AgentParams, market: MarketParams, horizon: float):
             - (rv / market.sigma) * (a2 * y + a1))
 
 
-def equilibrium_means(t, y, agents, market: MarketParams, coeffs):
+def equilibrium_means(t, y, agents, market: MarketParams, horizon: float):
     """Equilibrium action means (mu1*, mu2*) at (t, y).
 
     Solves mu_i - k_i mu_j = base_i exactly: mu_i = (base_i + k_i base_j)
-    /(1 - k1 k2).  Vectorized over t and/or y.  ``coeffs`` supplies only the
-    horizon: the means read the closed-form a1, a2.
+    /(1 - k1 k2).  Vectorized over t and/or y.  The means read the
+    closed-form a1, a2, so they need only the horizon.
     """
     k1, k2 = agents[0].k, agents[1].k
     denom = 1.0 - k1 * k2
     if denom <= 0.0:
         raise SingularMeanSystemError(f"k1*k2 = {k1 * k2!r} >= 1")
-    horizon = coeffs[0].times[-1]
     base1 = _mean_base(t, y, agents[0], market, horizon)
     base2 = _mean_base(t, y, agents[1], market, horizon)
     return (base1 + k1 * base2) / denom, (base2 + k2 * base1) / denom
 
 
-def mean_system_residuals(t, y, agents, market: MarketParams, coeffs, mus):
+def mean_system_residuals(t, y, agents, market: MarketParams, horizon: float, mus):
     """Residuals of mu_i - k_i mu_j = base_i for a candidate mean pair."""
     mu1, mu2 = mus
-    horizon = coeffs[0].times[-1]
     r1 = (mu1 - agents[0].k * mu2) - _mean_base(t, y, agents[0], market, horizon)
     r2 = (mu2 - agents[1].k * mu1) - _mean_base(t, y, agents[1], market, horizon)
     return r1, r2
@@ -396,7 +389,7 @@ def hjb_residuals(agent_index: int, agents, market: MarketParams, coeffs,
     da0, da1, da2 = cs.a_deriv(t)
     db0, db1, db2 = cs.b_deriv(t)
 
-    mu1, mu2 = equilibrium_means(t, y, agents, market, coeffs)
+    mu1, mu2 = equilibrium_means(t, y, agents, market, cs.times[-1])
     mu_i, mu_j = (mu1, mu2) if agent_index == 0 else (mu2, mu1)
     agent_j = agents[1 - agent_index]
     sig_i = equilibrium_std(agent, market)(t)

@@ -17,13 +17,13 @@ affine-in-state policies once per batch and runs blocks of episodes end to end.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.signal import lfilter
 
+from ._table import write_table
 from .choquet import location_scale_quantile
 
 __all__ = [
@@ -152,15 +152,10 @@ class Trajectory:
     actions2: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "y", "s_disc", "x1", "x2", "u1", "u2"])
-            states = (self.times, self.y, self.s_disc, self.x1, self.x2)
-            n = len(self.times)
-            for i in range(n):
-                writer.writerow([repr(float(c[i])) for c in states]
-                                + [repr(float(a[i])) if i < n - 1 else ""
-                                   for a in (self.actions1, self.actions2)])
+        """One row per grid time; the last row's actions are blank."""
+        write_table(path, ["t", "y", "s_disc", "x1", "x2", "u1", "u2"],
+                    [[self.times, self.y, self.s_disc, self.x1, self.x2,
+                      self.actions1, self.actions2]])
 
 
 def episode_generator(seed: int, episode: int) -> np.random.Generator:

@@ -24,7 +24,6 @@ of the coupling term.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._integrate import half_grid, rk4_backward_affine
+from ._table import write_table
 from .equilibrium import (DEFAULT_GRID_SIZE, EquilibriumPolicy, _mean_base,
                           a_coeffs_closed_form, equilibrium_means,
                           equilibrium_std)
@@ -188,9 +188,9 @@ def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: fl
                            converged=converged, tol=tol)
 
 
-def simultaneous_mean_iteration(agents, market: MarketParams, coeffs,
-                                initial_means, n_max: int,
-                                times=None, y_value: float | None = None) -> MeanHistory:
+def simultaneous_mean_iteration(agents, market: MarketParams, horizon: float,
+                                initial_means, n_max: int, times,
+                                y_value: float | None = None) -> MeanHistory:
     """Iterate both agents' means at once on a t-grid at a fixed state y.
 
     mu^{n+1} = [[0, k1], [k2, 0]] mu^n + base(t, y); converges geometrically
@@ -198,17 +198,15 @@ def simultaneous_mean_iteration(agents, market: MarketParams, coeffs,
     """
     if not (0.0 <= agents[0].k < 1.0 and 0.0 <= agents[1].k < 1.0):
         raise ValueError("sensitivities must lie in [0, 1)")
-    if times is None:
-        times = coeffs[0].times
     times = np.asarray(times, dtype=float)
     if y_value is None:
         y_value = market.y_bar
     k1, k2 = agents[0].k, agents[1].k
     rate = max(k1, k2)
 
-    target1, target2 = equilibrium_means(times, y_value, agents, market, coeffs)
-    base1 = _mean_base(times, y_value, agents[0], market, coeffs[0].times[-1])
-    base2 = _mean_base(times, y_value, agents[1], market, coeffs[1].times[-1])
+    target1, target2 = equilibrium_means(times, y_value, agents, market, horizon)
+    base1 = _mean_base(times, y_value, agents[0], market, horizon)
+    base2 = _mean_base(times, y_value, agents[1], market, horizon)
 
     mu1 = np.asarray(initial_means[0], dtype=float).copy()
     mu2 = np.asarray(initial_means[1], dtype=float).copy()
@@ -248,25 +246,13 @@ def response_policy(agent: AgentParams, market: MarketParams, horizon: float,
                              distortion=agent.distortion)
 
 
-def export_history_csv(path, response: ResponseHistory,
-                       mean_history: MeanHistory | None = None) -> None:
-    """Error-history CSV: n, sup errors, and both certified bounds."""
-    rows = max(len(response.iterates),
-               len(mean_history.iterates) if mean_history is not None else 0)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "sup_err_a1", "sup_err_a2", "factorial_bound",
-                         "sup_err_mu", "geometric_bound"])
-        for n in range(rows):
-            row = [str(n)]
-            if n < len(response.iterates):
-                it = response.iterates[n]
-                row += [repr(it.sup_err_a1), repr(it.sup_err_a2), repr(it.bound_a2)]
-            else:
-                row += ["", "", ""]
-            if mean_history is not None and n < len(mean_history.iterates):
-                mit = mean_history.iterates[n]
-                row += [repr(mit.sup_err), repr(mit.bound)]
-            else:
-                row += ["", ""]
-            writer.writerow(row)
+def export_history_csv(path, response: ResponseHistory, mean_history: MeanHistory) -> None:
+    """Error-history CSV: n, sup errors, and both certified bounds; the
+    shorter history's cells are blank past its end."""
+    resp, mean = response.iterates, mean_history.iterates
+    write_table(path, ["n", "sup_err_a1", "sup_err_a2", "factorial_bound",
+                       "sup_err_mu", "geometric_bound"],
+                [[np.arange(max(len(resp), len(mean))),
+                  [it.sup_err_a1 for it in resp], [it.sup_err_a2 for it in resp],
+                  [it.bound_a2 for it in resp],
+                  [it.sup_err for it in mean], [it.bound for it in mean]]])

@@ -32,12 +32,12 @@ alone, such as the critic features, is done once per episode and shared.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import write_table
 from .market import (AgentParams, MarketParams, SimConfig, WEALTH_GUARD,
                      _draw_uniforms, _state_and_price_batch, episode_generator)
 
@@ -630,18 +630,10 @@ def write_metrics_csv(path, critic_losses, phi_history) -> None:
     """Training-metrics CSV: per-episode critic losses and actor parameters.
 
     ``critic_losses`` is a pair of (M,) arrays, nan where an agent did not
-    train; ``phi_history`` a pair of (M+1, 4) arrays whose row 0 is the
-    initial actor."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["episode", "loss_critic1", "loss_critic2"]
-        header += [f"phi{p}_1" for p in range(4)] + [f"phi{p}_2" for p in range(4)]
-        writer.writerow(header)
-        for m in range(len(critic_losses[0])):
-            row = [str(m + 1)]
-            for i in (0, 1):
-                val = critic_losses[i][m]
-                row.append("" if np.isnan(val) else repr(float(val)))
-            for i in (0, 1):
-                row += [repr(float(x)) for x in phi_history[i][m + 1]]
-            writer.writerow(row)
+    train (a blank cell); ``phi_history`` a pair of (M+1, 4) arrays whose
+    row 0 is the initial actor."""
+    header = ["episode", "loss_critic1", "loss_critic2"]
+    header += [f"phi{p}_1" for p in range(4)] + [f"phi{p}_2" for p in range(4)]
+    losses = [[None if np.isnan(x) else x for x in loss.tolist()] for loss in critic_losses]
+    phis = [col for phi in phi_history for col in phi[1:].T]
+    write_table(path, header, [[np.arange(1, len(losses[0]) + 1), *losses, *phis]])

@@ -51,13 +51,13 @@ def test_criterion_02_hjb_residuals(agents_long, bench_market, coeffs_long):
                   f"over 100 random points (<=1e-5)")
 
 
-def test_criterion_03_mean_system(agents_long, bench_market, coeffs_long):
+def test_criterion_03_mean_system(agents_long, bench_market):
     t_grid = np.linspace(0.0, 20.0, 1001)
     worst = 0.0
     for y in (-0.5, 0.0, 0.273, 1.0):
-        mus = eqm.equilibrium_means(t_grid, y, agents_long, bench_market, coeffs_long)
+        mus = eqm.equilibrium_means(t_grid, y, agents_long, bench_market, 20.0)
         r1, r2 = eqm.mean_system_residuals(t_grid, y, agents_long, bench_market,
-                                           coeffs_long, mus)
+                                           20.0, mus)
         worst = max(worst, float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
 
     # independent oracle at t = T, y = 0.273: a-coefficients vanish, so the
@@ -65,8 +65,7 @@ def test_criterion_03_mean_system(agents_long, bench_market, coeffs_long):
     k1, k2 = agents_long[0].k, agents_long[1].k
     base = np.array([0.273 / (2.0 * 0.15), 0.273 / (1.0 * 0.15)])
     oracle = np.linalg.solve(np.array([[1.0, -k1], [-k2, 1.0]]), base)
-    mu1, mu2 = eqm.equilibrium_means(20.0, 0.273, agents_long, bench_market,
-                                     coeffs_long)
+    mu1, mu2 = eqm.equilibrium_means(20.0, 0.273, agents_long, bench_market, 20.0)
     dev = max(abs(mu1 - oracle[0]), abs(mu2 - oracle[1]))
     named = abs(mu1 - 1.09749) < 1e-5 and abs(mu2 - 1.87487) < 1e-5
     ok = worst <= 1e-10 and dev <= 1e-10 and named
@@ -120,10 +119,10 @@ def test_criterion_05_factorial_certificate(agents_long, bench_market):
     report(5, ok, f"{'; '.join(results)}; runtime {elapsed:.2f}s (<5s)")
 
 
-def test_criterion_06_geometric_certificate(agents_long, bench_market, coeffs_long):
+def test_criterion_06_geometric_certificate(agents_long, bench_market):
     times = np.linspace(0.0, 20.0, 201)
     hist = pit.simultaneous_mean_iteration(
-        agents_long, bench_market, coeffs_long,
+        agents_long, bench_market, 20.0,
         (np.zeros(201), np.zeros(201)), 8, times=times, y_value=0.273)
     rate = hist.contraction_rate
     omega = hist.iterates[0].sup_err
@@ -234,8 +233,7 @@ def test_criterion_09_qualitative_monotonicity(agents_long, bench_market,
     checks = []
 
     def mu1_at(agents, t):
-        coeffs = eqm.solve_coefficients(agents, bench_market, 20.0, 801)
-        return eqm.equilibrium_means(t, y0, agents, bench_market, coeffs)[0]
+        return eqm.equilibrium_means(t, y0, agents, bench_market, 20.0)[0]
 
     ok = True
     for t in (0.1, 18.0):

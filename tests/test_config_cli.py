@@ -348,13 +348,15 @@ class TestEquilibriumCommand:
             assert groups == [(t, p) for t in ("0.1", "18.0") for p in params]
 
     def test_policies_need_no_solve(self, tmp_path, monkeypatch):
-        """Simulation and a frozen-opponent training worker build closed-form
-        policies without solving coefficients."""
+        """Simulation, both iterations and a frozen-opponent training run
+        build closed-form policies and means without solving coefficients."""
         solved = self._count_solves(monkeypatch)
         assert cli.cmd_simulate(table1_config(), str(tmp_path / "sim")) == 0
+        assert cli.cmd_iterate(table1_config(), str(tmp_path / "it")) == 0
         cfg = table2_config()
         cfg = replace(cfg, train=replace(cfg.train, episodes=4, critic_warmup=2, n_steps=10))
-        cli._train_group((cfg, (0,), True))
+        assert cli.cmd_train(cfg, str(tmp_path / "tr"), replications=1,
+                             freeze_opponent=True) == 0
         assert solved == []
 
     def test_normal_density_peaks_at_mean(self, tmp_path, t1_text):
@@ -389,6 +391,18 @@ class TestTrainCommand:
         assert rows[0]["mu_learned_1"] != ""
         assert (out / "training_metrics.csv").exists()
         assert (out / "checkpoint.txt").exists()
+
+    def test_undefined_relative_error_fails_the_band(self, tmp_path, capsys):
+        """With y_bar = 0 the true mean curves on the y = y_bar slice are
+        identically 0, so the relative error is undefined and fails the band."""
+        cfg = table2_config()
+        cfg = replace(cfg, market=replace(cfg.market, y_bar=0.0),
+                      train=replace(cfg.train, episodes=30), replications=2)
+        path = tmp_path / "cfg.ini"
+        path.write_text(serialize_config(cfg))
+        code = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "undefined" in capsys.readouterr().err
 
     def test_deterministic_outputs(self, tmp_path):
         path = tmp_path / "cfg.ini"

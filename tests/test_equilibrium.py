@@ -63,25 +63,25 @@ class TestBCoefficients:
 
 
 class TestEquilibriumMeans:
-    def test_two_by_two_oracle(self, agents_long, bench_market, coeffs_long):
+    def test_two_by_two_oracle(self, agents_long, bench_market):
         """Independent oracle: solve the linear system directly."""
         t, y = 20.0, 0.273
         k1, k2 = agents_long[0].k, agents_long[1].k
         base = [y / (agents_long[i].gamma * bench_market.sigma) for i in (0, 1)]
         mat = np.array([[1.0, -k1], [-k2, 1.0]])
         oracle = np.linalg.solve(mat, np.array(base))
-        mu1, mu2 = eqm.equilibrium_means(t, y, agents_long, bench_market, coeffs_long)
+        mu1, mu2 = eqm.equilibrium_means(t, y, agents_long, bench_market, 20.0)
         assert mu1 == pytest.approx(oracle[0], abs=1e-12)
         assert mu2 == pytest.approx(oracle[1], abs=1e-12)
         assert mu1 == pytest.approx(1.09749, abs=1e-5)
         assert mu2 == pytest.approx(1.87487, abs=1e-5)
 
-    def test_residuals_tiny_on_grid(self, agents_long, bench_market, coeffs_long):
+    def test_residuals_tiny_on_grid(self, agents_long, bench_market):
         t = np.linspace(0.0, 20.0, 401)
         for y in (-0.5, 0.0, 0.273, 1.0):
-            mus = eqm.equilibrium_means(t, y, agents_long, bench_market, coeffs_long)
+            mus = eqm.equilibrium_means(t, y, agents_long, bench_market, 20.0)
             r1, r2 = eqm.mean_system_residuals(t, y, agents_long, bench_market,
-                                               coeffs_long, mus)
+                                               20.0, mus)
             assert np.max(np.abs(r1)) < 1e-10
             assert np.max(np.abs(r2)) < 1e-10
 
@@ -91,7 +91,7 @@ class TestEquilibriumMeans:
                   AgentParams(gamma=1.0, k=0.0, lam=lam, distortion=gini_dist))
         coeffs = eqm.solve_coefficients(agents, bench_market, 20.0, 801)
         t, y = 7.3, 0.4
-        mu1, mu2 = eqm.equilibrium_means(t, y, agents, bench_market, coeffs)
+        mu1, mu2 = eqm.equilibrium_means(t, y, agents, bench_market, 20.0)
         rv = bench_market.rho * bench_market.v
         for i, mu in enumerate((mu1, mu2)):
             a = coeffs[i].a_at(t)
@@ -99,20 +99,19 @@ class TestEquilibriumMeans:
                 - (rv / bench_market.sigma) * (a[2] * y + a[1])
             assert mu == pytest.approx(expected, abs=1e-12)
 
-    def test_zero_state_terminal(self, agents_long, bench_market, coeffs_long):
-        mu1, mu2 = eqm.equilibrium_means(20.0, 0.0, agents_long, bench_market,
-                                         coeffs_long)
+    def test_zero_state_terminal(self, agents_long, bench_market):
+        mu1, mu2 = eqm.equilibrium_means(20.0, 0.0, agents_long, bench_market, 20.0)
         assert mu1 == pytest.approx(0.0, abs=1e-12)
         assert mu2 == pytest.approx(0.0, abs=1e-12)
 
-    def test_singular_system(self, bench_market, normal_dist, gini_dist, coeffs_long):
+    def test_singular_system(self, bench_market, normal_dist, gini_dist):
         lam = market.constant_weight(0.01)
         class FakeAgent:
             pass
         a1 = FakeAgent(); a1.k = 2.0; a1.gamma = 1.0
         a2 = FakeAgent(); a2.k = 0.5; a2.gamma = 1.0
         with pytest.raises(eqm.SingularMeanSystemError):
-            eqm.equilibrium_means(1.0, 0.3, (a1, a2), bench_market, coeffs_long)
+            eqm.equilibrium_means(1.0, 0.3, (a1, a2), bench_market, 20.0)
 
 
 class TestEquilibriumPolicy:
@@ -179,7 +178,7 @@ class TestAffinePolicies:
         for i in (0, 1):
             pol = eqm.equilibrium_policy(i, agents, bench_market, coeffs)
             self._check(pol, lambda t, y: eqm.equilibrium_means(
-                t, y, agents, bench_market, coeffs)[i], horizon)
+                t, y, agents, bench_market, horizon)[i], horizon)
 
     def test_black_scholes_policy(self, agents_short):
         a, b, r = 0.08, 0.3, 0.02
@@ -250,7 +249,7 @@ class TestClosedFormMeans:
                                                                     coeffs, t)):
                 check(got, want)
         ty, yy = np.meshgrid(t, self.Y, indexing="ij")
-        for got, want in zip(eqm.equilibrium_means(ty, yy, agents, market, coeffs),
+        for got, want in zip(eqm.equilibrium_means(ty, yy, agents, market, horizon),
                              self._spline_means(agents, market, coeffs, ty, yy)):
             check(got, want)
 

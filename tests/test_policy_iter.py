@@ -67,20 +67,19 @@ class TestResponseHistory:
 
 
 class TestMeanIteration:
-    def test_fixed_point_stays(self, agents_long, bench_market, coeffs_long):
+    def test_fixed_point_stays(self, agents_long, bench_market):
         times = np.linspace(0.0, 20.0, 101)
-        target = eqm.equilibrium_means(times, 0.273, agents_long, bench_market,
-                                       coeffs_long)
+        target = eqm.equilibrium_means(times, 0.273, agents_long, bench_market, 20.0)
         hist = pit.simultaneous_mean_iteration(agents_long, bench_market,
-                                               coeffs_long, target, 3,
+                                               20.0, target, 3,
                                                times=times, y_value=0.273)
         for it in hist.iterates:
             assert it.sup_err < 1e-12
 
-    def test_contraction_and_bounds(self, agents_long, bench_market, coeffs_long):
+    def test_contraction_and_bounds(self, agents_long, bench_market):
         times = np.linspace(0.0, 20.0, 101)
         hist = pit.simultaneous_mean_iteration(
-            agents_long, bench_market, coeffs_long,
+            agents_long, bench_market, 20.0,
             (np.zeros(101), np.zeros(101)), 8, times=times, y_value=0.273)
         rate = hist.contraction_rate
         assert rate == 0.1
@@ -97,10 +96,9 @@ class TestMeanIteration:
         lam = market.constant_weight(0.01)
         agents = (AgentParams(gamma=2.0, k=0.99, lam=lam, distortion=normal_dist),
                   AgentParams(gamma=1.0, k=0.99, lam=lam, distortion=gini_dist))
-        coeffs = eqm.solve_coefficients(agents, bench_market, 5.0, 801)
         times = np.linspace(0.0, 5.0, 51)
         hist = pit.simultaneous_mean_iteration(
-            agents, bench_market, coeffs, (np.zeros(51), np.zeros(51)), 8,
+            agents, bench_market, 5.0, (np.zeros(51), np.zeros(51)), 8,
             times=times)
         assert hist.contraction_rate == 0.99
         for it in hist.iterates[1:]:
@@ -137,12 +135,12 @@ class TestFormPreservation:
 
 
 class TestExport:
-    def test_history_csv(self, agents_long, bench_market, coeffs_long, tmp_path):
+    def test_history_csv(self, agents_long, bench_market, tmp_path):
         hist = pit.run_response_iteration(agents_long[0], bench_market, 20.0,
                                           n_max=25, tol=1e-6)
         times = np.linspace(0.0, 20.0, 101)
         mh = pit.simultaneous_mean_iteration(
-            agents_long, bench_market, coeffs_long,
+            agents_long, bench_market, 20.0,
             (np.zeros(101), np.zeros(101)), 8, times=times)
         path = tmp_path / "hist.csv"
         pit.export_history_csv(path, hist, mh)

@@ -69,14 +69,13 @@ class TestActorQuantile:
             assert rl.actor_scale_coeff(phi, agents_short[0], 0.5) >= 0.0
 
     def test_equilibrium_actor_params_reproduce_means(self, agents_short,
-                                                      bench_market, coeffs_short):
+                                                      bench_market):
         phis = (rl.equilibrium_actor_params(agents_short[0], bench_market),
                 rl.equilibrium_actor_params(agents_short[1], bench_market))
         ts = np.linspace(0.0, 1.0, 7)
         ys = np.linspace(-0.2, 0.7, 7)
         mu1, mu2 = rl.resolve_actor_means(phis, agents_short, ts, ys, 1.0)
-        e1, e2 = eqm.equilibrium_means(ts, ys, agents_short, bench_market,
-                                       coeffs_short)
+        e1, e2 = eqm.equilibrium_means(ts, ys, agents_short, bench_market, 1.0)
         assert np.max(np.abs(mu1 - e1)) < 1e-12
         assert np.max(np.abs(mu2 - e2)) < 1e-12
 
