@@ -128,7 +128,7 @@ def cmd_iterate(cfg: ExperimentConfig, out_dir: str) -> int:
 
     for i in (0, 1):
         hist = pit.run_response_iteration(agents[i], cfg.market, horizon,
-                                          n_max=25, tol=1e-6, agent_index=i)
+                                          n_max=25, tol=1e-6)
         for it in hist.iterates:
             if it.sup_err_a2 > it.bound_a2 + 1e-9:
                 failures.append(
@@ -169,16 +169,14 @@ def _train_group(args):
     agents = cfg.build_agents(horizon)
     frozen = (eqm.closed_form_policy(1, agents, cfg.market, horizon)
               if freeze_opponent else None)
-    phi_star = (rl.equilibrium_actor_params(agents[0], cfg.market),
-                rl.equilibrium_actor_params(agents[1], cfg.market))
-    initial = ([], [])
+    phi_star = np.array([rl.equilibrium_actor_params(a, cfg.market) for a in agents])
+    initial = []
     for rep in reps:
         init_rng = np.random.default_rng(np.random.SeedSequence((cfg.train.seed, 77, rep)))
-        for i in (0, 1):
-            initial[i].append(phi_star[i] * (1.0 + init_rng.uniform(-0.1, 0.1, size=4)))
+        initial.append(phi_star * (1.0 + init_rng.uniform(-0.1, 0.1, size=(2, 4))))
     seeds = [cfg.train.seed + 1000 * (rep + 1) for rep in reps]
     return rl.train(agents, cfg.market, cfg.train,
-                    initial_actors=(np.array(initial[0]), np.array(initial[1])),
+                    initial_actors=np.stack(initial, axis=1),
                     seeds=seeds, frozen_opponent=frozen)
 
 
@@ -225,24 +223,22 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, replications: int | None = No
               file=sys.stderr)
         raise rl.TrainingDivergedError(f"more than {max_skip:.0%} of episodes diverged")
 
-    # Average actor histories across replications, then evaluate the final
-    # averaged parameters.
-    avg_hist = [np.concatenate([r.phi_history[i] for r in runs]).mean(axis=0)
-                for i in (0, 1)]
+    # Average actor histories across replications (axis 1, after the agent
+    # axis), then evaluate the final averaged parameters.
+    avg_hist = np.concatenate([r.phi_history for r in runs], axis=1).mean(axis=1)
     with warnings.catch_warnings():
         # all-NaN loss columns (an agent that never trained) stay NaN
         warnings.simplefilter("ignore", RuntimeWarning)
-        avg_losses = [np.nanmean(np.concatenate([r.critic_losses[i] for r in runs]), axis=0)
-                      for i in (0, 1)]
+        avg_losses = np.nanmean(np.concatenate([r.critic_losses for r in runs], axis=1),
+                                axis=1)
     rl.write_metrics_csv(os.path.join(out_dir, "training_metrics.csv"),
                          avg_losses, avg_hist)
-    first = runs[0]  # its row 0 is replication 0
+    first = runs[0]  # the first group starts with replication 0
     rl.save_checkpoint(os.path.join(out_dir, "checkpoint.txt"), cfg.train.episodes,
-                       (first.phi_history[0][0, -1], first.phi_history[1][0, -1]),
-                       (first.theta[0][0], first.theta[1][0]),
-                       (first.adam_states[0][0], first.adam_states[1][0]))
+                       first.phi_history[:, 0, -1], first.theta[:, 0],
+                       first.adam_states[:, 0])
 
-    phi_final = (avg_hist[0][-1], avg_hist[1][-1])
+    phi_final = avg_hist[:, -1]
     if freeze_opponent:
         learned = np.array([agents[0].k * true[1] + rl.actor_base_mean(
             phi_final[0], t_grid, np.full_like(t_grid, y_slice), horizon), true[1]])

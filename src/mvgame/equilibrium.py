@@ -40,6 +40,7 @@ __all__ = [
     "solve_b_coeffs",
     "solve_coefficients",
     "equilibrium_std",
+    "couple_means",
     "equilibrium_means",
     "mean_system_residuals",
     "closed_form_policy",
@@ -244,20 +245,23 @@ def _mean_base(t, y, agent: AgentParams, market: MarketParams, horizon: float):
             - (rv / market.sigma) * (a2 * y + a1))
 
 
-def equilibrium_means(t, y, agents, market: MarketParams, horizon: float):
-    """Equilibrium action means (mu1*, mu2*) at (t, y).
-
-    Solves mu_i - k_i mu_j = base_i exactly: mu_i = (base_i + k_i base_j)
-    /(1 - k1 k2).  Vectorized over t and/or y.  The means read the
-    closed-form a1, a2, so they need only the horizon.
-    """
+def couple_means(base1, base2, agents):
+    """Solve the two agents' mean coupling mu_i - k_i mu_j = base_i exactly:
+    mu_i = (base_i + k_i base_j)/(1 - k1 k2).  The bases broadcast."""
     k1, k2 = agents[0].k, agents[1].k
     denom = 1.0 - k1 * k2
     if denom <= 0.0:
         raise SingularMeanSystemError(f"k1*k2 = {k1 * k2!r} >= 1")
-    base1 = _mean_base(t, y, agents[0], market, horizon)
-    base2 = _mean_base(t, y, agents[1], market, horizon)
     return (base1 + k1 * base2) / denom, (base2 + k2 * base1) / denom
+
+
+def equilibrium_means(t, y, agents, market: MarketParams, horizon: float):
+    """Equilibrium action means (mu1*, mu2*) at (t, y), vectorized over t
+    and/or y.  The means read the closed-form a1, a2, so they need only the
+    horizon.
+    """
+    return couple_means(_mean_base(t, y, agents[0], market, horizon),
+                        _mean_base(t, y, agents[1], market, horizon), agents)
 
 
 def mean_system_residuals(t, y, agents, market: MarketParams, horizon: float, mus):
@@ -299,6 +303,8 @@ def closed_form_policy(agent_index: int, agents, market: MarketParams,
     from the closed-form a1, a2, coupled as (base_i + k_i base_j)/(1 - k1 k2)
     with rho v/sigma factored out."""
     agent, other = agents[agent_index], agents[1 - agent_index]
+    # The one coupling not left to couple_means: the density CSVs are written
+    # from this factored form, pinned bit for bit by TestClosedFormMeans.
     denom = 1.0 - agents[0].k * agents[1].k
     rv_s = market.rho * market.v / market.sigma
     slope0 = 1.0 / (agent.gamma * market.sigma) + agent.k / (other.gamma * market.sigma)
@@ -333,23 +339,16 @@ def value_functions(agent_index: int, t, xhat, y, coeffs):
 def black_scholes_policy(agents, a: float, b: float, r: float):
     """Equilibrium pair in the constant-parameter (Black-Scholes) market.
 
-    Means are the constants ((a-r)/b^2)(1/gamma_i + k_i/gamma_j)/(1-k1 k2);
+    Means are the constants coupling the bases ((a-r)/b^2)/gamma_i;
     stds are lam_i(t) ||h_i'||_2 / (gamma_i b^2).
     """
     if b <= 0.0:
         raise ValueError(f"volatility must be positive, got {b!r}")
-    k1, k2 = agents[0].k, agents[1].k
-    denom = 1.0 - k1 * k2
-    if denom <= 0.0:
-        raise SingularMeanSystemError(f"k1*k2 = {k1 * k2!r} >= 1")
     sharpe_sq = (a - r) / b ** 2
-    out = []
-    for i, j in ((0, 1), (1, 0)):
-        m = sharpe_sq * (1.0 / agents[i].gamma + agents[i].k / agents[j].gamma) / denom
-        out.append(EquilibriumPolicy(affine=lambda t, _m=m: (0.0, _m),
-                                     std=_std_fn(agents[i], b),
-                                     distortion=agents[i].distortion))
-    return tuple(out)
+    means = couple_means(sharpe_sq / agents[0].gamma, sharpe_sq / agents[1].gamma, agents)
+    return tuple(EquilibriumPolicy(affine=lambda t, _m=m: (0.0, _m),
+                                   std=_std_fn(agent, b), distortion=agent.distortion)
+                 for agent, m in zip(agents, means))
 
 
 def generator_apply(market: MarketParams, t, y, mu_i, sigma_i, mu_j, sigma_j,

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ._table import write_table
-from .choquet import location_scale_quantile
+from .choquet import location_scale_quantile, phi_h
 
 __all__ = [
     "MarketParams",
@@ -259,7 +259,7 @@ class BatchResult:
     """Terminal wealth gaps and per-step action residual moments for a batch
     of episodes (residual = action minus the policy mean at the visited state)."""
 
-    xhat_T: tuple[np.ndarray, np.ndarray]
+    xhat_T: np.ndarray         # shape (2, n_episodes)
     resid_sum: np.ndarray      # shape (2, n_steps)
     resid_sumsq: np.ndarray    # shape (2, n_steps)
     n_episodes: int
@@ -299,9 +299,8 @@ def run_episode_batch(params: MarketParams, agents, policies, cfg: SimConfig,
             x_T[i, blk] = x0[i] + np.sum(u * rel, axis=1)
 
     _check_finite(x_T)
-    xhat1 = x_T[0] - agents[0].k * x_T[1]
-    xhat2 = x_T[1] - agents[1].k * x_T[0]
-    return BatchResult(xhat_T=(xhat1, xhat2), resid_sum=resid_sum,
+    k = np.array([[a.k] for a in agents])
+    return BatchResult(xhat_T=x_T - k * x_T[::-1], resid_sum=resid_sum,
                        resid_sumsq=resid_sumsq, n_episodes=n_episodes)
 
 
@@ -320,17 +319,15 @@ def _regularizer_integral(agent, policy, t_grid: np.ndarray, dt: float) -> float
 
     Phi_h is translation invariant and positively homogeneous, so it is
     std(t) times Phi_h of the policy's standardized law: ||h'||_2 when the
-    policy's distortion is the agent's own, else a fixed-order quadrature.
+    policy's distortion is the agent's own, else ``choquet.phi_h``.
     """
     ts = t_grid[:-1]
     phis = np.asarray(policy.std(ts), dtype=float)
     if policy.distortion is agent.distortion:
         phis = phis * agent.distortion.l2_norm
     else:
-        nodes, weights = np.polynomial.legendre.leggauss(256)
-        p, w = 0.5 * (nodes + 1.0), 0.5 * weights
-        q = location_scale_quantile(0.0, 1.0, policy.distortion, p)
-        phis = phis * float(np.sum(w * (q - np.sum(w * q)) * agent.distortion.h_prime(1.0 - p)))
+        phis = phis * phi_h(agent.distortion, lambda p: location_scale_quantile(
+            0.0, 1.0, policy.distortion, p))
     lam = np.asarray([float(agent.lam(t)) for t in ts])
     return float(np.sum(lam * phis) * dt)
 

@@ -33,8 +33,7 @@ from scipy.interpolate import CubicSpline
 from ._integrate import half_grid, rk4_backward_affine
 from ._table import write_table
 from .equilibrium import (DEFAULT_GRID_SIZE, EquilibriumPolicy, _mean_base,
-                          a_coeffs_closed_form, equilibrium_means,
-                          equilibrium_std)
+                          a_coeffs_closed_form, couple_means, equilibrium_std)
 from .market import AgentParams, MarketParams
 
 __all__ = [
@@ -67,7 +66,6 @@ class IterateState:
 
 @dataclass
 class ResponseHistory:
-    agent_index: int
     times: np.ndarray
     iterates: list[IterateState]
     converged: bool
@@ -151,8 +149,7 @@ def factorial_bound_a1(n: int, t_to_go: float, market: MarketParams,
 
 def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: float,
                            n_max: int = 50, tol: float = 1e-6,
-                           grid_size: int = DEFAULT_GRID_SIZE,
-                           agent_index: int = 0) -> ResponseHistory:
+                           grid_size: int = DEFAULT_GRID_SIZE) -> ResponseHistory:
     """Iterate the response update until the closed-form targets are matched.
 
     The initial policy's mean coefficients are zero grids (its scale
@@ -184,8 +181,7 @@ def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: fl
             bound_a1=factorial_bound_a1(n, horizon, market, m_a1, m_a2),
             bound_a2=factorial_bound_a2(n, horizon, market, m_a2)))
         converged = max(err1, err2) < tol
-    return ResponseHistory(agent_index=agent_index, times=t, iterates=history,
-                           converged=converged, tol=tol)
+    return ResponseHistory(times=t, iterates=history, converged=converged, tol=tol)
 
 
 def simultaneous_mean_iteration(agents, market: MarketParams, horizon: float,
@@ -204,9 +200,9 @@ def simultaneous_mean_iteration(agents, market: MarketParams, horizon: float,
     k1, k2 = agents[0].k, agents[1].k
     rate = max(k1, k2)
 
-    target1, target2 = equilibrium_means(times, y_value, agents, market, horizon)
     base1 = _mean_base(times, y_value, agents[0], market, horizon)
     base2 = _mean_base(times, y_value, agents[1], market, horizon)
+    target1, target2 = couple_means(base1, base2, agents)
 
     mu1 = np.asarray(initial_means[0], dtype=float).copy()
     mu2 = np.asarray(initial_means[1], dtype=float).copy()

@@ -38,6 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import write_table
+from .choquet import location_scale_quantile
+from .equilibrium import couple_means
 from .market import (AgentParams, MarketParams, SimConfig, WEALTH_GUARD,
                      _draw_uniforms, _state_and_price_batch, episode_generator)
 
@@ -214,11 +216,8 @@ def actor_base_mean(phi, t, y, horizon: float):
 
 def resolve_actor_means(phi_pair, agents, t, y, horizon: float):
     """Solve the two-actor mean coupling mu_i = k_i mu_j + A_i exactly."""
-    k1, k2 = agents[0].k, agents[1].k
-    denom = 1.0 - k1 * k2
-    a1 = actor_base_mean(phi_pair[0], t, y, horizon)
-    a2 = actor_base_mean(phi_pair[1], t, y, horizon)
-    return (a1 + k1 * a2) / denom, (a2 + k2 * a1) / denom
+    return couple_means(actor_base_mean(phi_pair[0], t, y, horizon),
+                        actor_base_mean(phi_pair[1], t, y, horizon), agents)
 
 
 def actor_scale_coeff(phi, agent: AgentParams, t):
@@ -431,14 +430,15 @@ class LstdAccumulator:
 
 @dataclass
 class TrainResult:
-    """Stacked over R replications: row r of every array is replication r."""
+    """Stacked over the two agents, then R replications: ``x[i]`` is agent
+    i's, ``x[i][r]`` its replication r."""
 
-    phi_history: tuple[np.ndarray, np.ndarray]   # (R, M+1, 4) each
-    theta: tuple[CriticParams, CriticParams]     # (R, 3, d) blocks
-    critic_losses: tuple[np.ndarray, np.ndarray]  # (R, M) each, nan on skips
-    adam_states: tuple[AdamState, AdamState]     # (R, 4) moments, (R,) steps
-    skipped_episodes: int                        # summed over replications
-    episodes_run: int                            # R * M
+    phi_history: np.ndarray     # (2, R, M+1, 4)
+    theta: CriticParams         # (2, R, 3, d) blocks
+    critic_losses: np.ndarray   # (2, R, M), nan on skips
+    adam_states: AdamState      # (2, R, 4) moments, (2, R) steps
+    skipped_episodes: int       # summed over replications
+    episodes_run: int           # R * M
 
 
 def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
@@ -447,14 +447,16 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
     of R = len(seeds) replications at once.
 
     Replication r starts from the actors ``initial_actors[0][r]`` and
-    ``initial_actors[1][r]`` (two (R, 4) arrays) and draws episode m from
+    ``initial_actors[1][r]`` (a (2, R, 4) array) and draws episode m from
     ``episode_generator(seeds[r], m)``; ``cfg.seed`` plays no part.
 
     Market parameters are used only to drive the simulator; the learners see
     sampled (state, price) transitions.  Both agents update each episode
     unless ``frozen_opponent`` is given, in which case agent 2's actions come
     from that policy and only agent 1 learns (the single-agent algorithm with
-    the opponent held fixed).  A replication's episode whose wealth exceeds
+    the opponent held fixed).  Like the Monte Carlo engine's policies, the
+    opponent exposes ``affine(t)``, ``std(t)`` and ``distortion``, evaluated
+    once on the step grid.  A replication's episode whose wealth exceeds
     the guard is skipped for that replication alone; a replication with more
     than ``cfg.max_skip_fraction`` of skips aborts the run.
 
@@ -470,13 +472,16 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
     n_rep = len(seeds)
     phi = np.array(initial_actors, dtype=float)
     if phi.shape != (2, n_rep, 4):
-        raise ValueError(f"initial_actors must be two ({n_rep}, 4) arrays, "
-                         f"one row per seed")
+        raise ValueError(f"initial_actors must be a (2, {n_rep}, 4) array, "
+                         f"one row per agent and seed")
     n, horizon, dt, d = cfg.n_steps, cfg.horizon, cfg.dt, cfg.critic_dim
     t_grid = np.linspace(0.0, horizon, n + 1)
     t_steps = t_grid[:-1]
     n_agents = 1 if frozen_opponent is not None else 2
     trained = slice(n_agents)
+    if frozen_opponent is not None:
+        opp_slope, opp_intercept = frozen_opponent.affine(t_steps)
+        opp_std = frozen_opponent.std(t_steps)
 
     theta = CriticParams(v=np.zeros((2, n_rep, 3, d)), g=np.zeros((2, n_rep, 3, d)),
                          y_center=cfg.y_0)
@@ -515,10 +520,11 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
                         for i in range(n_agents)])
         u = np.empty((2, n_rep, n))
         if frozen_opponent is None:
-            mu_opp = (base[::-1] + ks[::-1] * base) / (1.0 - ks[0] * ks[1])
+            mu_opp = np.stack(couple_means(base[0], base[1], agents)[::-1])
         else:
-            mu_opp = frozen_opponent.mean(t_steps, y_steps)[None]  # affine in y
-            u[1] = frozen_opponent.quantile(t_steps, y_steps, p_draws[1])
+            mu_opp = (opp_slope * y_steps + opp_intercept)[None]
+            u[1] = location_scale_quantile(mu_opp[0], opp_std,
+                                           frozen_opponent.distortion, p_draws[1])
         k_mu = ks * mu_opp
         u[trained] = k_mu + base + scale * h_p
         x = x0 + np.concatenate((np.zeros((2, n_rep, 1)), np.cumsum(u * rel, axis=-1)),
@@ -567,11 +573,8 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
             del z, phi_bar, base_bar, scale_bar, u_bar, dx_bar, reg_bar, c1, grad_phi
         phi_hist[:, :, m + 1] = phi
 
-    return TrainResult(phi_history=(phi_hist[0], phi_hist[1]),
-                       theta=(theta[0], theta[1]),
-                       critic_losses=(losses[0], losses[1]),
-                       adam_states=(adam[0], adam[1]),
-                       skipped_episodes=int(skipped.sum()),
+    return TrainResult(phi_history=phi_hist, theta=theta, critic_losses=losses,
+                       adam_states=adam, skipped_episodes=int(skipped.sum()),
                        episodes_run=n_rep * cfg.episodes)
 
 
@@ -629,9 +632,9 @@ def load_checkpoint(path):
 def write_metrics_csv(path, critic_losses, phi_history) -> None:
     """Training-metrics CSV: per-episode critic losses and actor parameters.
 
-    ``critic_losses`` is a pair of (M,) arrays, nan where an agent did not
-    train (a blank cell); ``phi_history`` a pair of (M+1, 4) arrays whose
-    row 0 is the initial actor."""
+    ``critic_losses`` holds the two agents' (M,) rows, nan where an agent did
+    not train (a blank cell); ``phi_history`` their (M+1, 4) histories,
+    whose row 0 is the initial actor."""
     header = ["episode", "loss_critic1", "loss_critic2"]
     header += [f"phi{p}_1" for p in range(4)] + [f"phi{p}_2" for p in range(4)]
     losses = [[None if np.isnan(x) else x for x in loss.tolist()] for loss in critic_losses]

@@ -107,7 +107,7 @@ def test_criterion_05_factorial_certificate(agents_long, bench_market):
     ok = True
     for i in (0, 1):
         hist = pit.run_response_iteration(agents_long[i], bench_market, 20.0,
-                                          n_max=25, tol=1e-6, agent_index=i)
+                                          n_max=25, tol=1e-6)
         envelope_ok = all(it.sup_err_a2 <= it.bound_a2 + 1e-9
                           and it.sup_err_a1 <= it.bound_a1 + 1e-9
                           for it in hist.iterates)

@@ -192,19 +192,16 @@ class TestCliErrors:
                       train=replace(cfg.train, episodes=100,
                                     max_skip_fraction=max_skip))
         agents = cfg.build_agents(cfg.train.horizon)
-        # one replication: a leading axis of length 1 on every array
-        phi = [np.tile(rl.equilibrium_actor_params(a, cfg.market),
-                       (1, 101, 1)) for a in agents]
-
-        def critic():
-            return rl.CriticParams(v=np.zeros((1, 3, 2)), g=np.zeros((1, 3, 2)))
+        # two agents, one replication: leading axes (2, 1) on every array
+        phi = np.stack([np.tile(rl.equilibrium_actor_params(a, cfg.market),
+                                (1, 101, 1)) for a in agents])
 
         def skips_3_percent(args):
             return rl.TrainResult(
-                phi_history=(phi[0], phi[1]),
-                theta=(critic(), critic()),
-                critic_losses=(np.zeros((1, 100)), np.zeros((1, 100))),
-                adam_states=(rl.AdamState.zeros((1, 4)), rl.AdamState.zeros((1, 4))),
+                phi_history=phi,
+                theta=rl.CriticParams(v=np.zeros((2, 1, 3, 2)), g=np.zeros((2, 1, 3, 2))),
+                critic_losses=np.zeros((2, 1, 100)),
+                adam_states=rl.AdamState.zeros((2, 1, 4)),
                 skipped_episodes=3, episodes_run=100)
 
         monkeypatch.setattr(cli, "_train_group", skips_3_percent)

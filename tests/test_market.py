@@ -395,22 +395,29 @@ class TestGuards:
 
 
 class TestRegularizerFallback:
-    def test_cross_distortion_quadrature(self, bench_market, normal_dist,
-                                         gini_dist, agents_short):
-        """Objective evaluation of a policy built from a different distortion
-        falls back to quantile quadrature; oracle: for a uniform law with std
-        s, the normal-distortion regularizer is sqrt(3) s * 2 E[X Phi(X)] =
-        sqrt(3/pi) s."""
+    """Objective evaluation of a policy built from a different distortion
+    falls back to quantile quadrature.  Oracles, for a law with std s: a
+    uniform law under the normal distortion gives sqrt(3) s * 2 E[X Phi(X)] =
+    sqrt(3/pi) s; a normal law under the Gini distortion gives
+    s * 2 E[Z Phi(Z)] = s/sqrt(pi)."""
+
+    @staticmethod
+    def _check(agent, policy_dist, lam0, phi_per_std):
         from mvgame.market import _regularizer_integral
 
         s = 0.7
-        uniform_pol = StaticPolicy(1.3, s, gini_dist)  # agent 1's h is normal
         t_grid = np.linspace(0.0, 1.0, 51)
-        got = _regularizer_integral(agents_short[0], uniform_pol, t_grid, 0.02)
-        lam0 = 0.015
-        expected = lam0 * np.sqrt(3.0 / np.pi) * s * 1.0  # sum lam*Phi*dt = lam*Phi*T
-        # the fallback uses fixed-order nodes, good to ~1e-5 near the endpoints
-        assert got == pytest.approx(expected, rel=1e-4)
+        got = _regularizer_integral(agent, StaticPolicy(1.3, s, policy_dist), t_grid, 0.02)
+        expected = lam0 * phi_per_std * s * 1.0  # sum lam*Phi*dt = lam*Phi*T
+        assert got == pytest.approx(expected, rel=1e-10)
+
+    def test_cross_distortion_quadrature(self, gini_dist, agents_short):
+        # agent 1's h is normal, lam0 = 0.015
+        self._check(agents_short[0], gini_dist, 0.015, np.sqrt(3.0 / np.pi))
+
+    def test_cross_distortion_quadrature_gini_agent(self, normal_dist, agents_short):
+        # agent 2's h is Gini, lam0 = 0.02
+        self._check(agents_short[1], normal_dist, 0.02, 1.0 / np.sqrt(np.pi))
 
     def test_matching_distortion_uses_analytic_value(self, agents_short,
                                                      policies_short):

@@ -45,7 +45,7 @@ class TestResponseHistory:
     def test_envelopes_and_convergence(self, agents_long, bench_market):
         for i in (0, 1):
             hist = pit.run_response_iteration(agents_long[i], bench_market, 20.0,
-                                              n_max=25, tol=1e-6, agent_index=i)
+                                              n_max=25, tol=1e-6)
             assert hist.converged
             assert hist.n_iterations <= 25
             for it in hist.iterates:

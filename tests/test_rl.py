@@ -399,6 +399,24 @@ class TestTrain:
         assert res.skipped_episodes == 0
         assert len(calls) == 20
 
+    @pytest.mark.parametrize("frozen", [False, True], ids=["joint", "freeze"])
+    def test_results_carry_the_agent_axis(self, agents_short, bench_market,
+                                          policies_short, frozen):
+        cfg = self._cfg(episodes=12, critic_warmup=4)
+        n_rep, m = 2, cfg.episodes
+        initial = np.stack([np.tile(rl.equilibrium_actor_params(a, bench_market), (n_rep, 1))
+                            for a in agents_short])
+        res = rl.train(agents_short, bench_market, cfg, initial, seeds=[1, 2],
+                       frozen_opponent=policies_short[1] if frozen else None)
+        assert res.phi_history.shape == (2, n_rep, m + 1, 4)
+        assert res.theta.v.shape == res.theta.g.shape == (2, n_rep, 3, cfg.critic_dim)
+        assert res.critic_losses.shape == (2, n_rep, m)
+        assert res.adam_states.m.shape == res.adam_states.v.shape == (2, n_rep, 4)
+        assert res.adam_states.step.shape == (2, n_rep)
+        opponent_kept = np.array_equal(
+            res.phi_history[1], np.broadcast_to(initial[1][:, None], (n_rep, m + 1, 4)))
+        assert opponent_kept == frozen
+
     def test_divergence_abort(self, agents_short, bench_market):
         # replication 1 diverges; the error names its seed
         good = rl.equilibrium_actor_params(agents_short[0], bench_market)
@@ -524,19 +542,56 @@ def _replication(res: rl.TrainResult, r: int):
             [res.adam_states[i][r] for i in (0, 1)])
 
 
+def _assert_close_to_scale(got, want, rtol):
+    """Every element of ``got`` within ``rtol`` times the largest magnitude of
+    ``want``, NaN exactly where ``want`` is NaN.  Round-off in one element
+    scales with the array it is computed from, not with the element: an Adam
+    moment near 0.02 beside moments near 1 carries their absolute error."""
+    want = np.asarray(want)
+    scale = np.max(np.abs(want), initial=0.0, where=~np.isnan(want))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=rtol * scale)
+
+
 def _assert_matches_reference(res, r, ref, rtol):
-    """Row r of a batched result against a _reference_train result: relative
-    tolerance ``rtol``, or 1e-15 absolute near zero; NaN where it is NaN."""
+    """Row r of a batched result against a _reference_train result, each
+    array within ``rtol`` of its own scale; NaN where it is NaN."""
     phi_hist, theta, losses, adam = _replication(res, r)
     for i in (0, 1):
-        close = dict(rtol=rtol, atol=1e-15)
-        np.testing.assert_allclose(phi_hist[i], ref[0][i], **close)
-        np.testing.assert_allclose(theta[i].v, ref[1][i].v, **close)
-        np.testing.assert_allclose(theta[i].g, ref[1][i].g, **close)
-        np.testing.assert_allclose(losses[i], ref[2][i], **close)
-        np.testing.assert_allclose(adam[i].m, ref[3][i].m, **close)
-        np.testing.assert_allclose(adam[i].v, ref[3][i].v, **close)
+        _assert_close_to_scale(phi_hist[i], ref[0][i], rtol)
+        _assert_close_to_scale(theta[i].v, ref[1][i].v, rtol)
+        _assert_close_to_scale(theta[i].g, ref[1][i].g, rtol)
+        _assert_close_to_scale(losses[i], ref[2][i], rtol)
+        _assert_close_to_scale(adam[i].m, ref[3][i].m, rtol)
+        _assert_close_to_scale(adam[i].v, ref[3][i].v, rtol)
         assert adam[i].step == ref[3][i].step
+
+
+class TestCloseToScale:
+    """The reference comparison's bound: tolerant of round-off relative to an
+    array's scale, strict on a real change in one element."""
+
+    WANT = np.array([[1.0, -0.8, 0.02, np.nan], [0.5, 1e-9, -0.3, 0.9]])
+
+    def test_accepts_round_off_of_the_scale(self):
+        got = self.WANT + 0.5e-12 * np.array([[1, -1, 1, 0], [-1, 1, -1, 1]])
+        _assert_close_to_scale(got, self.WANT, rtol=1e-12)
+
+    @pytest.mark.parametrize("index", [(0, 0), (0, 2), (1, 1)])
+    def test_rejects_one_element_moved_by_1e10_of_the_scale(self, index):
+        got = self.WANT.copy()
+        got[index] += 1e-10 * np.nanmax(np.abs(self.WANT))
+        with pytest.raises(AssertionError):
+            _assert_close_to_scale(got, self.WANT, rtol=1e-12)
+
+    def test_nan_must_match_nan(self):
+        got = self.WANT.copy()
+        got[0, 3] = 0.0
+        with pytest.raises(AssertionError):
+            _assert_close_to_scale(got, self.WANT, rtol=1e-12)
+        got = self.WANT.copy()
+        got[1, 0] = np.nan
+        with pytest.raises(AssertionError):
+            _assert_close_to_scale(got, self.WANT, rtol=1e-12)
 
 
 class TestBatchedTrain:
