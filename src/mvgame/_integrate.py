@@ -7,14 +7,13 @@ affine update x_j = A x_{j+1} + B_j with one lower-triangular step map A for
 the whole grid.  The B_j are assembled vectorized from beta sampled on the
 half-step grid.  Row r of the update is then a scalar recursion whose
 forcing B_j[r] + A[r, :r] x_{j+1}[:r] is known once the earlier rows are
-solved, so each row scans as one ``scipy.signal.lfilter`` call; a scalar
-system is the case d = 1.
+solved.  Each row is scanned step by step in Python floats, which is exactly
+the per-step loop's arithmetic; a scalar system is the case d = 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = ["half_grid", "rk4_backward_affine"]
 
@@ -67,11 +66,10 @@ def rk4_backward_affine(beta_half: np.ndarray, alpha, dt: float,
     out = np.empty((n + 1, d))
     out[n] = np.atleast_1d(np.asarray(terminal, dtype=float))
     for r in range(d):
-        # x_j[r] = A[r, r] x_{j+1}[r] + forcing_j is a first-order recursive
-        # filter over the reversed forcing; lfilter evaluates
-        # forcing_j + A[r, r]*x_{j+1}[r] per step.
-        a = big_a[r, r]
+        # x_j[r] = forcing_j + A[r, r] x_{j+1}[r], scanned from j = n-1 down.
+        a = float(big_a[r, r])
         forcing = big_b[:, r] + out[1:, :r] @ big_a[r, :r]
-        y, _ = lfilter([1.0], [1.0, -a], forcing[::-1], zi=[a * out[n, r]])
-        out[:n, r] = y[::-1]
+        x = float(out[n, r])
+        scan = [x := f + a * x for f in forcing[::-1].tolist()]
+        out[:n, r] = scan[::-1]
     return out[:, 0] if scalar else out

@@ -99,8 +99,7 @@ def cmd_equilibrium(cfg: ExperimentConfig, out_dir: str) -> int:
             for param, value, pair in [("base", t, agents)] + _sweep_variants(agents):
                 policy = eqm.closed_form_policy(i, pair, cfg.market, horizon)
                 u, dens = _density_curve(policy, t, y0)
-                curves.append([[param] * DENSITY_POINTS, np.full(DENSITY_POINTS, value),
-                               np.full(DENSITY_POINTS, t), u, dens])
+                curves.append([param, value, t, u, dens])
         write_table(os.path.join(out_dir, f"densities_agent{i + 1}.csv"),
                     ["param", "value", "t", "u", "density"], curves)
     print(f"equilibrium: wrote coefficient and density CSVs to {out_dir}")

@@ -74,6 +74,10 @@ class ExperimentConfig:
     train_band: float = 0.10
 
     def __post_init__(self):
+        # MarketParams accepts sigma = 0 for simulator checks; every command
+        # divides by sigma.
+        if not self.market.sigma > 0.0:
+            raise ConfigError(f"[market] sigma must be positive, got {self.market.sigma!r}")
         if self.replications < 0:
             raise ConfigError(f"replications must be >= 0, got {self.replications!r}")
         if not self.train_band > 0.0:

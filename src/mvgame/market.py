@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ._table import write_table
 from .choquet import location_scale_quantile, phi_h
@@ -48,7 +47,8 @@ WEALTH_GUARD = 1e12
 # must be lifted off the closed endpoint before inverse-transform sampling.
 _U_MIN = 2.0 ** -53
 
-# Episodes per block in run_episode_batch.  One 20k-episode table2 chunk on one
+# Episodes per block in run_episode_batch, and rows per block of the state
+# forcing that _state_step assembles.  One 20k-episode table2 chunk on one
 # CPU, two alternating sweeps: 0.82/0.75 s at 128, 0.81/0.79 s at 256 and
 # 0.85/0.82 s at 512 (medians of 5); 128 also peaks 3 MB lower.
 _BLOCK_ROWS = 128
@@ -184,21 +184,33 @@ def _draw_state_noise(cfg: SimConfig, n_paths: int, rng) -> np.ndarray:
     return noise
 
 
-def _state_and_price(params: MarketParams, cfg: SimConfig, db, forcing):
-    """Euler-Maruyama state paths and log-Euler discounted price paths
-    (y, s_disc), each (paths, n_steps+1) with s_disc(0) = 1, from rows of
-    ``_draw_state_noise``.  Overwrites ``db`` and ``forcing`` (dB~ on entry).
-    """
+def _state_step(params: MarketParams, cfg: SimConfig, db, forcing) -> None:
+    """Overwrite ``forcing`` (dB~ on entry) with the Euler-Maruyama state
+    paths started from 0, Y_k - y_0 phi^k for k = 1..n_steps.
+
+    Y_{k+1} = phi*Y_k + (iota*y_bar*dt + noise_k) is an AR(1) recursion.  Its
+    forcing is assembled in row blocks, so no temporary is as large as
+    ``db``; the recursion then advances every path together, step by step."""
+    phi = 1.0 - params.iota * cfg.dt
+    for start in range(0, len(forcing), _BLOCK_ROWS):
+        rows = forcing[start:start + _BLOCK_ROWS]
+        rows *= np.sqrt(1.0 - params.rho ** 2)
+        rows += params.rho * db[start:start + _BLOCK_ROWS]
+        rows *= params.v
+        rows += params.iota * params.y_bar * cfg.dt
+    for k in range(1, cfg.n_steps):
+        forcing[:, k] += phi * forcing[:, k - 1]
+
+
+def _price_step(params: MarketParams, cfg: SimConfig, db, state):
+    """State paths and log-Euler discounted price paths (y, s_disc), each
+    (paths, n_steps+1) with s_disc(0) = 1, from rows of ``_draw_state_noise``'s
+    dB and of ``_state_step``'s ``state``.  Overwrites ``db``."""
     n, dt = cfg.n_steps, cfg.dt
-    # Y_{k+1} = phi*Y_k + (iota*y_bar*dt + noise_k) is an AR(1) recursion.
     phi = 1.0 - params.iota * dt
-    forcing *= np.sqrt(1.0 - params.rho ** 2)
-    forcing += params.rho * db
-    forcing *= params.v
-    forcing += params.iota * params.y_bar * dt
     y = np.empty((len(db), n + 1))
     y[:, 0] = cfg.y_0
-    y[:, 1:] = lfilter([1.0], [1.0, -phi], forcing, axis=1)
+    y[:, 1:] = state
     y[:, 1:] += cfg.y_0 * np.power(phi, np.arange(1, n + 1))
 
     # Discounted price: d(log S) = (r + sigma*Y - sigma^2/2) dt + sigma dB,
@@ -216,7 +228,9 @@ def _state_and_price(params: MarketParams, cfg: SimConfig, db, forcing):
 def _state_and_price_batch(params: MarketParams, cfg: SimConfig, n_paths: int,
                            rng: np.random.Generator):
     """(y, s_disc) of ``n_paths`` paths drawn as ``_draw_state_noise`` does."""
-    return _state_and_price(params, cfg, *_draw_state_noise(cfg, n_paths, rng))
+    db, forcing = _draw_state_noise(cfg, n_paths, rng)
+    _state_step(params, cfg, db, forcing)
+    return _price_step(params, cfg, db, forcing)
 
 
 def _draw_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
@@ -272,9 +286,10 @@ def run_episode_batch(params: MarketParams, agents, policies, cfg: SimConfig,
     Draws dB, dB~, then agent 1's and agent 2's action uniforms, each over the
     whole batch.  A policy exposes ``affine(t) -> (slope, intercept)`` of its
     mean slope*y + intercept, ``std(t)`` and ``distortion``, evaluated once on
-    the step grid; actions are their ``location_scale_quantile``.  Each block
-    of ``_BLOCK_ROWS`` episodes then runs end to end, in cache: state and price
-    paths, actions, residual moments and terminal wealth.
+    the step grid; actions are their ``location_scale_quantile``.  The state
+    recursion runs once over the whole batch, in place.  Each block of
+    ``_BLOCK_ROWS`` episodes then runs end to end, in cache: price paths,
+    actions, residual moments and terminal wealth.
     """
     n = cfg.n_steps
     t_steps = np.linspace(0.0, cfg.horizon, n + 1)[:-1]
@@ -286,9 +301,10 @@ def run_episode_batch(params: MarketParams, agents, policies, cfg: SimConfig,
     x_T = np.empty((2, n_episodes))
     resid_sum = np.zeros((2, n))
     resid_sumsq = np.zeros((2, n))
+    _state_step(params, cfg, db, forcing)
     for start in range(0, n_episodes, _BLOCK_ROWS):
         blk = slice(start, start + _BLOCK_ROWS)
-        y, s_disc = _state_and_price(params, cfg, db[blk], forcing[blk])
+        y, s_disc = _price_step(params, cfg, db[blk], forcing[blk])
         rel = np.diff(s_disc, axis=1) / s_disc[:, :-1]
         for i, ((slope, intercept, std, dist), p) in enumerate(zip(laws, draws)):
             mean = slope * y[:, :-1] + intercept

@@ -95,12 +95,17 @@ class MeanHistory:
 
 
 def iterate_response(prev, agent: AgentParams, market: MarketParams,
-                     horizon: float, grid_size: int = DEFAULT_GRID_SIZE):
+                     horizon: float, grid_size: int = DEFAULT_GRID_SIZE, *,
+                     prev_a2_half=None):
     """One response-iteration update of the mean-coefficient grids.
 
     ``prev`` is the pair (a1 grid, a2 grid) of the previous iterate on the
     uniform grid of size ``grid_size``; the previous grids enter as known
-    forcing terms (cubic-interpolated at RK4 substeps).
+    forcing terms (cubic-interpolated at RK4 substeps).  ``prev_a2_half`` is
+    the previous a2 already interpolated on the half grid, as the previous
+    call returned it; it is interpolated here when not given.
+
+    Returns (a1 grid, a2 grid, a2 on the half grid) of the new iterate.
     """
     prev_a1, prev_a2 = (np.asarray(p, dtype=float) for p in prev)
     if len(prev_a1) != grid_size or len(prev_a2) != grid_size:
@@ -112,16 +117,17 @@ def iterate_response(prev, agent: AgentParams, market: MarketParams,
     th = half_grid(t)
     dt = t[1] - t[0]
     rv = market.rho * market.v
-    prev_a2_h = CubicSpline(t, prev_a2)(th)
+    if prev_a2_half is None:
+        prev_a2_half = CubicSpline(t, prev_a2)(th)
     prev_a1_h = CubicSpline(t, prev_a1)(th)
 
-    beta2 = 2.0 * rv * prev_a2_h - 2.0 / agent.gamma
+    beta2 = 2.0 * rv * prev_a2_half - 2.0 / agent.gamma
     a2_new = rk4_backward_affine(beta2, 2.0 * market.iota, dt, 0.0)
 
     a2_new_h = CubicSpline(t, a2_new)(th)
     beta1 = rv * prev_a1_h - market.iota * market.y_bar * a2_new_h
     a1_new = rk4_backward_affine(beta1, market.iota, dt, 0.0)
-    return a1_new, a2_new
+    return a1_new, a2_new, a2_new_h
 
 
 def factorial_bound_a2(n: int, t_to_go: float, market: MarketParams, m_init: float) -> float:
@@ -171,9 +177,11 @@ def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: fl
                             bound_a2=factorial_bound_a2(0, horizon, market, m_a2))]
     converged = max(m_a1, m_a2) < tol
     n = 0
+    a2_half = None
     while not converged and n < n_max:
         n += 1
-        a1, a2 = iterate_response((a1, a2), agent, market, horizon, grid_size)
+        a1, a2, a2_half = iterate_response((a1, a2), agent, market, horizon, grid_size,
+                                           prev_a2_half=a2_half)
         err1 = float(np.max(np.abs(target_a1 - a1)))
         err2 = float(np.max(np.abs(target_a2 - a2)))
         history.append(IterateState(

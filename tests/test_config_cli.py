@@ -148,6 +148,18 @@ class TestTrainInputRejected:
             assert f"config error: [{section}] {key} = " in err
 
 
+@pytest.mark.parametrize("command", ["equilibrium", "iterate", "train", "simulate"])
+def test_zero_sigma_is_a_config_error(tmp_path, capsys, t1_text, command):
+    """Every command divides by sigma, so sigma = 0 is rejected where the
+    config is read: exit 2 and one message, not a ZeroDivisionError."""
+    path = tmp_path / "cfg.ini"
+    path.write_text(_set_key(t1_text, "market", "sigma", "0.0"))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: [market] sigma must be positive, got 0.0\n"
+    assert not (tmp_path / "o").exists()
+
+
 class TestCliErrors:
     def test_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ini"

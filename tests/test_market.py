@@ -116,7 +116,7 @@ class TestStateAndPrice:
         with pytest.raises(ValueError, match="one generator per path"):
             market._state_and_price_batch(bench_market, cfg, 2, rngs)
 
-    @pytest.mark.parametrize("n_paths", [1, 5])
+    @pytest.mark.parametrize("n_paths", [1, 5, 130])
     def test_in_place_matches_out_of_place_formulas(self, bench_market, n_paths):
         """Reference: the simulator written with a fresh array per operation."""
         from scipy.signal import lfilter

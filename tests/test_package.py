@@ -30,3 +30,17 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, os.path.join(DEMOS, demo)], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    """Every command's start-up imports ``mvgame.cli``; ``scipy.signal`` and
+    the ``scipy.stats`` it pulls in are most of a process's set-up time, and
+    nothing in the package needs them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, mvgame.cli; "
+             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

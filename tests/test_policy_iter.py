@@ -12,19 +12,36 @@ class TestIterateResponse:
         t = np.linspace(0.0, 20.0, GRID)
         a1_star, a2_star = eqm.a_coeffs_closed_form(agents_long[0], bench_market,
                                                     20.0, t)
-        a1n, a2n = pit.iterate_response((a1_star, a2_star), agents_long[0],
-                                        bench_market, 20.0)
+        a1n, a2n, _ = pit.iterate_response((a1_star, a2_star), agents_long[0],
+                                           bench_market, 20.0)
         assert np.max(np.abs(a1n - a1_star)) < 1e-8
         assert np.max(np.abs(a2n - a2_star)) < 1e-8
 
     def test_first_iterate_from_zero(self, agents_long, bench_market):
         # with zero previous grids, a2^1 solves a2' = 2*iota*a2 - 2/gamma
         t = np.linspace(0.0, 20.0, GRID)
-        a1n, a2n = pit.iterate_response((np.zeros(GRID), np.zeros(GRID)),
-                                        agents_long[0], bench_market, 20.0)
+        a1n, a2n, _ = pit.iterate_response((np.zeros(GRID), np.zeros(GRID)),
+                                           agents_long[0], bench_market, 20.0)
         iota, g = bench_market.iota, agents_long[0].gamma
         oracle = (1.0 - np.exp(-2.0 * iota * (20.0 - t))) / (g * iota)
         assert np.max(np.abs(a2n - oracle)) < 1e-9
+
+    def test_carried_half_grid_a2_changes_no_bit(self, agents_long, bench_market):
+        """The a2 half-grid values one call returns are the spline the next
+        call would fit to its a2 grid, so passing them on changes no bit."""
+        from scipy.interpolate import CubicSpline
+
+        from mvgame._integrate import half_grid
+
+        t = np.linspace(0.0, 20.0, GRID)
+        first = pit.iterate_response((np.zeros(GRID), np.zeros(GRID)),
+                                     agents_long[0], bench_market, 20.0)
+        assert np.array_equal(first[2], CubicSpline(t, first[1])(half_grid(t)))
+        fitted = pit.iterate_response(first[:2], agents_long[0], bench_market, 20.0)
+        carried = pit.iterate_response(first[:2], agents_long[0], bench_market, 20.0,
+                                       prev_a2_half=first[2])
+        for a, b in zip(fitted, carried, strict=True):
+            assert np.array_equal(a, b)
 
     def test_grid_mismatch_rejected(self, agents_long, bench_market):
         with pytest.raises(ValueError):

@@ -676,6 +676,43 @@ class TestBatchedTrain:
                           [self.SEEDS[r] for r in keep])
         self._assert_rows_equal(res, keep, others, [0, 1])
 
+    @pytest.mark.parametrize("episodes", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("frozen", [False, True], ids=["joint", "freeze"])
+    def test_drawing_ahead_matches_drawing_each_episode(
+            self, agents_short, bench_market, policies_short, monkeypatch, frozen,
+            episodes):
+        """rl.train draws the market paths of rl._DRAW_AHEAD = 32 episodes in
+        one simulator call.  On both sides of each block boundary its results
+        equal, bit for bit, those of drawing every episode alone, and match
+        the one-replication loop as closely as test_matches_one_replication_loop
+        requires."""
+        assert rl._DRAW_AHEAD == 32
+        cfg = self._cfg(episodes=episodes)
+        initial = self._initial(agents_short, bench_market, len(self.SEEDS))
+        opponent = policies_short[1] if frozen else None
+        res = rl.train(agents_short, bench_market, cfg, initial, self.SEEDS,
+                       frozen_opponent=opponent)
+        monkeypatch.setattr(rl, "_DRAW_AHEAD", 1)
+        alone = rl.train(agents_short, bench_market, cfg, initial, self.SEEDS,
+                         frozen_opponent=opponent)
+        rows = list(range(len(self.SEEDS)))
+        self._assert_rows_equal(res, rows, alone, rows)
+        for r, seed in enumerate(self.SEEDS):
+            ref = _reference_train(agents_short, bench_market, replace(cfg, seed=seed),
+                                   (initial[0][r], initial[1][r]), opponent)
+            _assert_matches_reference(res, r, ref, rtol=1e-12)
+
+    def test_diverging_state_raises(self, agents_short):
+        """A state recursion that overflows stops training with
+        SimulationDivergedError."""
+        exploding = market.MarketParams(r=0.017, sigma=0.15, iota=3e12, y_bar=0.273,
+                                        v=0.065, rho=-0.93)
+        cfg = self._cfg(episodes=33)
+        initial = self._initial(agents_short, exploding, 1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(market.SimulationDivergedError):
+            rl.train(agents_short, exploding, cfg, initial, [7])
+
     @staticmethod
     def _assert_rows_equal(a, rows_a, b, rows_b):
         """Replications ``rows_a`` of result a equal ``rows_b`` of b bit for bit."""

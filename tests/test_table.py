@@ -143,12 +143,15 @@ def test_edge_cells(tmp_path):
     ints = np.array([0, -7, 2 ** 62], dtype=np.int64)
     listed = [np.float64(0.1), 3, None, "x", -0.0, np.int32(4), float("nan")]
     write_table(tmp_path / "got.csv", ["f", "i", "l", "s"],
-                [[floats, ints, listed, ["base", "k1"]], [None, [1.5], None, None]])
+                [[floats, ints, listed, ["base", "k1"]], [None, [1.5], None, None],
+                 [-0.0, np.int64(7), "k2", [1.0, 2.0]]])
     listed_text = ["0.1", "3", "", "x", "-0.0", "4", "nan"]
     rows = [[_r(floats[j]), str(ints[j]) if j < len(ints) else "",
              listed_text[j] if j < len(listed) else "", ["base", "k1"][j] if j < 2 else ""]
             for j in range(len(floats))]
     rows.append(["", "1.5", "", ""])
+    # a column given as one cell fills every row of its block
+    rows += [["-0.0", "7", "k2", "1.0"], ["-0.0", "7", "k2", "2.0"]]
     want = _csv_bytes(tmp_path / "want.csv", ["f", "i", "l", "s"], rows)
     assert (tmp_path / "got.csv").read_bytes() == want
     assert b"-0.0,0,0.1,base\r\n5e-324,-7,3,k1\r\n1e+300" in want
