@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ndtri
 
 __all__ = [
@@ -73,11 +72,20 @@ class Distortion:
 
     def l2_norm_by_quadrature(self) -> float:
         """Recompute ||h'||_2 by adaptive quadrature (independent of the cache)."""
-        sq, _ = quad(lambda p: float(self.h_prime(p)) ** 2, 0.0, 1.0, **_QUAD_OPTS)
-        return float(np.sqrt(sq))
+        return _l2_norm_by_quadrature(self.h_prime)
 
 
-def _check_distortion(h, h_prime, name: str) -> float:
+# scipy.integrate is imported only where a quadrature runs: the built-in
+# distortions and the closed-form policies need none, and the import loads
+# about 290 scipy modules.
+def _l2_norm_by_quadrature(h_prime) -> float:
+    from scipy.integrate import quad
+
+    sq, _ = quad(lambda p: float(h_prime(p)) ** 2, 0.0, 1.0, **_QUAD_OPTS)
+    return float(np.sqrt(sq))
+
+
+def _check_distortion(h, h_prime, name: str) -> None:
     h0 = float(h(0.0))
     h1 = float(h(1.0))
     if abs(h0) > _ENDPOINT_TOL or abs(h1) > _ENDPOINT_TOL:
@@ -88,8 +96,6 @@ def _check_distortion(h, h_prime, name: str) -> float:
         raise DistortionError(f"{name}: h' not finite on (0,1)")
     if np.any(np.diff(hp) > _CONCAVITY_TOL):
         raise DistortionError(f"{name}: h' must be nonincreasing (h concave)")
-    sq, _ = quad(lambda q: float(h_prime(q)) ** 2, 0.0, 1.0, **_QUAD_OPTS)
-    return float(np.sqrt(sq))
 
 
 def make_distortion(h, h_prime, name: str = "custom", l2_norm: float | None = None,
@@ -97,18 +103,22 @@ def make_distortion(h, h_prime, name: str = "custom", l2_norm: float | None = No
     """Build a :class:`Distortion`, validating endpoints and concavity.
 
     ``l2_norm`` overrides the quadrature value when known analytically;
-    the override is still checked against quadrature.
+    the override is checked against quadrature.  Only the built-in
+    distortions set ``family``: their analytic norms are checked against
+    quadrature once, by the test suite, so with ``family`` and ``l2_norm``
+    both given no quadrature runs here.
     """
-    l2_quad = _check_distortion(h, h_prime, name)
-    if l2_norm is not None:
+    _check_distortion(h, h_prime, name)
+    if l2_norm is None:
+        l2_norm = _l2_norm_by_quadrature(h_prime)
+    elif family is None:
+        l2_quad = _l2_norm_by_quadrature(h_prime)
         if abs(l2_norm - l2_quad) > 1e-8 * max(1.0, abs(l2_norm)):
             raise DistortionError(
                 f"{name}: analytic ||h'||_2={l2_norm!r} disagrees with quadrature {l2_quad!r}"
             )
-        l2 = float(l2_norm)
-    else:
-        l2 = l2_quad
-    return Distortion(h=h, h_prime=h_prime, l2_norm=l2, name=name, family=family)
+    return Distortion(h=h, h_prime=h_prime, l2_norm=float(l2_norm), name=name,
+                      family=family)
 
 
 def _normal_h(p):
@@ -154,6 +164,8 @@ def phi_h(distortion: Distortion, quantile_fn: Callable[[float], float]) -> floa
     ``quantile_fn`` is the left-quantile Q of the distribution; it may be
     unbounded at the endpoints as long as the integral converges.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     def integrand(p: float) -> float:
         return float(quantile_fn(p)) * float(distortion.h_prime(1.0 - p))
 
@@ -199,6 +211,8 @@ class QuantilePolicy:
 
     def verify_moments(self) -> tuple[float, float]:
         """Mean and std of the induced law by quadrature (test hook)."""
+        from scipy.integrate import quad
+
         m, _ = quad(lambda p: float(self.quantile(p)), 0.0, 1.0, **_QUAD_OPTS)
         m2, _ = quad(lambda p: float(self.quantile(p)) ** 2, 0.0, 1.0, **_QUAD_OPTS)
         return float(m), float(np.sqrt(max(m2 - m * m, 0.0)))

@@ -323,8 +323,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except np.linalg.LinAlgError as exc:
-        # a ValueError subclass, so it must be caught before the clause below
+    except (np.linalg.LinAlgError, eqm.NonFiniteCoefficientError) as exc:
+        # LinAlgError is a ValueError subclass, so it must be caught before
+        # the clause below
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (ValueError, OSError) as exc:

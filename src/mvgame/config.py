@@ -49,6 +49,13 @@ class AgentConfig:
             raise ConfigError(f"unknown distortion preset {self.distortion!r}")
         if self.lambda_kind not in _LAMBDA_KINDS:
             raise ConfigError(f"unknown lambda_kind {self.lambda_kind!r}")
+        # Written as "not <valid>" so that nan fails too.
+        if not self.gamma > 0.0:
+            raise ConfigError(f"gamma must be positive, got {self.gamma!r}")
+        if not 0.0 <= self.k < 1.0:
+            raise ConfigError(f"k must lie in [0, 1), got {self.k!r}")
+        if not self.lambda0 > 0.0:
+            raise ConfigError(f"lambda0 must be positive, got {self.lambda0!r}")
 
     def build(self, horizon: float) -> AgentParams:
         """Materialize preferences for a given horizon (the exponential
@@ -135,16 +142,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 raise ConfigError(f"[{name}] {key} = {raw!r} is not a finite number")
         return out
 
-    try:
-        parts = {name: cls(**section(name)) for name, cls in _SECTIONS}
-        out = section("output")
-        return ExperimentConfig(**parts, output_dir=out["dir"],
-                                replications=out["replications"],
-                                train_band=out["train_band"])
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    parts = {}
+    for name, cls in _SECTIONS:
+        values = section(name)
+        try:
+            parts[name] = cls(**values)
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] {exc}") from exc
+    out = section("output")
+    return ExperimentConfig(**parts, output_dir=out["dir"],
+                            replications=out["replications"],
+                            train_band=out["train_band"])
 
 
 def parse_config(path) -> ExperimentConfig:

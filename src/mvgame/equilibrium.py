@@ -18,11 +18,11 @@ only the agent's own preferences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._integrate import half_grid, rk4_backward_affine
 from ._table import write_table
@@ -33,6 +33,7 @@ __all__ = [
     "CoefficientSet",
     "EquilibriumPolicy",
     "SingularMeanSystemError",
+    "NonFiniteCoefficientError",
     "DEFAULT_GRID_SIZE",
     "a_coeffs_closed_form",
     "solve_a_coeffs",
@@ -58,27 +59,51 @@ class SingularMeanSystemError(ValueError):
     """k1*k2 >= 1 makes the equilibrium mean system singular."""
 
 
+class NonFiniteCoefficientError(ArithmeticError):
+    """A solved coefficient grid holds inf or nan: the inputs overflow the
+    equilibrium's arithmetic (a numerical failure, not a malformed config)."""
+
+
+def _spline(times, rows):
+    # scipy.interpolate is imported where a spline is fitted: the commands
+    # evaluate closed forms and read grids only at their nodes.
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline(times, rows, axis=1)
+
+
 @dataclass
 class CoefficientSet:
     """Time-indexed coefficients of one agent's (g, V) quadratic forms.
 
     ``a`` and ``b`` are (3, n) arrays with rows (a0, a1, a2) / (b0, b1, b2)
-    on the uniform grid ``times``; off-grid queries use cubic interpolation.
+    on the uniform grid ``times``; off-grid queries use cubic interpolation,
+    fitted on the first query.  Construction raises
+    :class:`NonFiniteCoefficientError` on any inf or nan, naming the row.
     Immutable after solving.
     """
 
     times: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    _a_spline: CubicSpline = field(init=False, repr=False)
-    _b_spline: CubicSpline = field(init=False, repr=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.a = np.asarray(self.a, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
-        self._a_spline = CubicSpline(self.times, self.a, axis=1)
-        self._b_spline = CubicSpline(self.times, self.b, axis=1)
+        for prefix, rows in (("a", self.a), ("b", self.b)):
+            for k, row in enumerate(rows):
+                if not np.all(np.isfinite(row)):
+                    raise NonFiniteCoefficientError(
+                        f"coefficient {prefix}{k} is not finite")
+
+    @cached_property
+    def _a_spline(self):
+        return _spline(self.times, self.a)
+
+    @cached_property
+    def _b_spline(self):
+        return _spline(self.times, self.b)
 
     def a_at(self, t):
         """(a0, a1, a2) at t; vectorized over t."""
@@ -230,8 +255,11 @@ def solve_coefficients(agents, market: MarketParams, horizon: float,
     for i, j in ((0, 1), (1, 0)):
         a0, a1, a2 = solve_a_coeffs(agents[i], market, horizon, grid_size)
         b0, b1, b2 = solve_b_coeffs(agents[i], agents[j], market, horizon, grid_size)
-        out.append(CoefficientSet(times=t, a=np.vstack([a0, a1, a2]),
-                                  b=np.vstack([b0, b1, b2])))
+        try:
+            out.append(CoefficientSet(times=t, a=np.vstack([a0, a1, a2]),
+                                      b=np.vstack([b0, b1, b2])))
+        except NonFiniteCoefficientError as exc:
+            raise NonFiniteCoefficientError(f"agent {i + 1}: {exc}") from None
     return tuple(out)
 
 

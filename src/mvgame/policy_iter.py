@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._integrate import half_grid, rk4_backward_affine
 from ._table import write_table
@@ -107,6 +106,8 @@ def iterate_response(prev, agent: AgentParams, market: MarketParams,
 
     Returns (a1 grid, a2 grid, a2 on the half grid) of the new iterate.
     """
+    from scipy.interpolate import CubicSpline
+
     prev_a1, prev_a2 = (np.asarray(p, dtype=float) for p in prev)
     if len(prev_a1) != grid_size or len(prev_a2) != grid_size:
         raise ValueError(
@@ -238,6 +239,8 @@ def response_policy(agent: AgentParams, market: MarketParams, horizon: float,
     coefficient grids, std lam(t)||h'||_2/(gamma sigma^2) pinned by the
     first-order condition -- the iteration moves only the mean.
     """
+    from scipy.interpolate import CubicSpline
+
     a1_sp = CubicSpline(np.asarray(times, dtype=float), np.asarray(a1_grid, dtype=float))
     a2_sp = CubicSpline(np.asarray(times, dtype=float), np.asarray(a2_grid, dtype=float))
     rv_s = market.rho * market.v / market.sigma

@@ -528,73 +528,77 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
     lstd = LstdAccumulator(n_agents, n_rep, 3 * d)
 
     markets = _markets_ahead(market, sim, seeds, cfg.episodes)
-    for m, (rngs, y_path, s_disc) in enumerate(markets):
-        # Each stream goes on with the agents' uniforms, then, once the
-        # actors train, their perturbations: (agent, replication, ...) arrays.
-        p_draws = np.stack([_draw_uniforms(g, (2, n)) for g in rngs], axis=1)
-        rel = np.diff(s_disc, axis=1) / s_disc[:, :-1]
-        y_steps = y_path[:, :-1]
+    # A diverging replication overflows to inf and nan, which the wealth
+    # guard turns into skips and the skip cap into TrainingDivergedError;
+    # numpy need not warn on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, (rngs, y_path, s_disc) in enumerate(markets):
+            # Each stream goes on with the agents' uniforms, then, once the
+            # actors train, their perturbations: (agent, replication, ...) arrays.
+            p_draws = np.stack([_draw_uniforms(g, (2, n)) for g in rngs], axis=1)
+            rel = np.diff(s_disc, axis=1) / s_disc[:, :-1]
+            y_steps = y_path[:, :-1]
 
-        # Nominal actions; the trained agents' terms serve the replay too.
-        phi_a = phi[trained]
-        base = actor_base_mean(phi_a[:, :, None], t_steps, y_steps, horizon)
-        scale = _scale_coeff(phi_a[:, :, None], lam, gammas)
-        h_p = np.stack([agents[i].distortion.h_prime(1.0 - p_draws[i])
-                        for i in range(n_agents)])
-        u = np.empty((2, n_rep, n))
-        if frozen_opponent is None:
-            mu_opp = np.stack(couple_means(base[0], base[1], agents)[::-1])
-        else:
-            mu_opp = (opp_slope * y_steps + opp_intercept)[None]
-            u[1] = location_scale_quantile(mu_opp[0], opp_std,
-                                           frozen_opponent.distortion, p_draws[1])
-        k_mu = ks * mu_opp
-        u[trained] = k_mu + base + scale * h_p
-        x = x0 + np.concatenate((np.zeros((2, n_rep, 1)), np.cumsum(u * rel, axis=-1)),
-                                axis=-1)
-        bad = ~np.all(np.abs(x) <= WEALTH_GUARD, axis=(0, 2))
-        skipped += bad
-        if np.any(skipped > max_skips):
-            r = int(np.argmax(skipped > max_skips))
-            raise TrainingDivergedError(
-                f"replication with seed {seeds[r]}: {skipped[r]} skipped episodes "
-                f"out of {m + 1} exceeds the {cfg.max_skip_fraction:.0%} cap")
-        # Only the replications that kept their episode update, by indexing:
-        # a skipped row may hold inf, and 0 * inf is nan.
-        rows = np.flatnonzero(~bad) if bad.any() else slice(None)
-        kept = (trained, rows)
+            # Nominal actions; the trained agents' terms serve the replay too.
+            phi_a = phi[trained]
+            base = actor_base_mean(phi_a[:, :, None], t_steps, y_steps, horizon)
+            scale = _scale_coeff(phi_a[:, :, None], lam, gammas)
+            h_p = np.stack([agents[i].distortion.h_prime(1.0 - p_draws[i])
+                            for i in range(n_agents)])
+            u = np.empty((2, n_rep, n))
+            if frozen_opponent is None:
+                mu_opp = np.stack(couple_means(base[0], base[1], agents)[::-1])
+            else:
+                mu_opp = (opp_slope * y_steps + opp_intercept)[None]
+                u[1] = location_scale_quantile(mu_opp[0], opp_std,
+                                               frozen_opponent.distortion, p_draws[1])
+            k_mu = ks * mu_opp
+            u[trained] = k_mu + base + scale * h_p
+            x = x0 + np.concatenate((np.zeros((2, n_rep, 1)), np.cumsum(u * rel, axis=-1)),
+                                    axis=-1)
+            bad = ~np.all(np.abs(x) <= WEALTH_GUARD, axis=(0, 2))
+            skipped += bad
+            if np.any(skipped > max_skips):
+                r = int(np.argmax(skipped > max_skips))
+                raise TrainingDivergedError(
+                    f"replication with seed {seeds[r]}: {skipped[r]} skipped episodes "
+                    f"out of {m + 1} exceeds the {cfg.max_skip_fraction:.0%} cap")
+            # Only the replications that kept their episode update, by indexing:
+            # a skipped row may hold inf, and 0 * inf is nan.
+            rows = np.flatnonzero(~bad) if bad.any() else slice(None)
+            kept = (trained, rows)
 
-        f = critic_features(t_grid, y_path[rows], horizon, d, cfg.y_0)
-        df = np.diff(f, axis=1)
-        dx = np.diff(x[trained, rows] - ks * x[::-1][trained, rows], axis=-1)
-        reg = lam * scale[:, rows] * l2sq
-        lstd.add_episode(f[:, :-1], df, dx, reg, rows)
-        c1, c2, _ = _td_residuals(theta[kept], gammas, df, dx, dt, reg)
-        losses[trained, rows, m] = np.sum(c1 * c1, axis=-1) + np.sum(c2 * c2, axis=-1)
-        new_theta = lstd.solve(gammas, dt, d, cfg.y_0)[:, rows]
-        theta[kept] = new_theta
-        if m >= cfg.critic_warmup:
-            # Perturbed replay: same uniforms and market noise, one-step
-            # deviations from the nominal states.
-            z = np.stack([g.standard_normal((n_agents, n, 4)) for g in rngs], axis=1)[:, rows]
-            phi_bar = phi_a[:, rows, None, :] + cfg.kappa * z
-            base_bar = actor_base_mean(phi_bar, t_steps, y_steps[rows], horizon)
-            scale_bar = _scale_coeff(phi_bar, lam, gammas)
-            u_bar = k_mu[:, rows] + base_bar + scale_bar * h_p[:, rows]
-            dx_bar = dx + (u_bar - u[kept]) * rel[rows]
-            reg_bar = lam * scale_bar * l2sq
-            # Nominal and perturbed replays share the increments df @ theta.
-            c1, _, _ = _td_residuals(new_theta, gammas, df, np.stack((dx, dx_bar)), dt,
-                                     np.stack((reg, reg_bar)))
-            grad_phi = actor_gradient(c1[0], c1[1], z, cfg.kappa)
-            # The HJB criterion is maximized, so ascend: feed -grad to Adam.
-            adam[kept], phi[kept] = adam_step(adam[kept], phi_a[:, rows], -grad_phi,
-                                              cfg.learning_rate, cfg.beta1,
-                                              cfg.beta2, cfg.eps)
-            # The replay's arrays would otherwise live on through the next
-            # episode's simulation and critic phases, raising the peak.
-            del z, phi_bar, base_bar, scale_bar, u_bar, dx_bar, reg_bar, c1, grad_phi
-        phi_hist[:, :, m + 1] = phi
+            f = critic_features(t_grid, y_path[rows], horizon, d, cfg.y_0)
+            df = np.diff(f, axis=1)
+            dx = np.diff(x[trained, rows] - ks * x[::-1][trained, rows], axis=-1)
+            reg = lam * scale[:, rows] * l2sq
+            lstd.add_episode(f[:, :-1], df, dx, reg, rows)
+            c1, c2, _ = _td_residuals(theta[kept], gammas, df, dx, dt, reg)
+            losses[trained, rows, m] = np.sum(c1 * c1, axis=-1) + np.sum(c2 * c2, axis=-1)
+            new_theta = lstd.solve(gammas, dt, d, cfg.y_0)[:, rows]
+            theta[kept] = new_theta
+            if m >= cfg.critic_warmup:
+                # Perturbed replay: same uniforms and market noise, one-step
+                # deviations from the nominal states.
+                z = np.stack([g.standard_normal((n_agents, n, 4)) for g in rngs], axis=1)[:, rows]
+                phi_bar = phi_a[:, rows, None, :] + cfg.kappa * z
+                base_bar = actor_base_mean(phi_bar, t_steps, y_steps[rows], horizon)
+                scale_bar = _scale_coeff(phi_bar, lam, gammas)
+                u_bar = k_mu[:, rows] + base_bar + scale_bar * h_p[:, rows]
+                dx_bar = dx + (u_bar - u[kept]) * rel[rows]
+                reg_bar = lam * scale_bar * l2sq
+                # Nominal and perturbed replays share the increments df @ theta.
+                c1, _, _ = _td_residuals(new_theta, gammas, df, np.stack((dx, dx_bar)), dt,
+                                         np.stack((reg, reg_bar)))
+                grad_phi = actor_gradient(c1[0], c1[1], z, cfg.kappa)
+                # The HJB criterion is maximized, so ascend: feed -grad to Adam.
+                adam[kept], phi[kept] = adam_step(adam[kept], phi_a[:, rows], -grad_phi,
+                                                  cfg.learning_rate, cfg.beta1,
+                                                  cfg.beta2, cfg.eps)
+                # The replay's arrays would otherwise live on through the next
+                # episode's simulation and critic phases, raising the peak.
+                del z, phi_bar, base_bar, scale_bar, u_bar, dx_bar, reg_bar, c1, grad_phi
+            phi_hist[:, :, m + 1] = phi
 
     return TrainResult(phi_history=phi_hist, theta=theta, critic_losses=losses,
                        adam_states=adam, skipped_episodes=int(skipped.sum()),

@@ -63,6 +63,24 @@ class TestDistortionConstruction:
                 l2_norm=0.9)
 
 
+@pytest.mark.parametrize("make", [choquet.make_distortion_normal,
+                                  choquet.make_distortion_gini],
+                         ids=["normal", "gini"])
+def test_builtin_distortion_requirements(make):
+    """The built-ins skip ``make_distortion``'s quadrature at run time, so
+    their analytic norms are checked here, with the run-time check's
+    tolerance; endpoints and concavity on the same 512-point grid."""
+    dist = make()
+    assert abs(dist.h(0.0)) <= choquet._ENDPOINT_TOL
+    assert abs(dist.h(1.0)) <= choquet._ENDPOINT_TOL
+    p = np.linspace(0.0, 1.0, choquet._CONCAVITY_GRID + 2)[1:-1]
+    hp = np.asarray(dist.h_prime(p), dtype=float)
+    assert np.all(np.isfinite(hp))
+    assert np.all(np.diff(hp) <= choquet._CONCAVITY_TOL)
+    l2_quad = dist.l2_norm_by_quadrature()
+    assert abs(dist.l2_norm - l2_quad) <= 1e-8 * max(1.0, abs(dist.l2_norm))
+
+
 class TestPhiH:
     def test_constant_quantile_is_zero(self, normal_dist, gini_dist):
         for dist in (normal_dist, gini_dist):

@@ -68,6 +68,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "missing.ini")
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("agent1", "gamma", "-1.0", "gamma must be positive, got -1.0"),
+        ("agent2", "k", "1.5", "k must lie in [0, 1), got 1.5"),
+        ("agent1", "lambda0", "-0.01", "lambda0 must be positive, got -0.01"),
+    ])
+    def test_agent_parameters_checked_when_parsed(self, t1_text, section, key,
+                                                  value, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(_set_key(t1_text, section, key, value))
+        assert str(info.value) == f"[{section}] {message}"
+
+    @pytest.mark.parametrize("key", ["gamma", "k", "lambda0"])
+    def test_nan_agent_parameter_rejected(self, key):
+        agent = table1_config().agent1
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            replace(agent, **{key: float("nan")})
+
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
 
@@ -250,6 +267,40 @@ class TestCliErrors:
         assert "numerical failure" in err
         assert "config error" not in err
         assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("key,value", [("lambda0", "60"), ("gamma", "1e-300")])
+    def test_non_finite_coefficients_exit_4(self, tmp_path, capsys, t1_text, key, value):
+        """Agent 1's exploration weight (lambda0 = 60 overflows at T = 20) or
+        risk aversion drives its b-coefficients to inf: a numerical failure,
+        reported before any CSV is written."""
+        path = tmp_path / "cfg.ini"
+        path.write_text(_set_key(t1_text, "agent1", key, value))
+        out = tmp_path / "o"
+        assert cli.main(["equilibrium", "--config", str(path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure: agent 1: coefficient b0 is not finite" in err
+        assert "config error" not in err
+        assert not list(out.iterdir())
+
+    def test_training_divergence_prints_no_numpy_warning(self, tmp_path):
+        """A huge perturbation scale drives the actors to overflow; the run
+        exits 4 with the divergence line alone on stderr."""
+        cfg = table2_config()
+        cfg = replace(cfg, replications=1,
+                      train=replace(cfg.train, episodes=40, critic_warmup=5, kappa=1e6))
+        path = tmp_path / "cfg.ini"
+        path.write_text(serialize_config(cfg))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mvgame.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "mvgame.cli", "train", "--config",
+                               str(path), "--out", str(tmp_path / "o")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("training divergence: "), \
+            proc.stderr
 
 
 class TestSimulateCommand:
