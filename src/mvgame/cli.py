@@ -80,6 +80,9 @@ def _sweep_variants(agents):
             + [("gamma2", v, (a1, replace(a2, gamma=v))) for v in SWEEP_VALUES["gamma2"]])
 
 
+# An overflowing schedule or solve reaches inf and nan, which CoefficientSet's
+# finiteness check reports as a numerical failure; numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_equilibrium(cfg: ExperimentConfig, out_dir: str) -> int:
     """Write coefficient grids and density-curve sweeps at benchmark states.
 
@@ -260,6 +263,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, replications: int | None = No
     return EXIT_OK
 
 
+# The simulator's finiteness check and wealth guard report overflow.
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     """Simulate one trajectory under the equilibrium policies."""
     os.makedirs(out_dir, exist_ok=True)

@@ -12,7 +12,9 @@ x + u * (relative change of e^{-rt} S(t)).  Episodes sample both agents'
 actions by inverse transform from their policy quantile functions, one
 uniform draw per agent per step (the same uniforms are reused by the
 perturbed-actor replay during training).  ``run_episode_batch`` evaluates
-affine-in-state policies once per batch and runs blocks of episodes end to end.
+affine-in-state policies once per batch, runs the state recursion over the
+whole batch, then a price pass over blocks of episodes and an action pass over
+each agent's blocks, drawing each block's uniforms as the block runs.
 """
 
 from __future__ import annotations
@@ -47,10 +49,12 @@ WEALTH_GUARD = 1e12
 # must be lifted off the closed endpoint before inverse-transform sampling.
 _U_MIN = 2.0 ** -53
 
-# Episodes per block in run_episode_batch, and rows per block of the state
-# forcing that _state_step assembles.  One 20k-episode table2 chunk on one
-# CPU, two alternating sweeps: 0.82/0.75 s at 128, 0.81/0.79 s at 256 and
-# 0.85/0.82 s at 512 (medians of 5); 128 also peaks 3 MB lower.
+# Episodes per block of run_episode_batch's price pass and of each agent's
+# action pass (whose uniforms are drawn one block at a time), and rows per
+# block of the state forcing that _state_step assembles.  One 20k-episode
+# table2 chunk on one CPU, two alternating sweeps: 0.82/0.75 s at 128,
+# 0.81/0.79 s at 256 and 0.85/0.82 s at 512 (medians of 5); 128 also peaks
+# 3 MB lower.
 _BLOCK_ROWS = 128
 
 
@@ -283,36 +287,42 @@ def run_episode_batch(params: MarketParams, agents, policies, cfg: SimConfig,
                       n_episodes: int, rng: np.random.Generator) -> BatchResult:
     """Simulate ``n_episodes`` independent episodes vectorized over episodes.
 
-    Draws dB, dB~, then agent 1's and agent 2's action uniforms, each over the
-    whole batch.  A policy exposes ``affine(t) -> (slope, intercept)`` of its
-    mean slope*y + intercept, ``std(t)`` and ``distortion``, evaluated once on
-    the step grid; actions are their ``location_scale_quantile``.  The state
-    recursion runs once over the whole batch, in place.  Each block of
-    ``_BLOCK_ROWS`` episodes then runs end to end, in cache: price paths,
-    actions, residual moments and terminal wealth.
+    A policy exposes ``affine(t) -> (slope, intercept)`` of its mean
+    slope*y + intercept, ``std(t)`` and ``distortion``, evaluated once on the
+    step grid; actions are their ``location_scale_quantile``.  Draws dB and
+    dB~ over the whole batch and runs the state recursion once over it, in
+    place.  A price pass then runs each block of ``_BLOCK_ROWS`` episodes and
+    leaves its discounted-price relative changes over dB and its visited
+    states over the state paths.  An action pass runs agent by agent and block
+    by block: it draws the block's uniforms, then its actions, residual
+    moments and terminal wealth.  The stream is dB, dB~, then agent 1's and
+    agent 2's uniforms, as whole-batch draws would give them, but only the two
+    noise arrays are as large as the batch.
     """
     n = cfg.n_steps
     t_steps = np.linspace(0.0, cfg.horizon, n + 1)[:-1]
-    db, forcing = _draw_state_noise(cfg, n_episodes, rng)
-    draws = (_draw_uniforms(rng, (n_episodes, n)), _draw_uniforms(rng, (n_episodes, n)))
+    # dB and dB~, which the price pass overwrites with what the actions read
+    rel, states = _draw_state_noise(cfg, n_episodes, rng)
     laws = [(*pol.affine(t_steps), pol.std(t_steps), pol.distortion) for pol in policies]
 
     x0 = (cfg.x1_0, cfg.x2_0)
     x_T = np.empty((2, n_episodes))
     resid_sum = np.zeros((2, n))
     resid_sumsq = np.zeros((2, n))
-    _state_step(params, cfg, db, forcing)
-    for start in range(0, n_episodes, _BLOCK_ROWS):
-        blk = slice(start, start + _BLOCK_ROWS)
-        y, s_disc = _price_step(params, cfg, db[blk], forcing[blk])
-        rel = np.diff(s_disc, axis=1) / s_disc[:, :-1]
-        for i, ((slope, intercept, std, dist), p) in enumerate(zip(laws, draws)):
-            mean = slope * y[:, :-1] + intercept
-            u = location_scale_quantile(mean, std, dist, p[blk])
+    _state_step(params, cfg, rel, states)
+    blocks = [slice(s, s + _BLOCK_ROWS) for s in range(0, n_episodes, _BLOCK_ROWS)]
+    for blk in blocks:
+        y, s_disc = _price_step(params, cfg, rel[blk], states[blk])
+        rel[blk] = np.diff(s_disc, axis=1) / s_disc[:, :-1]
+        states[blk] = y[:, :-1]
+    for i, (slope, intercept, std, dist) in enumerate(laws):
+        for blk in blocks:
+            mean = slope * states[blk] + intercept
+            u = location_scale_quantile(mean, std, dist, _draw_uniforms(rng, mean.shape))
             res = u - mean
             resid_sum[i] += res.sum(axis=0)
             resid_sumsq[i] += (res * res).sum(axis=0)
-            x_T[i, blk] = x0[i] + np.sum(u * rel, axis=1)
+            x_T[i, blk] = x0[i] + np.sum(u * rel[blk], axis=1)
 
     _check_finite(x_T)
     k = np.array([[a.k] for a in agents])
@@ -357,6 +367,12 @@ def estimate_objective(agent_index: int, agents, policies, params: MarketParams,
 
     for the given agent, with a delta-method standard error for the
     mean-minus-scaled-variance combination.
+
+    Episodes run ``chunk_size`` at a time, which sets memory: about
+    2 x 8 x chunk_size x n_steps bytes.  The chunks read one stream in turn,
+    so the estimate also depends on ``chunk_size``: table2's agent 1 at 4000
+    episodes from ``episode_generator(7, 10_000)`` reads 0.921689 with chunk
+    1000 and 0.923104 with chunk 2000.
     """
     if n_episodes < 2:
         raise ValueError("need at least 2 episodes to estimate a variance")

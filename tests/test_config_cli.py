@@ -268,7 +268,6 @@ class TestCliErrors:
         assert "config error" not in err
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("key,value", [("lambda0", "60"), ("gamma", "1e-300")])
     def test_non_finite_coefficients_exit_4(self, tmp_path, capsys, t1_text, key, value):
         """Agent 1's exploration weight (lambda0 = 60 overflows at T = 20) or
@@ -291,16 +290,33 @@ class TestCliErrors:
                       train=replace(cfg.train, episodes=40, critic_warmup=5, kappa=1e6))
         path = tmp_path / "cfg.ini"
         path.write_text(serialize_config(cfg))
-        src = os.path.dirname(os.path.dirname(os.path.abspath(mvgame.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "mvgame.cli", "train", "--config",
-                               str(path), "--out", str(tmp_path / "o")],
-                              env=env, capture_output=True, text=True)
-        assert proc.returncode == 4
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("training divergence: "), \
-            proc.stderr
+        _assert_one_exit_4_line(tmp_path, "train", path, "training divergence: ")
+
+    @pytest.mark.parametrize("command,line", [
+        ("equilibrium", "numerical failure: agent 1: coefficient b0 is not finite"),
+        ("simulate", "simulation divergence: simulation produced non-finite values")],
+        ids=["equilibrium", "simulate"])
+    def test_overflowing_schedule_prints_no_numpy_warning(self, tmp_path, t1_text,
+                                                          command, line):
+        """Agent 1's exponential schedule overflows at T = 20 with lambda0 = 60;
+        the failure is reported alone, without numpy's overflow warnings."""
+        path = tmp_path / "cfg.ini"
+        path.write_text(_set_key(t1_text, "agent1", "lambda0", "60"))
+        _assert_one_exit_4_line(tmp_path, command, path, line)
+
+
+def _assert_one_exit_4_line(tmp_path, command, config_path, line_start):
+    """Run ``python -m mvgame.cli`` in a fresh process (pytest captures
+    warnings away from stderr) and check it exits 4 with one stderr line."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mvgame.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "mvgame.cli", command, "--config",
+                           str(config_path), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(line_start), proc.stderr
 
 
 class TestSimulateCommand:

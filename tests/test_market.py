@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,11 +235,14 @@ class TestEpisodeBatch:
         pols = policies_short if policy_kind == "equilibrium" else (
             StaticPolicy(1.2, 0.5, normal_dist), StaticPolicy(0.8, 0.3, gini_dist))
         cfg = SimConfig(horizon=1.0, n_steps=40, seed=23)
+        engine, reference = (episode_generator(23, n_episodes) for _ in range(2))
         batch = run_episode_batch(bench_market, agents_short, pols, cfg, n_episodes,
-                                  episode_generator(23, n_episodes))
+                                  engine)
         xhat, resid_sum, resid_sumsq = per_step_batch(
-            bench_market, agents_short, pols, cfg, n_episodes,
-            episode_generator(23, n_episodes))
+            bench_market, agents_short, pols, cfg, n_episodes, reference)
+        # estimate_objective feeds one generator chunk after chunk, so the
+        # blocks' draws must leave it where whole-batch draws do
+        assert np.array_equal(engine.random(8), reference.random(8))
         assert batch.n_episodes == n_episodes
         assert all(np.array_equal(a, b) for a, b in zip(batch.xhat_T, xhat))
         # the blocks add the residuals in another order; bound the round-off
@@ -246,6 +250,22 @@ class TestEpisodeBatch:
         np.testing.assert_allclose(batch.resid_sumsq, resid_sumsq, rtol=1e-12, atol=0)
         scale = np.sqrt(n_episodes * resid_sumsq)
         assert np.all(np.abs(batch.resid_sum - resid_sum) <= 1e-12 * scale)
+
+    def test_peak_memory_is_two_batch_arrays(self, bench_market, agents_short,
+                                            policies_short):
+        """Only dB and dB~ are as large as the batch; the uniforms, prices
+        and actions live one block at a time."""
+        n_episodes, cfg = 4000, SimConfig(horizon=1.0, n_steps=250, seed=3)
+        run_episode_batch(bench_market, agents_short, policies_short, cfg, 200,
+                          episode_generator(3, 0))
+        tracemalloc.start()
+        try:
+            run_episode_batch(bench_market, agents_short, policies_short, cfg,
+                              n_episodes, episode_generator(3, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n_episodes * cfg.n_steps
 
 
 class TestMomentMatching:
