@@ -19,9 +19,9 @@ T = 20.0
 mkt = market.MarketParams(r=0.017, sigma=0.15, iota=0.27, y_bar=0.273,
                           v=0.065, rho=-0.93)
 agents = (
-    market.AgentParams(gamma=2.0, k=0.1, lam=market.exponential_weight(0.01, T),
+    market.AgentParams(gamma=2.0, k=0.1, lam=market.Schedule(0.01, 0.01, T),
                        distortion=choquet.make_distortion_normal()),
-    market.AgentParams(gamma=1.0, k=0.05, lam=market.exponential_weight(0.01, T),
+    market.AgentParams(gamma=1.0, k=0.05, lam=market.Schedule(0.01, 0.01, T),
                        distortion=choquet.make_distortion_gini()),
 )
 

@@ -18,9 +18,9 @@ T, N = 1.0, 250
 mkt = market.MarketParams(r=0.017, sigma=0.15, iota=0.27, y_bar=0.273,
                           v=0.065, rho=-0.93)
 agents = (
-    market.AgentParams(gamma=2.0, k=0.1, lam=market.constant_weight(0.015),
+    market.AgentParams(gamma=2.0, k=0.1, lam=market.Schedule(0.015),
                        distortion=choquet.make_distortion_normal()),
-    market.AgentParams(gamma=3.0, k=0.05, lam=market.constant_weight(0.02),
+    market.AgentParams(gamma=3.0, k=0.05, lam=market.Schedule(0.02),
                        distortion=choquet.make_distortion_gini()),
 )
 coeffs = eqm.solve_coefficients(agents, mkt, T)

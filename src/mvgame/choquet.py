@@ -147,14 +147,20 @@ def make_distortion_normal() -> Distortion:
                            family="normal")
 
 
+def _gini_h(p):
+    return np.asarray(p, dtype=float) * (1.0 - np.asarray(p, dtype=float))
+
+
+def _gini_h_prime(p):
+    return 1.0 - 2.0 * np.asarray(p, dtype=float)
+
+
 def make_distortion_gini() -> Distortion:
     """Gini mean difference distortion h2(p) = p - p^2; optimal family is uniform.
 
     ||h2'||_2^2 = int_0^1 (1-2p)^2 dp = 1/3.
     """
-    h = lambda p: np.asarray(p, dtype=float) * (1.0 - np.asarray(p, dtype=float))
-    h_prime = lambda p: 1.0 - 2.0 * np.asarray(p, dtype=float)
-    return make_distortion(h, h_prime, name="gini", l2_norm=1.0 / np.sqrt(3.0),
+    return make_distortion(_gini_h, _gini_h_prime, name="gini", l2_norm=1.0 / np.sqrt(3.0),
                            family="uniform")
 
 
@@ -208,14 +214,6 @@ class QuantilePolicy:
     def phi(self) -> float:
         """Analytic regularizer value s * ||h'||_2."""
         return self.scale * self.distortion.l2_norm
-
-    def verify_moments(self) -> tuple[float, float]:
-        """Mean and std of the induced law by quadrature (test hook)."""
-        from scipy.integrate import quad
-
-        m, _ = quad(lambda p: float(self.quantile(p)), 0.0, 1.0, **_QUAD_OPTS)
-        m2, _ = quad(lambda p: float(self.quantile(p)) ** 2, 0.0, 1.0, **_QUAD_OPTS)
-        return float(m), float(np.sqrt(max(m2 - m * m, 0.0)))
 
 
 def build_optimal_quantile(distortion: Distortion, m: float, s: float) -> QuantilePolicy:

@@ -14,7 +14,7 @@ import typing
 from dataclasses import dataclass, fields
 
 from .choquet import make_distortion_gini, make_distortion_normal
-from .market import AgentParams, MarketParams, SimConfig, constant_weight, exponential_weight
+from .market import AgentParams, MarketParams, Schedule, SimConfig
 from .rl import TrainConfig
 
 __all__ = [
@@ -60,13 +60,11 @@ class AgentConfig:
     def build(self, horizon: float) -> AgentParams:
         """Materialize preferences for a given horizon (the exponential
         schedule lam0*exp(lam0*(T-t)) is anchored at that horizon)."""
-        if self.lambda_kind == "constant":
-            lam = constant_weight(self.lambda0)
-        else:
-            lam = exponential_weight(self.lambda0, horizon)
+        rate = self.lambda0 if self.lambda_kind == "exponential" else 0.0
         dist = make_distortion_normal() if self.distortion == "normal" \
             else make_distortion_gini()
-        return AgentParams(gamma=self.gamma, k=self.k, lam=lam, distortion=dist)
+        return AgentParams(gamma=self.gamma, k=self.k, distortion=dist,
+                           lam=Schedule(self.lambda0, rate, horizon))
 
 
 @dataclass(frozen=True)

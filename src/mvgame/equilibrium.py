@@ -19,7 +19,7 @@ only the agent's own preferences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -188,17 +188,16 @@ def solve_a_coeffs_ode(agent: AgentParams, market: MarketParams, horizon: float,
     return sol[:, 2], sol[:, 1], sol[:, 0]
 
 
-def _std_fn(agent: AgentParams, vol: float) -> Callable:
-    """t -> lam(t) ||h'||_2 / (gamma vol^2), vectorized over t."""
-    scale = agent.distortion.l2_norm / (agent.gamma * vol ** 2)
-    return lambda t: np.asarray(agent.lam(t), dtype=float) * scale
+def _std(agent: AgentParams, vol: float, t):
+    """lam(t) ||h'||_2 / (gamma vol^2), vectorized over t."""
+    return agent.lam(t) * (agent.distortion.l2_norm / (agent.gamma * vol ** 2))
 
 
 def equilibrium_std(agent: AgentParams, market: MarketParams) -> Callable:
     """t -> lam(t) ||h'||_2 / (gamma sigma^2), the agent's equilibrium std."""
     if market.sigma <= 0.0:
         raise ValueError("equilibrium requires a strictly positive sigma")
-    return _std_fn(agent, market.sigma)
+    return partial(_std, agent, market.sigma)
 
 
 def solve_b_coeffs(agent_i: AgentParams, agent_j: AgentParams, market: MarketParams,
@@ -229,8 +228,6 @@ def solve_b_coeffs(agent_i: AgentParams, agent_j: AgentParams, market: MarketPar
     rv = market.rho * market.v
     ortho = v2 * (1.0 - market.rho ** 2)
     iy = market.iota * market.y_bar
-    lam_h = np.asarray(agent_i.lam(th), dtype=float) * np.ones_like(th)
-    sig_j_h = np.asarray(sigma_j(th), dtype=float) * np.ones_like(th)
     l2 = agent_i.distortion.l2_norm
 
     # State ordering (b2, b1, b0).
@@ -241,8 +238,8 @@ def solve_b_coeffs(agent_i: AgentParams, agent_j: AgentParams, market: MarketPar
     beta[:, 0] = 2.0 * rv * a2_h + g * ortho * a2_h ** 2 - 1.0 / g
     beta[:, 1] = rv * a1_h + g * ortho * a1_h * a2_h
     beta[:, 2] = (0.5 * g * ortho * a1_h ** 2
-                  + 0.5 * g * s2 * agent_i.k ** 2 * sig_j_h ** 2
-                  - lam_h ** 2 * l2 ** 2 / (2.0 * g * s2))
+                  + 0.5 * g * s2 * agent_i.k ** 2 * sigma_j(th) ** 2
+                  - agent_i.lam(th) ** 2 * l2 ** 2 / (2.0 * g * s2))
     sol = rk4_backward_affine(beta, alpha, t[1] - t[0], np.zeros(3))
     return sol[:, 2], sol[:, 1], sol[:, 0]
 
@@ -305,7 +302,8 @@ class EquilibriumPolicy:
     """Sampling policy with mean slope(t) y + intercept(t), time-dependent
     std, quantile = mean + std * h'(1-p)/||h'||_2.  ``affine(t) -> (slope,
     intercept)`` and ``std(t)`` are vectorized over t (constants may be
-    scalars), so the Monte Carlo engine evaluates them once per step grid."""
+    scalars), so the Monte Carlo engine evaluates them once per step grid.
+    The built policies pickle: they hold partials of module-level functions."""
 
     affine: Callable
     std: Callable
@@ -331,20 +329,20 @@ def closed_form_policy(agent_index: int, agents, market: MarketParams,
     from the closed-form a1, a2, coupled as (base_i + k_i base_j)/(1 - k1 k2)
     with rho v/sigma factored out."""
     agent, other = agents[agent_index], agents[1 - agent_index]
+    return EquilibriumPolicy(affine=partial(_closed_form_affine, agent, other, market, horizon),
+                             std=equilibrium_std(agent, market), distortion=agent.distortion)
+
+
+def _closed_form_affine(agent, other, market: MarketParams, horizon: float, t):
     # The one coupling not left to couple_means: the density CSVs are written
     # from this factored form, pinned bit for bit by TestClosedFormMeans.
-    denom = 1.0 - agents[0].k * agents[1].k
+    denom = 1.0 - agent.k * other.k
     rv_s = market.rho * market.v / market.sigma
     slope0 = 1.0 / (agent.gamma * market.sigma) + agent.k / (other.gamma * market.sigma)
-
-    def affine(t):
-        (a1_i, a2_i), (a1_j, a2_j) = (a_coeffs_closed_form(a, market, horizon, t)
-                                      for a in (agent, other))
-        return ((slope0 - rv_s * (a2_i + agent.k * a2_j)) / denom,
-                -rv_s * (a1_i + agent.k * a1_j) / denom)
-
-    return EquilibriumPolicy(affine=affine, std=equilibrium_std(agent, market),
-                             distortion=agent.distortion)
+    (a1_i, a2_i), (a1_j, a2_j) = (a_coeffs_closed_form(a, market, horizon, t)
+                                  for a in (agent, other))
+    return ((slope0 - rv_s * (a2_i + agent.k * a2_j)) / denom,
+            -rv_s * (a1_i + agent.k * a1_j) / denom)
 
 
 def equilibrium_policy(agent_index: int, agents, market: MarketParams,
@@ -374,9 +372,13 @@ def black_scholes_policy(agents, a: float, b: float, r: float):
         raise ValueError(f"volatility must be positive, got {b!r}")
     sharpe_sq = (a - r) / b ** 2
     means = couple_means(sharpe_sq / agents[0].gamma, sharpe_sq / agents[1].gamma, agents)
-    return tuple(EquilibriumPolicy(affine=lambda t, _m=m: (0.0, _m),
-                                   std=_std_fn(agent, b), distortion=agent.distortion)
+    return tuple(EquilibriumPolicy(affine=partial(_constant_affine, m),
+                                   std=partial(_std, agent, b), distortion=agent.distortion)
                  for agent, m in zip(agents, means))
+
+
+def _constant_affine(intercept, t):
+    return 0.0, intercept
 
 
 def generator_apply(market: MarketParams, t, y, mu_i, sigma_i, mu_j, sigma_j,

@@ -34,8 +34,7 @@ __all__ = [
     "Trajectory",
     "ObjectiveEstimate",
     "SimulationDivergedError",
-    "constant_weight",
-    "exponential_weight",
+    "Schedule",
     "episode_generator",
     "simulate_game",
     "estimate_objective",
@@ -87,18 +86,21 @@ class MarketParams:
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho!r}")
 
 
-def constant_weight(lam0: float) -> Callable[[float], float]:
-    """Constant exploration weight schedule t -> lam0."""
-    if lam0 <= 0.0:
-        raise ValueError(f"exploration weight must be positive, got {lam0!r}")
-    return lambda t: lam0 * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else lam0
+@dataclass(frozen=True)
+class Schedule:
+    """Exploration weight t -> lam0 * exp(rate * (horizon - t)): the constant
+    lam0 at rate 0 (exp(0) = 1 exactly), exponentially decaying at rate lam0."""
 
+    lam0: float
+    rate: float = 0.0
+    horizon: float = 0.0
 
-def exponential_weight(lam0: float, horizon: float) -> Callable[[float], float]:
-    """Exponentially decaying schedule t -> lam0 * exp(lam0 * (T - t))."""
-    if lam0 <= 0.0:
-        raise ValueError(f"exploration weight must be positive, got {lam0!r}")
-    return lambda t: lam0 * np.exp(lam0 * (horizon - np.asarray(t, dtype=float)))
+    def __post_init__(self):
+        if self.lam0 <= 0.0:
+            raise ValueError(f"exploration weight must be positive, got {self.lam0!r}")
+
+    def __call__(self, t):
+        return self.lam0 * np.exp(self.rate * (self.horizon - np.asarray(t, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,8 @@ class AgentParams:
     """Preferences of one agent.
 
     ``gamma`` is the risk aversion, ``k`` the sensitivity to the opponent's
-    terminal wealth, ``lam`` the exploration weight schedule t -> lam(t) > 0,
-    and ``distortion`` the agent's regularizer shape.
+    terminal wealth, ``lam`` the exploration weight schedule t -> lam(t) > 0
+    (a picklable :class:`Schedule`), and ``distortion`` the regularizer shape.
     """
 
     gamma: float
@@ -345,17 +347,16 @@ def _regularizer_integral(agent, policy, t_grid: np.ndarray, dt: float) -> float
 
     Phi_h is translation invariant and positively homogeneous, so it is
     std(t) times Phi_h of the policy's standardized law: ||h'||_2 when the
-    policy's distortion is the agent's own, else ``choquet.phi_h``.
+    policy's distortion equals the agent's, else ``choquet.phi_h``.
     """
     ts = t_grid[:-1]
     phis = np.asarray(policy.std(ts), dtype=float)
-    if policy.distortion is agent.distortion:
+    if policy.distortion == agent.distortion:
         phis = phis * agent.distortion.l2_norm
     else:
         phis = phis * phi_h(agent.distortion, lambda p: location_scale_quantile(
             0.0, 1.0, policy.distortion, p))
-    lam = np.asarray([float(agent.lam(t)) for t in ts])
-    return float(np.sum(lam * phis) * dt)
+    return float(np.sum(agent.lam(ts) * phis) * dt)
 
 
 def estimate_objective(agent_index: int, agents, policies, params: MarketParams,

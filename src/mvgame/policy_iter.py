@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -243,14 +244,13 @@ def response_policy(agent: AgentParams, market: MarketParams, horizon: float,
 
     a1_sp = CubicSpline(np.asarray(times, dtype=float), np.asarray(a1_grid, dtype=float))
     a2_sp = CubicSpline(np.asarray(times, dtype=float), np.asarray(a2_grid, dtype=float))
+    return EquilibriumPolicy(affine=partial(_response_affine, agent, market, a1_sp, a2_sp),
+                             std=equilibrium_std(agent, market), distortion=agent.distortion)
+
+
+def _response_affine(agent: AgentParams, market: MarketParams, a1_sp, a2_sp, t):
     rv_s = market.rho * market.v / market.sigma
-
-    def affine(t):
-        return 1.0 / (agent.gamma * market.sigma) - rv_s * a2_sp(t), -rv_s * a1_sp(t)
-
-    return EquilibriumPolicy(affine=affine,
-                             std=equilibrium_std(agent, market),
-                             distortion=agent.distortion)
+    return 1.0 / (agent.gamma * market.sigma) - rv_s * a2_sp(t), -rv_s * a1_sp(t)
 
 
 def export_history_csv(path, response: ResponseHistory, mean_history: MeanHistory) -> None:

@@ -229,7 +229,7 @@ def resolve_actor_means(phi_pair, agents, t, y, horizon: float):
 def actor_scale_coeff(phi, agent: AgentParams, t):
     """Coefficient lam_i(t) phi0^2 gamma_i multiplying h'(1-p) in the quantile;
     ``phi`` broadcasts as in :func:`actor_base_mean`."""
-    return _scale_coeff(phi, np.asarray(agent.lam(t), dtype=float), agent.gamma)
+    return _scale_coeff(phi, agent.lam(t), agent.gamma)
 
 
 def _scale_coeff(phi, lam, gamma):
@@ -480,9 +480,10 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
     from that policy and only agent 1 learns (the single-agent algorithm with
     the opponent held fixed).  Like the Monte Carlo engine's policies, the
     opponent exposes ``affine(t)``, ``std(t)`` and ``distortion``, evaluated
-    once on the step grid.  A replication's episode whose wealth exceeds
-    the guard is skipped for that replication alone; a replication with more
-    than ``cfg.max_skip_fraction`` of skips aborts the run.
+    once on the step grid; a ``closed_form_policy`` pickles, so a worker
+    process can receive it.  A replication's episode whose wealth exceeds the
+    guard is skipped for that replication alone; a replication with more than
+    ``cfg.max_skip_fraction`` of skips aborts the run.
 
     Actors, critics, Adam states and losses carry a leading agent axis, and
     the trained agents are its first A rows (A = 1 with a frozen opponent).
@@ -519,7 +520,7 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
 
     # The trained agents' constants, shaped (A, 1, n) or (A, 1, 1).
     lam, gammas, l2sq, ks = (np.reshape(c, (2, 1, -1))[trained] for c in (
-        [np.asarray(a.lam(t_steps), dtype=float) * np.ones(n) for a in agents],
+        [a.lam(t_steps) for a in agents],
         [a.gamma for a in agents], [a.distortion.l2_norm ** 2 for a in agents],
         [a.k for a in agents]))
     x0 = np.reshape([cfg.x1_0, cfg.x2_0], (2, 1, 1))

@@ -24,10 +24,10 @@ def agents_long(normal_dist, gini_dist):
     """Long-horizon benchmark preferences (20y, decaying exploration)."""
     return (
         market.AgentParams(gamma=2.0, k=0.1,
-                           lam=market.exponential_weight(0.01, 20.0),
+                           lam=market.Schedule(0.01, 0.01, 20.0),
                            distortion=normal_dist),
         market.AgentParams(gamma=1.0, k=0.05,
-                           lam=market.exponential_weight(0.01, 20.0),
+                           lam=market.Schedule(0.01, 0.01, 20.0),
                            distortion=gini_dist),
     )
 
@@ -41,9 +41,9 @@ def coeffs_long(agents_long, bench_market):
 def agents_short(normal_dist, gini_dist):
     """Algorithm-scale preferences (1y horizon, constant exploration)."""
     return (
-        market.AgentParams(gamma=2.0, k=0.1, lam=market.constant_weight(0.015),
+        market.AgentParams(gamma=2.0, k=0.1, lam=market.Schedule(0.015),
                            distortion=normal_dist),
-        market.AgentParams(gamma=3.0, k=0.05, lam=market.constant_weight(0.02),
+        market.AgentParams(gamma=3.0, k=0.05, lam=market.Schedule(0.02),
                            distortion=gini_dist),
     )
 

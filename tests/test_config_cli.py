@@ -368,6 +368,54 @@ class TestIterateCommand:
         assert len(resp_rows) == 2
         assert float(resp_rows[1]["sup_err_a2"]) < 1e-6
 
+    def test_slack_scales_with_large_means(self, tmp_path, t1_text, capsys):
+        # c = iota + rho v < 0 drives the means to 1e51, where the mean
+        # iteration's error at n = 1 equals its bound up to one ulp.
+        path = tmp_path / "cfg.ini"
+        path.write_text(t1_text.replace("iota = 0.27", "iota = 0.01")
+                        .replace("rho = -0.93", "rho = -1.0").replace("v = 0.065", "v = 3.0"))
+        assert cli.main(["iterate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "bound" not in err
+        assert "did not reach tol" in err
+
+    @pytest.mark.parametrize("engine", ["mean", "response"])
+    def test_error_above_bound_fails_at_small_scale(self, tmp_path, t1_text, capsys,
+                                                    monkeypatch, engine):
+        """Rescale every error and bound so that the n = 0 error is 1e-10,
+        then set the last error to 10 times its bound: an absolute slack of
+        1e-9 would pass it."""
+        if engine == "mean":
+            def scaled(*args, **kwargs):
+                hist = simultaneous(*args, **kwargs)
+                c = 1e-10 / hist.iterates[0].sup_err
+                hist.iterates = [replace(it, sup_err=c * it.sup_err, bound=c * it.bound)
+                                 for it in hist.iterates]
+                hist.iterates[-1].sup_err = 10.0 * hist.iterates[-1].bound
+                return hist
+
+            simultaneous = cli.pit.simultaneous_mean_iteration
+            monkeypatch.setattr(cli.pit, "simultaneous_mean_iteration", scaled)
+            want = "mean iteration error"
+        else:
+            def scaled(*args, **kwargs):
+                hist = response(*args, **kwargs)
+                c = 1e-10 / max(hist.iterates[0].sup_err_a1, hist.iterates[0].sup_err_a2)
+                hist.iterates = [replace(it, sup_err_a1=c * it.sup_err_a1,
+                                         sup_err_a2=c * it.sup_err_a2,
+                                         bound_a1=c * it.bound_a1, bound_a2=c * it.bound_a2)
+                                 for it in hist.iterates]
+                hist.iterates[-1].sup_err_a2 = 10.0 * hist.iterates[-1].bound_a2
+                return hist
+
+            response = cli.pit.run_response_iteration
+            monkeypatch.setattr(cli.pit, "run_response_iteration", scaled)
+            want = "a2 error"
+        path = tmp_path / "cfg.ini"
+        path.write_text(t1_text)
+        assert cli.main(["iterate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert f"{want} " in capsys.readouterr().err
+
 
 class TestEquilibriumCommand:
     def test_outputs_and_density_normalization(self, tmp_path, t1_text):

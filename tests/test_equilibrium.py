@@ -1,10 +1,13 @@
 import csv
+import pickle
 
 import numpy as np
 import pytest
 
 from mvgame import equilibrium as eqm
 from mvgame import market
+from mvgame import policy_iter as pit
+from mvgame.config import table1_config, table2_config
 from mvgame.market import AgentParams, MarketParams
 
 
@@ -28,7 +31,7 @@ class TestACoefficients:
     def test_zero_rate_limit_branch(self, normal_dist):
         # iota = 0, rho = 0: a2' = -2/gamma gives a2 = 2(T-t)/gamma exactly
         mkt = MarketParams(r=0.01, sigma=0.2, iota=0.0, y_bar=0.3, v=0.1, rho=0.0)
-        agent = AgentParams(gamma=2.5, k=0.1, lam=market.constant_weight(0.01),
+        agent = AgentParams(gamma=2.5, k=0.1, lam=market.Schedule(0.01),
                             distortion=normal_dist)
         t = np.linspace(0.0, 4.0, 101)
         a1, a2 = eqm.a_coeffs_closed_form(agent, mkt, 4.0, t)
@@ -86,7 +89,7 @@ class TestEquilibriumMeans:
             assert np.max(np.abs(r2)) < 1e-10
 
     def test_decoupled_when_k_zero(self, bench_market, normal_dist, gini_dist):
-        lam = market.exponential_weight(0.01, 20.0)
+        lam = market.Schedule(0.01, 0.01, 20.0)
         agents = (AgentParams(gamma=2.0, k=0.0, lam=lam, distortion=normal_dist),
                   AgentParams(gamma=1.0, k=0.0, lam=lam, distortion=gini_dist))
         coeffs = eqm.solve_coefficients(agents, bench_market, 20.0, 801)
@@ -105,7 +108,7 @@ class TestEquilibriumMeans:
         assert mu2 == pytest.approx(0.0, abs=1e-12)
 
     def test_singular_system(self, bench_market, normal_dist, gini_dist):
-        lam = market.constant_weight(0.01)
+        lam = market.Schedule(0.01)
         class FakeAgent:
             pass
         a1 = FakeAgent(); a1.k = 2.0; a1.gamma = 1.0
@@ -125,7 +128,7 @@ class TestEquilibriumPolicy:
                                   normal_dist):
         pol = eqm.equilibrium_policy(0, agents_long, bench_market, coeffs_long)
         other_opponent = AgentParams(gamma=9.0, k=0.7,
-                                     lam=market.exponential_weight(0.01, 20.0),
+                                     lam=market.Schedule(0.01, 0.01, 20.0),
                                      distortion=normal_dist)
         agents2 = (agents_long[0], other_opponent)
         coeffs2 = eqm.solve_coefficients(agents2, bench_market, 20.0, 801)
@@ -319,7 +322,7 @@ class TestBlackScholes:
     def test_matches_gaussian_reduction(self, normal_dist, gini_dist):
         # reduction: y = (a - r)/b, sigma = b, iota = v = 0
         a, b, r = 0.08, 0.3, 0.02
-        lam = market.constant_weight(0.01)
+        lam = market.Schedule(0.01)
         agents = (AgentParams(gamma=2.0, k=0.1, lam=lam, distortion=normal_dist),
                   AgentParams(gamma=1.0, k=0.05, lam=lam, distortion=gini_dist))
         bs1, bs2 = eqm.black_scholes_policy(agents, a, b, r)
@@ -333,7 +336,7 @@ class TestBlackScholes:
                 assert bs.std(t) == pytest.approx(gen.std(t), abs=1e-14)
 
     def test_symmetric_agents_identical(self, normal_dist):
-        lam = market.constant_weight(0.02)
+        lam = market.Schedule(0.02)
         agents = (AgentParams(gamma=3.0, k=0.2, lam=lam, distortion=normal_dist),
                   AgentParams(gamma=3.0, k=0.2, lam=lam, distortion=normal_dist))
         p1, p2 = eqm.black_scholes_policy(agents, a=0.07, b=0.25, r=0.01)
@@ -355,3 +358,48 @@ class TestCsvExport:
         assert float(rows[-1]["a2"]) == 0.0
         j = len(rows) // 3
         assert float(rows[j]["b1"]) == coeffs_long[0].b[1, j]
+
+
+class TestPlainData:
+    """Agents and every policy kind are data and module-level functions, so
+    they pickle: the CLI sends them to its training workers."""
+
+    @pytest.mark.parametrize("factory", [table1_config, table2_config])
+    def test_built_agents_round_trip(self, factory):
+        cfg = factory()
+        agents = cfg.build_agents(cfg.sim.horizon)
+        again = pickle.loads(pickle.dumps(agents))
+        assert again == agents
+        # a second build compares equal too: no closure makes agents distinct
+        assert cfg.build_agents(cfg.sim.horizon) == agents
+        t = np.linspace(0.0, cfg.sim.horizon, 11)
+        for a, b in zip(agents, again):
+            np.testing.assert_array_equal(a.lam(t), b.lam(t))
+
+    @staticmethod
+    def _policies():
+        cfg = table1_config()
+        horizon = cfg.sim.horizon
+        agents = cfg.build_agents(horizon)
+        coeffs = eqm.solve_coefficients(agents, cfg.market, horizon, 401)
+        t = np.linspace(0.0, horizon, 401)
+        a1, a2 = eqm.a_coeffs_closed_form(agents[0], cfg.market, horizon, t)
+        return {
+            "closed_form": eqm.closed_form_policy(0, agents, cfg.market, horizon),
+            "equilibrium": eqm.equilibrium_policy(1, agents, cfg.market, coeffs),
+            "black_scholes": eqm.black_scholes_policy(agents, 0.08, 0.2, 0.017)[1],
+            "response": pit.response_policy(agents[0], cfg.market, horizon, a1, a2, t),
+        }
+
+    @pytest.mark.parametrize("kind", ["closed_form", "equilibrium", "black_scholes",
+                                      "response"])
+    def test_policy_round_trip(self, kind):
+        policy = self._policies()[kind]
+        again = pickle.loads(pickle.dumps(policy))
+        t = np.linspace(0.0, 19.5, 9)
+        y = np.linspace(-0.2, 0.6, 9)
+        p = np.linspace(0.05, 0.95, 9)
+        np.testing.assert_array_equal(again.mean(t, y), policy.mean(t, y))
+        np.testing.assert_array_equal(again.std(t), policy.std(t))
+        np.testing.assert_array_equal(again.quantile(t, y, p), policy.quantile(t, y, p))
+        assert again.distortion == policy.distortion

@@ -51,7 +51,7 @@ class TestParamValidation:
         MarketParams(r=0.017, sigma=0.15, iota=0.27, y_bar=0.273, v=0.065, rho=-0.93)
 
     def test_agent_params(self, normal_dist):
-        lam = market.constant_weight(0.01)
+        lam = market.Schedule(0.01)
         with pytest.raises(ValueError):
             AgentParams(gamma=0.0, k=0.1, lam=lam, distortion=normal_dist)
         with pytest.raises(ValueError):
@@ -68,10 +68,16 @@ class TestParamValidation:
 
     def test_weight_schedules(self):
         with pytest.raises(ValueError):
-            market.constant_weight(0.0)
-        lam = market.exponential_weight(0.01, 20.0)
+            market.Schedule(0.0)
+        lam = market.Schedule(0.01, 0.01, 20.0)
         assert lam(20.0) == pytest.approx(0.01)
         assert lam(0.0) == pytest.approx(0.01 * np.exp(0.2))
+        # the constant schedule is lam0 exactly, with the shape of t
+        const = market.Schedule(0.015)
+        assert const(0.3) == 0.015 and np.ndim(const(0.3)) == 0
+        t = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        assert const(t).shape == (2, 3)
+        assert np.all(const(t) == 0.015)
 
 
 class TestStateAndPrice:
@@ -321,7 +327,7 @@ class TestEstimateObjective:
                                          episode_generator(13, 0))
         doubled_agent = AgentParams(gamma=agents_short[0].gamma,
                                     k=agents_short[0].k,
-                                    lam=market.constant_weight(2 * 0.015),
+                                    lam=market.Schedule(2 * 0.015),
                                     distortion=agents_short[0].distortion)
         agents2 = (doubled_agent, agents_short[1])
         est2 = market.estimate_objective(0, agents2, policies_short,

@@ -71,3 +71,33 @@ def test_commands_load_neither_interpolate_nor_integrate(tmp_path, command):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_objective_with_rebuilt_agents_is_bit_identical():
+    """Agents from a second ``build_agents`` call carry equal distortions, so
+    ``estimate_objective`` takes the analytic regularizer branch for them, as
+    for the agents the policies were built from: the same bits, and no
+    ``scipy.integrate`` import in a fresh process."""
+    probe = """
+import sys
+from dataclasses import replace
+from mvgame import equilibrium as eqm, market as mkt
+from mvgame.config import table2_config
+cfg = table2_config()
+sim = replace(cfg.sim, n_steps=20)
+agents = cfg.build_agents(sim.horizon)
+rebuilt = cfg.build_agents(sim.horizon)
+policies = [eqm.closed_form_policy(i, agents, cfg.market, sim.horizon) for i in (0, 1)]
+for i in (0, 1):
+    want, got = (mkt.estimate_objective(i, a, policies, cfg.market, sim, 50,
+                                        mkt.episode_generator(7, 10_000 + i))
+                 for a in (agents, rebuilt))
+    assert got == want, (got, want)
+print('scipy.integrate' in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -51,7 +51,7 @@ class TestIterateResponse:
     def test_rho_zero_converges_in_one_step(self, normal_dist):
         mkt = MarketParams(r=0.017, sigma=0.15, iota=0.27, y_bar=0.273,
                            v=0.065, rho=0.0)
-        agent = AgentParams(gamma=2.0, k=0.1, lam=market.constant_weight(0.01),
+        agent = AgentParams(gamma=2.0, k=0.1, lam=market.Schedule(0.01),
                             distortion=normal_dist)
         hist = pit.run_response_iteration(agent, mkt, 20.0, tol=1e-6)
         assert hist.converged
@@ -110,7 +110,7 @@ class TestMeanIteration:
 
     def test_high_sensitivity_still_contracts(self, bench_market, normal_dist,
                                               gini_dist):
-        lam = market.constant_weight(0.01)
+        lam = market.Schedule(0.01)
         agents = (AgentParams(gamma=2.0, k=0.99, lam=lam, distortion=normal_dist),
                   AgentParams(gamma=1.0, k=0.99, lam=lam, distortion=gini_dist))
         times = np.linspace(0.0, 5.0, 51)

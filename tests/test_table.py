@@ -55,7 +55,9 @@ def test_trajectory_csv(tmp_path, agents_short, bench_market, policies_short):
 def test_metrics_csv_blanks_nan_losses(tmp_path):
     cfg = table2_config()
     cfg = replace(cfg, train=replace(cfg.train, episodes=6, critic_warmup=2, n_steps=10))
-    run = cli._train_group((cfg, (0,), True))
+    agents = cfg.build_agents(cfg.train.horizon)
+    frozen = eqm.closed_form_policy(1, agents, cfg.market, cfg.train.horizon)
+    run = cli._train_group((cfg, agents, frozen, (0,)))
     losses = (run.critic_losses[0][0], run.critic_losses[1][0])
     phis = (run.phi_history[0][0], run.phi_history[1][0])
     assert np.isnan(losses[1]).all() and not np.isnan(losses[0]).all()
@@ -127,7 +129,7 @@ def test_learned_csv(tmp_path, reps):
     true1, true2 = eqm.equilibrium_means(t, y, agents, cfg.market, horizon)
     l1 = l2 = None
     if reps:
-        run = cli._train_group((cfg, (0,), False))
+        run = cli._train_group((cfg, agents, None, (0,)))
         l1, l2 = rl.resolve_actor_means((run.phi_history[0][0, -1], run.phi_history[1][0, -1]),
                                         agents, t, np.full_like(t, y), horizon)
     want = _csv_bytes(tmp_path / "want.csv",
