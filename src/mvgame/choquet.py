@@ -132,10 +132,11 @@ def _normal_h(p):
     return out if out.ndim else float(out)
 
 
+# The two h' below transform their one new array in place, so a call holds no
+# more than one temporary the size of p (the Monte Carlo engine's memory bound).
 def _normal_h_prime(p):
-    p = np.asarray(p, dtype=float)
-    out = ndtri(1.0 - p)
-    return out if out.ndim else float(out)
+    q = 1.0 - np.asarray(p, dtype=float)
+    return ndtri(q, out=q) if q.ndim else float(ndtri(q))
 
 
 def make_distortion_normal() -> Distortion:
@@ -152,7 +153,8 @@ def _gini_h(p):
 
 
 def _gini_h_prime(p):
-    return 1.0 - 2.0 * np.asarray(p, dtype=float)
+    q = 2.0 * np.asarray(p, dtype=float)
+    return np.subtract(1.0, q, out=q) if q.ndim else 1.0 - q
 
 
 def make_distortion_gini() -> Distortion:

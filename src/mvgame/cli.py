@@ -131,8 +131,12 @@ def cmd_iterate(cfg: ExperimentConfig, out_dir: str) -> int:
             failures.append(f"mean iteration error {it.sup_err} > bound {it.bound} at n={it.n}")
 
     for i in (0, 1):
-        hist = pit.run_response_iteration(agents[i], cfg.market, horizon,
-                                          n_max=25, tol=1e-6)
+        try:
+            hist = pit.run_response_iteration(agents[i], cfg.market, horizon,
+                                              n_max=25, tol=1e-6)
+        except eqm.NonFiniteCoefficientError as exc:
+            raise eqm.NonFiniteCoefficientError(
+                f"agent {i + 1}: response iterate: {exc}") from None
         slack = 1e-9 * max(hist.iterates[0].sup_err_a1, hist.iterates[0].sup_err_a2)
         for it in hist.iterates:
             if it.sup_err_a2 > it.bound_a2 + slack:
@@ -327,9 +331,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (np.linalg.LinAlgError, eqm.NonFiniteCoefficientError) as exc:
-        # LinAlgError is a ValueError subclass, so it must be caught before
-        # the clause below
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        # Python-float overflow, underflow to a zero divisor, and non-finite
+        # coefficients.  LinAlgError is a ValueError subclass, so it must be
+        # caught before the clause below.
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (ValueError, OSError) as exc:

@@ -64,6 +64,11 @@ class NonFiniteCoefficientError(ArithmeticError):
     equilibrium's arithmetic (a numerical failure, not a malformed config)."""
 
 
+def _require_finite(name: str, values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteCoefficientError(f"coefficient {name} is not finite")
+
+
 def _spline(times, rows):
     # scipy.interpolate is imported where a spline is fitted: the commands
     # evaluate closed forms and read grids only at their nodes.
@@ -93,9 +98,7 @@ class CoefficientSet:
         self.b = np.asarray(self.b, dtype=float)
         for prefix, rows in (("a", self.a), ("b", self.b)):
             for k, row in enumerate(rows):
-                if not np.all(np.isfinite(row)):
-                    raise NonFiniteCoefficientError(
-                        f"coefficient {prefix}{k} is not finite")
+                _require_finite(f"{prefix}{k}", row)
 
     @cached_property
     def _a_spline(self):

@@ -56,6 +56,11 @@ _U_MIN = 2.0 ** -53
 # 3 MB lower.
 _BLOCK_ROWS = 128
 
+# Episodes per run_episode_batch call in estimate_objective.  The batches
+# read one stream in turn, so this constant fixes the stream's layout: every
+# estimate depends only on the generator and the episode count.
+_MC_BLOCK = 1000
+
 
 class SimulationDivergedError(RuntimeError):
     """A simulated path produced non-finite or guard-exceeding values."""
@@ -313,18 +318,30 @@ def run_episode_batch(params: MarketParams, agents, policies, cfg: SimConfig,
     resid_sumsq = np.zeros((2, n))
     _state_step(params, cfg, rel, states)
     blocks = [slice(s, s + _BLOCK_ROWS) for s in range(0, n_episodes, _BLOCK_ROWS)]
+    # A block keeps at most three block-sized temporaries alive, and frees
+    # them before the next block starts (estimate_objective's memory bound).
     for blk in blocks:
         y, s_disc = _price_step(params, cfg, rel[blk], states[blk])
-        rel[blk] = np.diff(s_disc, axis=1) / s_disc[:, :-1]
         states[blk] = y[:, :-1]
+        del y
+        np.divide(np.diff(s_disc, axis=1), s_disc[:, :-1], out=rel[blk])
+        del s_disc
     for i, (slope, intercept, std, dist) in enumerate(laws):
         for blk in blocks:
-            mean = slope * states[blk] + intercept
-            u = location_scale_quantile(mean, std, dist, _draw_uniforms(rng, mean.shape))
-            res = u - mean
-            resid_sum[i] += res.sum(axis=0)
-            resid_sumsq[i] += (res * res).sum(axis=0)
+            # The centred quantile plus the mean, added in place, is
+            # location_scale_quantile(mean, ...) without the mean held through
+            # the call.
+            u = location_scale_quantile(0.0, std, dist,
+                                        _draw_uniforms(rng, states[blk].shape))
+            mean = slope * states[blk]
+            mean += intercept
+            u += mean
             x_T[i, blk] = x0[i] + np.sum(u * rel[blk], axis=1)
+            u -= mean  # the residual
+            resid_sum[i] += u.sum(axis=0)
+            u *= u
+            resid_sumsq[i] += u.sum(axis=0)
+            del u, mean
 
     _check_finite(x_T)
     k = np.array([[a.k] for a in agents])
@@ -361,7 +378,7 @@ def _regularizer_integral(agent, policy, t_grid: np.ndarray, dt: float) -> float
 
 def estimate_objective(agent_index: int, agents, policies, params: MarketParams,
                        cfg: SimConfig, n_episodes: int, rng: np.random.Generator,
-                       chunk_size: int = 20000) -> ObjectiveEstimate:
+                       chunk_size: int = _MC_BLOCK) -> ObjectiveEstimate:
     """Monte Carlo estimate of the regularized mean-variance objective
 
         E[int lam(s) Phi_h(Pi(s)) ds + Xhat(T)] - (gamma/2) Var[Xhat(T)]
@@ -369,11 +386,13 @@ def estimate_objective(agent_index: int, agents, policies, params: MarketParams,
     for the given agent, with a delta-method standard error for the
     mean-minus-scaled-variance combination.
 
-    Episodes run ``chunk_size`` at a time, which sets memory: about
-    2 x 8 x chunk_size x n_steps bytes.  The chunks read one stream in turn,
-    so the estimate also depends on ``chunk_size``: table2's agent 1 at 4000
-    episodes from ``episode_generator(7, 10_000)`` reads 0.921689 with chunk
-    1000 and 0.923104 with chunk 2000.
+    Episodes run in batches of ``_MC_BLOCK`` = 1000, the last one shorter,
+    and each batch reads its dB, dB~ and both agents' uniforms from ``rng``
+    in turn.  The estimate therefore depends only on ``rng`` and
+    ``n_episodes``, and the batches hold about 2 x 8 x 1000 x n_steps bytes
+    (4 MB at 250 steps) whatever ``n_episodes`` is.  ``chunk_size`` must be
+    >= 1 but changes neither the result nor the memory; it stays because
+    ``perfbench/workloads.py`` reads its default.
     """
     if n_episodes < 2:
         raise ValueError("need at least 2 episodes to estimate a variance")
@@ -384,10 +403,10 @@ def estimate_objective(agent_index: int, agents, policies, params: MarketParams,
     reg = _regularizer_integral(agent, policies[agent_index], t_grid, cfg.dt)
 
     samples = np.empty(n_episodes)
-    for done in range(0, n_episodes, chunk_size):
+    for done in range(0, n_episodes, _MC_BLOCK):
         batch = run_episode_batch(params, agents, policies, cfg,
-                                  min(chunk_size, n_episodes - done), rng)
-        samples[done:done + chunk_size] = batch.xhat_T[agent_index]
+                                  min(_MC_BLOCK, n_episodes - done), rng)
+        samples[done:done + _MC_BLOCK] = batch.xhat_T[agent_index]
 
     mean_T = float(samples.mean())
     centered = samples - mean_T

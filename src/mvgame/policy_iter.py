@@ -32,8 +32,9 @@ import numpy as np
 
 from ._integrate import half_grid, rk4_backward_affine
 from ._table import write_table
-from .equilibrium import (DEFAULT_GRID_SIZE, EquilibriumPolicy, _mean_base,
-                          a_coeffs_closed_form, couple_means, equilibrium_std)
+from .equilibrium import (DEFAULT_GRID_SIZE, EquilibriumPolicy, NonFiniteCoefficientError,
+                          _mean_base, _require_finite, a_coeffs_closed_form,
+                          couple_means, equilibrium_std)
 from .market import AgentParams, MarketParams
 
 __all__ = [
@@ -94,6 +95,18 @@ class MeanHistory:
     contraction_rate: float
 
 
+def _on_half_grid(name: str, t, th, grid):
+    """``grid`` on the uniform grid ``t``, cubic-interpolated at the half
+    steps ``th``.  CubicSpline raises ValueError when its slopes overflow (a
+    grid step near 1e154 or more): a numerical failure, not bad input."""
+    from scipy.interpolate import CubicSpline
+
+    try:
+        return CubicSpline(t, grid)(th)
+    except ValueError as exc:
+        raise NonFiniteCoefficientError(f"coefficient {name}: {exc}") from None
+
+
 def iterate_response(prev, agent: AgentParams, market: MarketParams,
                      horizon: float, grid_size: int = DEFAULT_GRID_SIZE, *,
                      prev_a2_half=None):
@@ -106,9 +119,9 @@ def iterate_response(prev, agent: AgentParams, market: MarketParams,
     call returned it; it is interpolated here when not given.
 
     Returns (a1 grid, a2 grid, a2 on the half grid) of the new iterate.
+    Raises ``NonFiniteCoefficientError`` if either new grid or a spline fit
+    overflows.
     """
-    from scipy.interpolate import CubicSpline
-
     prev_a1, prev_a2 = (np.asarray(p, dtype=float) for p in prev)
     if len(prev_a1) != grid_size or len(prev_a2) != grid_size:
         raise ValueError(
@@ -120,15 +133,16 @@ def iterate_response(prev, agent: AgentParams, market: MarketParams,
     dt = t[1] - t[0]
     rv = market.rho * market.v
     if prev_a2_half is None:
-        prev_a2_half = CubicSpline(t, prev_a2)(th)
-    prev_a1_h = CubicSpline(t, prev_a1)(th)
+        prev_a2_half = _on_half_grid("a2", t, th, prev_a2)
+    prev_a1_h = _on_half_grid("a1", t, th, prev_a1)
 
     beta2 = 2.0 * rv * prev_a2_half - 2.0 / agent.gamma
     a2_new = rk4_backward_affine(beta2, 2.0 * market.iota, dt, 0.0)
-
-    a2_new_h = CubicSpline(t, a2_new)(th)
+    _require_finite("a2", a2_new)
+    a2_new_h = _on_half_grid("a2", t, th, a2_new)
     beta1 = rv * prev_a1_h - market.iota * market.y_bar * a2_new_h
     a1_new = rk4_backward_affine(beta1, market.iota, dt, 0.0)
+    _require_finite("a1", a1_new)
     return a1_new, a2_new, a2_new_h
 
 

@@ -1,6 +1,20 @@
+import tempfile
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from mvgame import choquet, equilibrium, market
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a failure reproduces.  Hypothesis still caches the constants
+# it reads from local modules; that cache lives in a directory removed at
+# exit, so the suite leaves no .hypothesis/ behind.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture(scope="session")

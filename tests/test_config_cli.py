@@ -1,12 +1,16 @@
 import csv
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import mvgame
 from mvgame import cli, rl
@@ -303,6 +307,90 @@ class TestCliErrors:
         path = tmp_path / "cfg.ini"
         path.write_text(_set_key(t1_text, "agent1", "lambda0", "60"))
         _assert_one_exit_4_line(tmp_path, command, path, line)
+
+    @pytest.mark.parametrize("key,value,command", [
+        ("sigma", "1e-300", "simulate"), ("sigma", "1e-300", "equilibrium"),
+        ("sigma", "1e200", "simulate"), ("sigma", "1e200", "equilibrium"),
+        ("sigma", "1e200", "train"),
+        ("v", "1e200", "equilibrium"), ("v", "1e200", "iterate"), ("v", "1e200", "train")])
+    def test_python_float_failure_exit_4(self, tmp_path, capsys, key, value, command):
+        """sigma**2 underflowing to a zero divisor, or a Python float
+        overflowing, is a numerical failure: exit 4 and one message."""
+        cfg = replace(table2_config(), replications=1,
+                      train=replace(table2_config().train, episodes=5, critic_warmup=1,
+                                    n_steps=10))
+        path = tmp_path / "cfg.ini"
+        path.write_text(_set_key(serialize_config(cfg), "market", key, value))
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("numerical failure: ")
+        assert "config error" not in err and "Traceback" not in err
+
+    def test_non_finite_response_iterate_exit_4(self, tmp_path):
+        """A horizon of 1e6 overflows the response iteration's RK4 iterates:
+        a numerical failure, not CubicSpline's complaint as a config error."""
+        path = tmp_path / "cfg.ini"
+        path.write_text(_set_key(serialize_config(table2_config()), "sim", "horizon",
+                                 "1e6"))
+        _assert_one_exit_4_line(
+            tmp_path, "iterate", path,
+            "numerical failure: agent 1: response iterate: coefficient a2 is not finite")
+
+    def test_overflowing_spline_fit_exit_4(self, tmp_path, capsys):
+        """With a horizon of 1e160 the iterates stay finite, but the spline
+        through them overflows its slopes on the 2.5e156 grid step."""
+        path = tmp_path / "cfg.ini"
+        path.write_text(_set_key(serialize_config(table2_config()), "sim", "horizon",
+                                 "1e160"))
+        assert cli.main(["iterate", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: agent 1: response iterate: coefficient a2: ")
+        assert "config error" not in err
+
+
+_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_UNIT = st.floats(0.0, 1.0, exclude_max=True)
+# Valid draws of each key; one key at a time may be replaced by a bad value.
+_WIDE_VALID = {
+    ("market", "sigma"): _MAGNITUDE, ("market", "v"): _MAGNITUDE,
+    ("market", "rho"): st.floats(-1.0, 1.0),
+    ("market", "iota"): st.one_of(st.just(0.0), _MAGNITUDE),
+    ("agent1", "gamma"): _MAGNITUDE, ("agent1", "k"): _UNIT,
+    ("agent1", "lambda0"): _MAGNITUDE,
+    ("agent2", "gamma"): _MAGNITUDE, ("agent2", "k"): _UNIT,
+    ("agent2", "lambda0"): _MAGNITUDE,
+    ("sim", "horizon"): _MAGNITUDE, ("train", "horizon"): _MAGNITUDE,
+}
+_BAD_VALUE = st.tuples(st.sampled_from(sorted(_WIDE_VALID)), st.sampled_from(
+    [0.0, -1.0, 1.0, 1.5, -1.5, math.nan, math.inf, -math.inf]))
+
+
+@given(values=st.fixed_dictionaries(_WIDE_VALID), bad=st.one_of(st.none(), _BAD_VALUE),
+       n_steps=st.integers(1, 10))
+@settings(max_examples=50, phases=(Phase.explicit, Phase.generate))
+def test_every_command_exits_with_a_defined_code(values, bad, n_steps):
+    """Parameters from 1e-300 to 1e300, and one invalid value at times, at
+    tiny sizes: every command exits 0, 2, 3 or 4, and none raises.  Each
+    example runs four commands, so a failing one is reported as drawn, not
+    shrunk."""
+    cfg = replace(table2_config(), replications=1,
+                  train=replace(table2_config().train, episodes=3, critic_warmup=1))
+    if bad is not None:
+        values = {**values, bad[0]: bad[1]}
+    text = serialize_config(cfg)
+    for (section, key), value in values.items():
+        text = _set_key(text, section, key, repr(value))
+    for section in ("sim", "train"):
+        text = _set_key(text, section, "n_steps", str(n_steps))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.ini")
+        with open(path, "w") as f:
+            f.write(text)
+        for command in ("simulate", "equilibrium", "iterate", "train"):
+            code = cli.main([command, "--config", path, "--out", os.path.join(tmp, "o")])
+            assert code in (0, 2, 3, 4), (command, code)
 
 
 def _assert_one_exit_4_line(tmp_path, command, config_path, line_start):

@@ -246,7 +246,7 @@ class TestEpisodeBatch:
                                   engine)
         xhat, resid_sum, resid_sumsq = per_step_batch(
             bench_market, agents_short, pols, cfg, n_episodes, reference)
-        # estimate_objective feeds one generator chunk after chunk, so the
+        # estimate_objective feeds one generator batch after batch, so the
         # blocks' draws must leave it where whole-batch draws do
         assert np.array_equal(engine.random(8), reference.random(8))
         assert batch.n_episodes == n_episodes
@@ -352,21 +352,62 @@ class TestEstimateObjective:
                                       cfg, 10, episode_generator(1, 0),
                                       chunk_size=chunk_size)
 
+    def test_estimate_does_not_depend_on_chunk_size(self, bench_market, agents_short,
+                                                    policies_short):
+        """Every chunk_size reads the stream in the same 1000-episode batches,
+        and the estimate is the statistics of their samples."""
+        cfg, n = SimConfig(horizon=1.0, n_steps=20, seed=17), 2500
+        rng = episode_generator(17, 3)
+        samples = np.concatenate([
+            run_episode_batch(bench_market, agents_short, policies_short, cfg,
+                              min(1000, n - done), rng).xhat_T[0]
+            for done in range(0, n, 1000)])
+        mean_T = float(samples.mean())
+        centered = samples - mean_T
+        var_T = float(np.sum(centered ** 2) / (n - 1))
+        mu3, mu4 = float(np.mean(centered ** 3)), float(np.mean(centered ** 4))
+        g = agents_short[0].gamma
+        var_est = (var_T + 0.25 * g * g * (mu4 - var_T ** 2) - g * mu3) / n
+        reg = market._regularizer_integral(agents_short[0], policies_short[0],
+                                           np.linspace(0.0, 1.0, 21), cfg.dt)
+        reference = (reg + mean_T - 0.5 * g * var_T, float(np.sqrt(max(var_est, 0.0))),
+                     mean_T, var_T)
+        for chunk_size in (1, 999, 1000, 1001, 20000, None):
+            kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
+            est = market.estimate_objective(0, agents_short, policies_short,
+                                            bench_market, cfg, n,
+                                            episode_generator(17, 3), **kwargs)
+            got = (est.value, est.std_error, est.mean_terminal, est.var_terminal)
+            assert repr(got) == repr(reference), chunk_size
+
+    def test_peak_memory_is_one_batch(self, bench_market, agents_short, policies_short):
+        """The 1000-episode batches bound memory whatever the episode count:
+        two batch arrays, half of one more for the block temporaries, and
+        the samples."""
+        n_episodes, cfg = 20000, SimConfig(horizon=1.0, n_steps=250, seed=3)
+        market.estimate_objective(0, agents_short, policies_short, bench_market, cfg,
+                                  200, episode_generator(3, 0))
+        tracemalloc.start()
+        try:
+            market.estimate_objective(0, agents_short, policies_short, bench_market,
+                                      cfg, n_episodes, episode_generator(3, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * 1000 * cfg.n_steps + 8 * n_episodes
+
 
 # Monte Carlo outputs of the engine that built each episode block from
 # per-block policy calls on whole-batch state and price arrays (the commit
-# before the block-wise engine), on the ``agents_short`` fixtures.  The
-# random streams are the same, so only the arithmetic of the policy means
-# may move the values, by round-off.
+# before the block-wise engine), on the ``agents_short`` fixtures, with
+# chunk_size=1000.  That is the layout of estimate_objective's fixed
+# 1000-episode batches, so every chunk_size must reproduce them; only the
+# arithmetic of the policy means may move the values, by round-off.
 PINNED_ESTIMATES = {  # (chunk_size, agent): value, std_error, mean_terminal, var_terminal
     (1000, 0): (0.9244927660589548, 0.0029949038932629564, 0.9413044703635743,
                 0.021811704304619595),
     (1000, 1): (0.9661896519988654, 0.0018974034439156442, 0.9777948750129534,
                 0.009053687770708772),
-    (None, 0): (0.9270926827631832, 0.0028887322040711777, 0.9433658722634297,
-                0.021273189500246523),
-    (None, 1): (0.9618798139463272, 0.0019616921438276504, 0.9743878714192616,
-                0.009655577409939832),
 }
 PINNED_RESID_SUM = [
     [13.388341068065891, -15.21922080083673, -0.1776804574052795, 0.28313575915713174,
@@ -397,7 +438,7 @@ class TestPinnedMonteCarlo:
                                             bench_market, cfg, 3000,
                                             episode_generator(31, 10_000 + i), **kwargs)
             got = (est.value, est.std_error, est.mean_terminal, est.var_terminal)
-            np.testing.assert_allclose(got, PINNED_ESTIMATES[chunk_size, i],
+            np.testing.assert_allclose(got, PINNED_ESTIMATES[1000, i],
                                        rtol=1e-12, atol=0)
 
     def test_residual_moments_match_pinned_values(self, bench_market, agents_short,
