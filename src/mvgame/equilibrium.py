@@ -13,7 +13,9 @@ equation induces on the quadratic ansatz.  Equilibrium action means solve a
 2x2 linear system coupling the two agents through their sensitivities, and
 read only the closed-form a1, a2, so a policy needs no solved grid; the
 action standard deviation lam_i(t) ||h_i'||_2 / (gamma_i sigma^2) involves
-only the agent's own preferences.
+only the agent's own preferences.  A solved set answers node queries (such
+as V_i at t = 0 for the Monte Carlo value check) from its grid; only
+off-node values and all time derivatives fit a cubic spline.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from ._integrate import half_grid, rk4_backward_affine
 from ._table import write_table
 from .choquet import Distortion, build_optimal_quantile, location_scale_quantile
-from .market import AgentParams, MarketParams
+from .market import AgentParams, MarketParams, _square
 
 __all__ = [
     "CoefficientSet",
@@ -71,7 +73,7 @@ def _require_finite(name: str, values) -> None:
 
 def _spline(times, rows):
     # scipy.interpolate is imported where a spline is fitted: the commands
-    # evaluate closed forms and read grids only at their nodes.
+    # evaluate closed forms, and node queries read the grid.
     from scipy.interpolate import CubicSpline
 
     return CubicSpline(times, rows, axis=1)
@@ -82,8 +84,9 @@ class CoefficientSet:
     """Time-indexed coefficients of one agent's (g, V) quadratic forms.
 
     ``a`` and ``b`` are (3, n) arrays with rows (a0, a1, a2) / (b0, b1, b2)
-    on the uniform grid ``times``; off-grid queries use cubic interpolation,
-    fitted on the first query.  Construction raises
+    on the uniform grid ``times``.  ``a_at``/``b_at`` read the grid's columns
+    when every queried t is a node; off-node values and all derivatives use
+    a cubic spline, fitted on the first such query.  Construction raises
     :class:`NonFiniteCoefficientError` on any inf or nan, naming the row.
     Immutable after solving.
     """
@@ -108,12 +111,21 @@ class CoefficientSet:
     def _b_spline(self):
         return _spline(self.times, self.b)
 
+    def _at(self, grid, spline, t):
+        # Node queries read the grid's own columns, exact zeros at T included,
+        # and need no spline; the spline is fitted for off-node t only.
+        t = np.asarray(t, dtype=float)
+        k = np.minimum(np.searchsorted(self.times, t), len(self.times) - 1)
+        if np.all(self.times[k] == t):
+            return np.take(grid, k, axis=1)
+        return getattr(self, spline)(t)
+
     def a_at(self, t):
         """(a0, a1, a2) at t; vectorized over t."""
-        return self._a_spline(t)
+        return self._at(self.a, "_a_spline", t)
 
     def b_at(self, t):
-        return self._b_spline(t)
+        return self._at(self.b, "_b_spline", t)
 
     def a_deriv(self, t):
         """(a0', a1', a2') from the interpolant derivative (numeric, not the ODE)."""
@@ -146,8 +158,9 @@ def a_coeffs_closed_form(agent: AgentParams, market: MarketParams, horizon: floa
         a2 = 2.0 * tau / g
         a1 = market.iota * market.y_bar * tau ** 2 / g
     else:
+        c2 = _square("the rate iota + rho*v", c, divisor=True)
         a2 = -np.expm1(-2.0 * c * tau) / (g * c)
-        a1 = market.iota * market.y_bar * np.expm1(-c * tau) ** 2 / (g * c ** 2)
+        a1 = market.iota * market.y_bar * np.expm1(-c * tau) ** 2 / (g * c2)
     return a1, a2
 
 
@@ -161,7 +174,7 @@ def solve_a_coeffs(agent: AgentParams, market: MarketParams, horizon: float,
     a1, a2 = a_coeffs_closed_form(agent, market, horizon, t)
     th = half_grid(t)
     a1_h, a2_h = a_coeffs_closed_form(agent, market, horizon, th)
-    beta = -a1_h * market.iota * market.y_bar - 0.5 * market.v ** 2 * a2_h
+    beta = -a1_h * market.iota * market.y_bar - 0.5 * _square("[market] v", market.v) * a2_h
     a0 = rk4_backward_affine(beta, 0.0, t[1] - t[0], 0.0)
     return a0, a1, a2
 
@@ -200,6 +213,8 @@ def equilibrium_std(agent: AgentParams, market: MarketParams) -> Callable:
     """t -> lam(t) ||h'||_2 / (gamma sigma^2), the agent's equilibrium std."""
     if market.sigma <= 0.0:
         raise ValueError("equilibrium requires a strictly positive sigma")
+    # _std divides by sigma^2: an overflow or a zero square is named here.
+    _square("[market] sigma", market.sigma, divisor=True)
     return partial(_std, agent, market.sigma)
 
 
@@ -226,8 +241,8 @@ def solve_b_coeffs(agent_i: AgentParams, agent_j: AgentParams, market: MarketPar
     a1_h, a2_h = a_coeffs_closed_form(agent_i, market, horizon, th)
 
     g = agent_i.gamma
-    s2 = market.sigma ** 2
-    v2 = market.v ** 2
+    s2 = _square("[market] sigma", market.sigma, divisor=True)
+    v2 = _square("[market] v", market.v)
     rv = market.rho * market.v
     ortho = v2 * (1.0 - market.rho ** 2)
     iy = market.iota * market.y_bar

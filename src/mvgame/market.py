@@ -66,6 +66,19 @@ class SimulationDivergedError(RuntimeError):
     """A simulated path produced non-finite or guard-exceeding values."""
 
 
+def _square(name: str, x: float, divisor: bool = False) -> float:
+    """x**2 for a Python float.  An overflow, or for a ``divisor`` an
+    underflow to 0, raises an ArithmeticError (a numerical failure) whose
+    message names ``name``, not just the operation."""
+    try:
+        sq = x ** 2
+    except OverflowError:
+        raise OverflowError(f"{name} = {x!r}: its square overflows") from None
+    if divisor and sq == 0.0:
+        raise ZeroDivisionError(f"{name} = {x!r}: its square underflows to 0")
+    return sq
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Constants of the Gaussian mean-return model."""
@@ -227,7 +240,7 @@ def _price_step(params: MarketParams, cfg: SimConfig, db, state):
     # Discounted price: d(log S) = (r + sigma*Y - sigma^2/2) dt + sigma dB,
     # then e^{-rt} S(t); the r terms cancel.  The log increments overwrite dB.
     db *= params.sigma
-    db += (params.sigma * y[:, :-1] - 0.5 * params.sigma ** 2) * dt
+    db += (params.sigma * y[:, :-1] - 0.5 * _square("[market] sigma", params.sigma)) * dt
     s_disc = np.empty((len(db), n + 1))
     s_disc[:, 0] = 1.0
     np.exp(np.cumsum(db, axis=1, out=s_disc[:, 1:]), out=s_disc[:, 1:])

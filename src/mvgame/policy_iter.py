@@ -191,7 +191,8 @@ def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: fl
     history = [IterateState(n=0, a1=a1, a2=a2, sup_err_a1=m_a1, sup_err_a2=m_a2,
                             bound_a1=factorial_bound_a1(0, horizon, market, m_a1, m_a2),
                             bound_a2=factorial_bound_a2(0, horizon, market, m_a2))]
-    converged = max(m_a1, m_a2) < tol
+    # both errors compared, so a nan in either one is never converged
+    converged = m_a1 < tol and m_a2 < tol
     n = 0
     a2_half = None
     while not converged and n < n_max:
@@ -204,7 +205,7 @@ def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: fl
             n=n, a1=a1, a2=a2, sup_err_a1=err1, sup_err_a2=err2,
             bound_a1=factorial_bound_a1(n, horizon, market, m_a1, m_a2),
             bound_a2=factorial_bound_a2(n, horizon, market, m_a2)))
-        converged = max(err1, err2) < tol
+        converged = err1 < tol and err2 < tol
     return ResponseHistory(times=t, iterates=history, converged=converged, tol=tol)
 
 

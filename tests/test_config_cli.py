@@ -327,6 +327,60 @@ class TestCliErrors:
         assert err.splitlines()[-1].startswith("numerical failure: ")
         assert "config error" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("market,command,code,line", [
+        ({"sigma": "1e200"}, "equilibrium", 4, "[market] sigma = 1e+200: its square overflows"),
+        ({"sigma": "1e200"}, "simulate", 4, "[market] sigma = 1e+200: its square overflows"),
+        ({"sigma": "1e200"}, "train", 4, "[market] sigma = 1e+200: its square overflows"),
+        ({"sigma": "1e-300"}, "equilibrium", 4,
+         "[market] sigma = 1e-300: its square underflows to 0"),
+        ({"sigma": "1e-300"}, "simulate", 4,
+         "[market] sigma = 1e-300: its square underflows to 0"),
+        ({"v": "1e200"}, "equilibrium", 4,
+         "the rate iota + rho*v = -9.3e+199: its square overflows"),
+        ({"v": "1e200", "rho": "0.0"}, "equilibrium", 4,
+         "[market] v = 1e+200: its square overflows"),
+        ({"sigma": "1e200"}, "iterate", 0, None),
+        ({"sigma": "1e-300"}, "iterate", 0, None)],
+        ids=["sigma-equilibrium", "sigma-simulate", "sigma-train", "tiny-sigma-equilibrium",
+             "tiny-sigma-simulate", "rate-equilibrium", "v-equilibrium", "sigma-iterate",
+             "tiny-sigma-iterate"])
+    def test_python_float_failure_names_the_term(self, tmp_path, capsys, market, command,
+                                                 code, line):
+        """A square that overflows, or a divisor's square that underflows to
+        0, names its [market] key or the rate; a command that never squares
+        the parameter keeps its exit code."""
+        cfg = replace(table2_config(), replications=1,
+                      train=replace(table2_config().train, episodes=5, critic_warmup=1,
+                                    n_steps=10))
+        text = serialize_config(cfg)
+        for key, value in market.items():
+            text = _set_key(text, "market", key, value)
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if line is None else f"numerical failure: {line}\n")
+
+    @pytest.mark.parametrize("preset,section,key,value,command,line", [
+        ("table2", "market", "v", "1e200", "iterate",
+         "numerical failure: the rate iota + rho*v = -9.3e+199: its square overflows"),
+        ("table2", "market", "v", "1e200", "train",
+         "numerical failure: the rate iota + rho*v = -9.3e+199: its square overflows"),
+        ("table1", "sim", "horizon", "1e160", "iterate",
+         "numerical failure: agent 1: response iterate: coefficient a2: ")],
+        ids=["v-iterate", "v-train", "horizon-iterate"])
+    def test_iterate_and_train_print_no_numpy_warning(self, tmp_path, preset, section,
+                                                      key, value, command, line):
+        """An overflowing closed form or response-iterate spline is reported
+        alone on stderr, without numpy's overflow warnings."""
+        cfg = table2_config() if preset == "table2" else table1_config()
+        cfg = replace(cfg, replications=1,
+                      train=replace(cfg.train, episodes=5, critic_warmup=1, n_steps=10))
+        path = tmp_path / "cfg.ini"
+        path.write_text(_set_key(serialize_config(cfg), section, key, value))
+        _assert_one_exit_4_line(tmp_path, command, path, line)
+
     def test_non_finite_response_iterate_exit_4(self, tmp_path):
         """A horizon of 1e6 overflows the response iteration's RK4 iterates:
         a numerical failure, not CubicSpline's complaint as a config error."""
@@ -503,6 +557,35 @@ class TestIterateCommand:
         path.write_text(t1_text)
         assert cli.main(["iterate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert f"{want} " in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("engine", ["mean", "response"])
+    def test_nan_error_fails_the_certificate(self, tmp_path, t1_text, capsys,
+                                             monkeypatch, engine):
+        """A nan error compares False with its bound; it must fail the
+        certificate, not pass it."""
+        if engine == "mean":
+            def with_nan(*args, **kwargs):
+                hist = simultaneous(*args, **kwargs)
+                hist.iterates[-1].sup_err = math.nan
+                return hist
+
+            simultaneous = cli.pit.simultaneous_mean_iteration
+            monkeypatch.setattr(cli.pit, "simultaneous_mean_iteration", with_nan)
+            want = "mean iteration error nan"
+        else:
+            def with_nan(*args, **kwargs):
+                hist = response(*args, **kwargs)
+                hist.iterates[-1].sup_err_a1 = math.nan
+                return hist
+
+            response = cli.pit.run_response_iteration
+            monkeypatch.setattr(cli.pit, "run_response_iteration", with_nan)
+            want = "agent 1 a1 error nan"
+        path = tmp_path / "cfg.ini"
+        path.write_text(t1_text)
+        assert cli.main(["iterate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert f"{want} > " in capsys.readouterr().err
 
 
 class TestEquilibriumCommand:

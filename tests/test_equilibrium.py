@@ -273,6 +273,52 @@ class TestClosedFormMeans:
                           got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want))))
 
 
+class TestNodeValues:
+    """``a_at``/``b_at`` read the grid when every queried t is a node: the
+    spline's values bit for bit below T, and the exact terminal zeros at T,
+    where the spline leaves about 1e-19.  Off-node t still reads the spline."""
+
+    @staticmethod
+    def _pairs(cs):
+        from scipy.interpolate import CubicSpline
+
+        return [(cs.a_at, CubicSpline(cs.times, cs.a, axis=1)),
+                (cs.b_at, CubicSpline(cs.times, cs.b, axis=1))]
+
+    @pytest.mark.parametrize("preset", ["long", "short"])
+    def test_nodes_read_the_grid(self, coeffs_long, coeffs_short, preset):
+        for cs in coeffs_long if preset == "long" else coeffs_short:
+            nodes = cs.times
+            for at, spline in self._pairs(cs):
+                np.testing.assert_array_equal(at(nodes[:-1]), spline(nodes[:-1]))
+                for t in nodes[:-1:100]:
+                    np.testing.assert_array_equal(at(t), spline(t))
+                np.testing.assert_array_equal(at(nodes), np.column_stack(
+                    [spline(nodes[:-1]), np.zeros(3)]))
+                assert np.all(at(nodes[-1]) == 0.0) and at(nodes[-1]).shape == (3,)
+                assert np.all(at(nodes[-1:]) == 0.0) and at(nodes[-1:]).shape == (3, 1)
+
+    @pytest.mark.parametrize("preset", ["long", "short"])
+    def test_off_node_reads_the_spline(self, coeffs_long, coeffs_short, preset):
+        for cs in coeffs_long if preset == "long" else coeffs_short:
+            nodes = cs.times
+            between = nodes[:-1] + 0.37 * np.diff(nodes)
+            mixed = np.concatenate([nodes[:5], between[:5]])
+            for at, spline in self._pairs(cs):
+                for t in (between, mixed, between[7], 0.5 * (nodes[0] + nodes[1])):
+                    np.testing.assert_array_equal(at(t), spline(t))
+
+    @pytest.mark.parametrize("preset", ["long", "short"])
+    def test_value_functions_at_horizon_are_wealth(self, coeffs_long, coeffs_short,
+                                                   preset):
+        coeffs = coeffs_long if preset == "long" else coeffs_short
+        horizon = coeffs[0].times[-1]
+        for i in (0, 1):
+            for x, y in ((0.0, 0.4), (-3.0, -0.8)):
+                v, g = eqm.value_functions(i, horizon, x, y, coeffs)
+                assert (v, g) == (x, x)
+
+
 class TestValueFunctions:
     def test_terminal_identity(self, coeffs_long):
         v, g = eqm.value_functions(0, 20.0, 1.7, 0.4, coeffs_long)

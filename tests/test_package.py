@@ -101,3 +101,33 @@ print('scipy.integrate' in sys.modules)
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_value_check_loads_no_interpolate():
+    """The Monte Carlo value check compares a simulated objective with V_i at
+    t = 0, a grid node: with the closed-form policies, a fresh process that
+    solves, estimates and reads V_i at t = 0 and t = T never loads
+    ``scipy.interpolate``."""
+    probe = """
+import sys
+from dataclasses import replace
+from mvgame import equilibrium as eqm, market as mkt
+from mvgame.config import table2_config
+cfg = table2_config()
+sim = replace(cfg.sim, n_steps=20)
+agents = cfg.build_agents(sim.horizon)
+coeffs = eqm.solve_coefficients(agents, cfg.market, sim.horizon)
+policies = [eqm.closed_form_policy(i, agents, cfg.market, sim.horizon) for i in (0, 1)]
+for i in (0, 1):
+    mkt.estimate_objective(i, agents, policies, cfg.market, sim, 50,
+                           mkt.episode_generator(7, 10_000 + i))
+    for t in (0.0, sim.horizon):
+        eqm.value_functions(i, t, sim.x1_0, sim.y_0, coeffs)
+print('scipy.interpolate' in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

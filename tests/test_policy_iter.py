@@ -76,6 +76,21 @@ class TestResponseHistory:
         assert hist.converged
         assert hist.n_iterations == 0
 
+    @pytest.mark.parametrize("row", [0, 1], ids=["a1", "a2"])
+    def test_nan_error_never_converges(self, agents_long, bench_market, monkeypatch, row):
+        """A nan target makes that coefficient's error nan: not converged,
+        whichever of the two errors it is."""
+        def with_nan(*args):
+            targets = list(closed_form(*args))
+            targets[row] = np.where(targets[row] > 0.0, np.nan, targets[row])
+            return tuple(targets)
+
+        closed_form = pit.a_coeffs_closed_form
+        monkeypatch.setattr(pit, "a_coeffs_closed_form", with_nan)
+        hist = pit.run_response_iteration(agents_long[0], bench_market, 20.0,
+                                          n_max=1, tol=100.0)
+        assert not hist.converged
+
     def test_nonconvergence_reported_not_fatal(self, agents_long, bench_market):
         hist = pit.run_response_iteration(agents_long[0], bench_market, 20.0,
                                           n_max=2, tol=1e-12)
