@@ -15,7 +15,9 @@ read only the closed-form a1, a2, so a policy needs no solved grid; the
 action standard deviation lam_i(t) ||h_i'||_2 / (gamma_i sigma^2) involves
 only the agent's own preferences.  A solved set answers node queries (such
 as V_i at t = 0 for the Monte Carlo value check) from its grid; only
-off-node values and all time derivatives fit a cubic spline.
+off-node values and all time derivatives fit a cubic spline, the in-house
+``_spline`` fit, which imports ``scipy.linalg`` and never
+``scipy.interpolate``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from ._integrate import half_grid, rk4_backward_affine
+from ._spline import cubic_spline
 from ._table import write_table
 from .choquet import Distortion, build_optimal_quantile, location_scale_quantile
 from .market import AgentParams, MarketParams, _square
@@ -71,14 +74,6 @@ def _require_finite(name: str, values) -> None:
         raise NonFiniteCoefficientError(f"coefficient {name} is not finite")
 
 
-def _spline(times, rows):
-    # scipy.interpolate is imported where a spline is fitted: the commands
-    # evaluate closed forms, and node queries read the grid.
-    from scipy.interpolate import CubicSpline
-
-    return CubicSpline(times, rows, axis=1)
-
-
 @dataclass
 class CoefficientSet:
     """Time-indexed coefficients of one agent's (g, V) quadratic forms.
@@ -105,11 +100,11 @@ class CoefficientSet:
 
     @cached_property
     def _a_spline(self):
-        return _spline(self.times, self.a)
+        return cubic_spline(self.times, self.a, axis=1)
 
     @cached_property
     def _b_spline(self):
-        return _spline(self.times, self.b)
+        return cubic_spline(self.times, self.b, axis=1)
 
     def _at(self, grid, spline, t):
         # Node queries read the grid's own columns, exact zeros at T included,
@@ -159,8 +154,13 @@ def a_coeffs_closed_form(agent: AgentParams, market: MarketParams, horizon: floa
         a1 = market.iota * market.y_bar * tau ** 2 / g
     else:
         c2 = _square("the rate iota + rho*v", c, divisor=True)
-        a2 = -np.expm1(-2.0 * c * tau) / (g * c)
-        a1 = market.iota * market.y_bar * np.expm1(-c * tau) ** 2 / (g * c2)
+        gc, gc2 = g * c, g * c2
+        if gc == 0.0 or gc2 == 0.0:
+            raise ZeroDivisionError(
+                f"gamma = {g!r} times the {'' if gc == 0.0 else 'squared '}rate "
+                f"iota + rho*v = {c!r}: the product underflows to 0")
+        a2 = -np.expm1(-2.0 * c * tau) / gc
+        a1 = market.iota * market.y_bar * np.expm1(-c * tau) ** 2 / gc2
     return a1, a2
 
 
@@ -209,12 +209,21 @@ def _std(agent: AgentParams, vol: float, t):
     return agent.lam(t) * (agent.distortion.l2_norm / (agent.gamma * vol ** 2))
 
 
-def equilibrium_std(agent: AgentParams, market: MarketParams) -> Callable:
-    """t -> lam(t) ||h'||_2 / (gamma sigma^2), the agent's equilibrium std."""
+def _check_std_divisor(agent: AgentParams, market: MarketParams) -> None:
+    """Check gamma sigma^2, the divisor of the agent's std: sigma must be
+    positive, and an overflowing sigma^2 or a product underflowing to 0 is
+    named here rather than left to a bare division error."""
     if market.sigma <= 0.0:
         raise ValueError("equilibrium requires a strictly positive sigma")
-    # _std divides by sigma^2: an overflow or a zero square is named here.
-    _square("[market] sigma", market.sigma, divisor=True)
+    if agent.gamma * _square("[market] sigma", market.sigma, divisor=True) == 0.0:
+        raise ZeroDivisionError(
+            f"gamma = {agent.gamma!r} times the squared [market] sigma = "
+            f"{market.sigma!r}: the product underflows to 0")
+
+
+def equilibrium_std(agent: AgentParams, market: MarketParams) -> Callable:
+    """t -> lam(t) ||h'||_2 / (gamma sigma^2), the agent's equilibrium std."""
+    _check_std_divisor(agent, market)
     return partial(_std, agent, market.sigma)
 
 
@@ -231,11 +240,14 @@ def solve_b_coeffs(agent_i: AgentParams, agent_j: AgentParams, market: MarketPar
               + (gamma/2)*sigma^2*k^2*sigma_j(t)^2 - lam(t)^2||h'||_2^2/(2*gamma*sigma^2)
 
     with zero terminal values; a1, a2 are the agent's own closed forms and
-    sigma_j is the opponent's equilibrium std.
+    sigma_j is the opponent's equilibrium std.  At k = 0 the opponent term
+    is left out and sigma_j never built, so the grids do not depend on
+    agent_j.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size!r}")
-    sigma_j = equilibrium_std(agent_j, market)
+    # b0's last term divides by 2 gamma sigma^2, the agent's std divisor.
+    _check_std_divisor(agent_i, market)
     t = np.linspace(0.0, horizon, grid_size)
     th = half_grid(t)
     a1_h, a2_h = a_coeffs_closed_form(agent_i, market, horizon, th)
@@ -255,9 +267,11 @@ def solve_b_coeffs(agent_i: AgentParams, agent_j: AgentParams, market: MarketPar
     beta = np.empty((len(th), 3))
     beta[:, 0] = 2.0 * rv * a2_h + g * ortho * a2_h ** 2 - 1.0 / g
     beta[:, 1] = rv * a1_h + g * ortho * a1_h * a2_h
-    beta[:, 2] = (0.5 * g * ortho * a1_h ** 2
-                  + 0.5 * g * s2 * agent_i.k ** 2 * sigma_j(th) ** 2
-                  - agent_i.lam(th) ** 2 * l2 ** 2 / (2.0 * g * s2))
+    b0_rate = 0.5 * g * ortho * a1_h ** 2
+    if agent_i.k != 0.0:
+        sigma_j = equilibrium_std(agent_j, market)
+        b0_rate = b0_rate + 0.5 * g * s2 * agent_i.k ** 2 * sigma_j(th) ** 2
+    beta[:, 2] = b0_rate - agent_i.lam(th) ** 2 * l2 ** 2 / (2.0 * g * s2)
     sol = rk4_backward_affine(beta, alpha, t[1] - t[0], np.zeros(3))
     return sol[:, 2], sol[:, 1], sol[:, 0]
 

@@ -31,6 +31,7 @@ from functools import partial
 import numpy as np
 
 from ._integrate import half_grid, rk4_backward_affine
+from ._spline import cubic_spline
 from ._table import write_table
 from .equilibrium import (DEFAULT_GRID_SIZE, EquilibriumPolicy, NonFiniteCoefficientError,
                           _mean_base, _require_finite, a_coeffs_closed_form,
@@ -97,12 +98,12 @@ class MeanHistory:
 
 def _on_half_grid(name: str, t, th, grid):
     """``grid`` on the uniform grid ``t``, cubic-interpolated at the half
-    steps ``th``.  CubicSpline raises ValueError when its slopes overflow (a
-    grid step near 1e154 or more): a numerical failure, not bad input."""
-    from scipy.interpolate import CubicSpline
-
+    steps ``th`` by the in-house spline (which loads only ``scipy.linalg``,
+    never ``scipy.interpolate``).  The fit raises ValueError when its slopes
+    overflow (a grid step near 1e154 or more): a numerical failure, not bad
+    input."""
     try:
-        return CubicSpline(t, grid)(th)
+        return cubic_spline(t, grid)(th)
     except ValueError as exc:
         raise NonFiniteCoefficientError(f"coefficient {name}: {exc}") from None
 
@@ -255,10 +256,8 @@ def response_policy(agent: AgentParams, market: MarketParams, horizon: float,
     coefficient grids, std lam(t)||h'||_2/(gamma sigma^2) pinned by the
     first-order condition -- the iteration moves only the mean.
     """
-    from scipy.interpolate import CubicSpline
-
-    a1_sp = CubicSpline(np.asarray(times, dtype=float), np.asarray(a1_grid, dtype=float))
-    a2_sp = CubicSpline(np.asarray(times, dtype=float), np.asarray(a2_grid, dtype=float))
+    a1_sp = cubic_spline(times, a1_grid)
+    a2_sp = cubic_spline(times, a2_grid)
     return EquilibriumPolicy(affine=partial(_response_affine, agent, market, a1_sp, a2_sp),
                              std=equilibrium_std(agent, market), distortion=agent.distortion)
 

@@ -403,6 +403,42 @@ class TestCliErrors:
         assert err.startswith("numerical failure: agent 1: response iterate: coefficient a2: ")
         assert "config error" not in err
 
+    _RATE_PRODUCT = ("numerical failure: gamma = 1e-300 times the rate iota + rho*v = "
+                     "1e-30: the product underflows to 0")
+    _STD_PRODUCT = ("numerical failure: gamma = 1e-300 times the squared [market] "
+                    "sigma = 1e-20: the product underflows to 0")
+
+    @pytest.mark.parametrize("keys,command,line", [
+        ({("market", "rho"): "0.0", ("market", "iota"): "1e-30"}, "iterate", _RATE_PRODUCT),
+        ({("market", "rho"): "0.0", ("market", "iota"): "1e-30"}, "equilibrium",
+         _RATE_PRODUCT),
+        ({("market", "rho"): "0.0", ("market", "iota"): "1e-30"}, "simulate", _RATE_PRODUCT),
+        ({("market", "sigma"): "1e-20"}, "equilibrium", _STD_PRODUCT),
+        ({("market", "sigma"): "1e-20"}, "simulate", _STD_PRODUCT)],
+        ids=["rate-iterate", "rate-equilibrium", "rate-simulate", "std-equilibrium",
+             "std-simulate"])
+    def test_underflowing_gamma_product_names_the_term(self, tmp_path, keys, command, line):
+        """With agent 1's gamma = 1e-300, gamma times the rate iota + rho*v,
+        or times sigma^2, underflows to a zero divisor: one line naming both
+        factors, exit 4, and no numpy warning."""
+        text = _set_key(serialize_config(table2_config()), "agent1", "gamma", "1e-300")
+        for (section, key), value in keys.items():
+            text = _set_key(text, section, key, value)
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        _assert_one_exit_4_line(tmp_path, command, path, line)
+
+    def test_zero_sensitivity_failure_names_the_opponent(self, tmp_path, capsys):
+        """At k1 = 0 agent 1's value coefficients leave out agent 2's std, so
+        agent 2's overflowing exploration weight fails agent 2's set only."""
+        text = _set_key(serialize_config(table2_config()), "agent1", "k", "0.0")
+        path = tmp_path / "cfg.ini"
+        path.write_text(_set_key(text, "agent2", "lambda0", "1e155"))
+        assert cli.main(["equilibrium", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: agent 2: coefficient b0 is not finite\n")
+
 
 _MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
 _UNIT = st.floats(0.0, 1.0, exclude_max=True)

@@ -3,9 +3,10 @@ the results of two related markets, over the parameter ranges of the CLI's
 property test (``test_every_command_exits_with_a_defined_code``).
 
 A market that overflows the arithmetic must fail in both runs of a
-relation; one that solves must satisfy the relation bit for bit.  Two
-relations fail on some markets; each is marked with the market that fails
-it, and the mark goes when the relation holds.  Both hold on the presets."""
+relation; one that solves must satisfy the relation bit for bit.  The
+doubling relation fails on some markets; it is marked with the market that
+fails it, and the mark goes when the relation holds.  Every relation holds
+on the presets."""
 
 from dataclasses import replace
 
@@ -117,10 +118,6 @@ def test_doubling_both_gammas_halves_coefficients_and_means(market, draws, horiz
                     replace(_BASE.market, **market), horizon)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "solve_b_coeffs evaluates the opponent's std sigma_j(t) even at k_i = 0: "
-    "k_i^2 sigma_j^2 is 0 * inf = nan when sigma_j^2 overflows, and sigma_j "
-    "raises ZeroDivisionError when gamma_j sigma^2 underflows to 0"))
 @example(market={"sigma": 1.0, "v": 1.0, "rho": 0.0, "iota": 0.0},
          draws=((1.0, 0.0, 1.0), (1.0, 0.0, 1.0), (1.0, 0.0, 1e155)), horizon=1.0, i=0)
 @given(market=_MARKETS, draws=st.tuples(_AGENT, _AGENT, _AGENT), horizon=_MAGNITUDE,

@@ -37,23 +37,25 @@ def test_demo_runs(demo):
 def test_cli_import_leaves_out_scipy_signal_and_stats():
     """Every command's start-up imports ``mvgame.cli``; ``scipy.signal`` and
     the ``scipy.stats`` it pulls in are most of a process's set-up time, and
-    nothing in the package needs them."""
+    nothing in the package needs them.  ``scipy.linalg`` is imported by a
+    spline fit when it runs, not at start-up."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    probe = ("import sys, mvgame.cli; "
-             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    probe = ("import sys, mvgame.cli; print(sorted(m for m in "
+             "('scipy.linalg', 'scipy.signal', 'scipy.stats') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["import", "equilibrium", "simulate", "train"])
+@pytest.mark.parametrize("command", ["import", "equilibrium", "iterate", "simulate", "train"])
 def test_commands_load_neither_interpolate_nor_integrate(tmp_path, command):
-    """Every policy and mean the commands use is closed-form, and the
-    built-in distortions run no quadrature, so neither subpackage (each
-    about 290 scipy modules and 26 MB resident) is loaded by a fresh
-    process that runs ``equilibrium``, ``simulate`` or ``train``."""
+    """Every policy and mean the commands use is closed-form, the response
+    iterates are fitted by the in-house spline, and the built-in distortions
+    run no quadrature, so neither subpackage (each about 290 scipy modules
+    and 26 MB resident) is loaded by a fresh process that runs any
+    command."""
     cfg = table2_config() if command == "train" else table1_config()
     cfg = replace(cfg, replications=1,
                   train=replace(cfg.train, episodes=40, critic_warmup=5))
@@ -123,6 +125,38 @@ for i in (0, 1):
                            mkt.episode_generator(7, 10_000 + i))
     for t in (0.0, sim.horizon):
         eqm.value_functions(i, t, sim.x1_0, sim.y_0, coeffs)
+print('scipy.interpolate' in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_hjb_check_from_csv_grids_loads_no_interpolate(tmp_path):
+    """The HJB residual check differentiates coefficient grids read back
+    from the written CSVs; its splines are fitted in-house, so a fresh
+    process running it never loads ``scipy.interpolate``."""
+    probe = f"""
+import csv, sys
+import numpy as np
+from mvgame import equilibrium as eqm
+from mvgame.config import table2_config
+cfg = table2_config()
+horizon = cfg.sim.horizon
+agents = cfg.build_agents(horizon)
+coeffs = []
+for i, cs in enumerate(eqm.solve_coefficients(agents, cfg.market, horizon, 401)):
+    path = {str(tmp_path)!r} + f"/coefficients_agent{{i + 1}}.csv"
+    cs.to_csv(path)
+    with open(path) as fh:
+        grid = np.array([[float(v) for v in row.values()] for row in csv.DictReader(fh)])
+    coeffs.append(eqm.CoefficientSet(times=grid[:, 0], a=grid[:, 1:4].T, b=grid[:, 4:7].T))
+for i in (0, 1):
+    for t in (0.0, 0.37 * horizon):
+        assert all(np.isfinite(eqm.hjb_residuals(i, agents, cfg.market, coeffs, t, 1.0, 0.2)))
 print('scipy.interpolate' in sys.modules)
 """
     env = dict(os.environ)
