@@ -34,8 +34,8 @@ from ._integrate import half_grid, rk4_backward_affine
 from ._spline import cubic_spline
 from ._table import write_table
 from .equilibrium import (DEFAULT_GRID_SIZE, EquilibriumPolicy, NonFiniteCoefficientError,
-                          _mean_base, _require_finite, a_coeffs_closed_form,
-                          couple_means, equilibrium_std)
+                          _check_std_divisor, _mean_base, _require_finite,
+                          a_coeffs_closed_form, couple_means, equilibrium_std)
 from .market import AgentParams, MarketParams
 
 __all__ = [
@@ -216,7 +216,10 @@ def simultaneous_mean_iteration(agents, market: MarketParams, horizon: float,
     """Iterate both agents' means at once on a t-grid at a fixed state y.
 
     mu^{n+1} = [[0, k1], [k2, 0]] mu^n + base(t, y); converges geometrically
-    to the closed-form equilibrium means at rate max(k1, k2).
+    to the closed-form equilibrium means at rate max(k1, k2).  A base or
+    target that overflows raises ``NonFiniteCoefficientError``, or the
+    ZeroDivisionError of :func:`equilibrium_std` when gamma sigma^2, the
+    divisor's square, underflows to 0.
     """
     if not (0.0 <= agents[0].k < 1.0 and 0.0 <= agents[1].k < 1.0):
         raise ValueError("sensitivities must lie in [0, 1)")
@@ -228,7 +231,15 @@ def simultaneous_mean_iteration(agents, market: MarketParams, horizon: float,
 
     base1 = _mean_base(times, y_value, agents[0], market, horizon)
     base2 = _mean_base(times, y_value, agents[1], market, horizon)
+    for i, base in enumerate((base1, base2)):
+        if not np.all(np.isfinite(base)):
+            # y / (gamma sigma) overflows; name gamma and sigma as the
+            # equilibrium does when gamma sigma^2 underflows to 0
+            _check_std_divisor(agents[i], market)
+            raise NonFiniteCoefficientError(f"agent {i + 1}: response mean is not finite")
     target1, target2 = couple_means(base1, base2, agents)
+    if not (np.all(np.isfinite(target1)) and np.all(np.isfinite(target2))):
+        raise NonFiniteCoefficientError("equilibrium means are not finite")
 
     mu1 = np.asarray(initial_means[0], dtype=float).copy()
     mu2 = np.asarray(initial_means[1], dtype=float).copy()

@@ -199,6 +199,9 @@ def _decay_factors(phi2, tau):
     phi2 -> 0 limits 2 tau and tau^2."""
     phi2 = np.asarray(phi2, dtype=float)
     tau = np.asarray(tau, dtype=float)
+    if phi2.all():  # no exact zero (nan counts as nonzero): one branch
+        e1 = np.expm1(-phi2 * tau)
+        return -np.expm1(-2.0 * phi2 * tau) / phi2, e1 * e1 / (phi2 * phi2)
     safe = np.where(phi2 == 0.0, 1.0, phi2)
     f1 = np.where(phi2 == 0.0, 2.0 * tau, -np.expm1(-2.0 * safe * tau) / safe)
     e1 = np.expm1(-safe * tau)
@@ -247,13 +250,20 @@ def actor_quantile(phi, agent: AgentParams, t, y, mu_j, p, horizon: float):
 def critic_features(t, y, horizon: float, d: int, y_center: float = 0.0) -> np.ndarray:
     """Feature vector of length 3d: blocks (y-c)^r * (tau, tau^2, ..., tau^d).
 
-    t and y broadcast, so one time grid serves an (R, n+1) array of paths."""
+    t and y broadcast, so one time grid serves an (R, n+1) array of paths.
+    The output is filled one column at a time, so each product runs along
+    the paths rather than along the short feature axis."""
     tau = np.asarray(horizon - np.asarray(t, dtype=float), dtype=float)
-    yc = (np.asarray(y, dtype=float) - y_center)[..., None]
+    yc = np.asarray(y, dtype=float) - y_center
+    yc2 = yc ** 2
     powers = tau[..., None] ** np.arange(1, d + 1)  # vanishes at tau = 0
-    shape = np.broadcast_shapes(powers.shape, yc.shape)
-    blocks = [np.broadcast_to(powers, shape), powers * yc, powers * yc ** 2]
-    return np.concatenate(blocks, axis=-1)
+    out = np.empty(np.broadcast_shapes(tau.shape, yc.shape) + (3 * d,))
+    for j in range(d):
+        p = powers[..., j]
+        out[..., j] = p
+        np.multiply(p, yc, out=out[..., d + j])
+        np.multiply(p, yc2, out=out[..., 2 * d + j])
+    return out
 
 
 def _td_residuals(theta: CriticParams, gamma: float, df, dx, dt: float, reg):
@@ -332,13 +342,15 @@ def actor_gradient(c1_nominal: np.ndarray, c1_perturbed: np.ndarray,
     """Episode actor gradient sum_k (z_k/kappa) (C1_k(pert) - C1_k(nom)).
 
     ``z`` is the (n_steps, 4) array of per-step perturbations that generated
-    the perturbed actions; leading axes, if any, are replications.
+    the perturbed actions; leading axes, if any, are replications.  The sum
+    runs over the steps in order (einsum without BLAS), as ``sum(axis=-2)``
+    of the products would, without building them.
     """
     if kappa <= 0.0:
         raise ValueError(f"kappa must be positive, got {kappa!r}")
     z = np.asarray(z, dtype=float)
     diff = np.asarray(c1_perturbed, dtype=float) - np.asarray(c1_nominal, dtype=float)
-    return (z * diff[..., None]).sum(axis=-2) / kappa
+    return np.einsum("...nk,...n->...k", z, diff) / kappa
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
@@ -373,16 +385,22 @@ class LstdAccumulator:
 
     Every statistic sums, over steps, a column times the feature row f, so
     one stacked matmul per block adds them.  The market block ``market``,
-    of shape (R, k + k^2, k) for k features, holds the columns [df, df (x) df]:
-    A and t3 depend on the state path only, so all agents share them.  The
-    agent block ``agent``, of shape (A, R, k + 3, k), holds the columns
+    of shape (R, k + k(k+1)/2, k) for k features, holds the columns df and
+    the distinct products df_a df_b, a <= b, of df (x) df, ordered by a then
+    b: A and t3 depend on the state path only, so all agents share them.
+    The agent block ``agent``, of shape (A, R, k + 3, k), holds the columns
     [dx df, dx, dx^2, reg], which are linear in each agent's dx and reg.
     """
 
     def __init__(self, n_agents: int, n_replications: int, n_features: int):
         k = self.k = n_features
-        self.market = np.zeros((n_replications, k + k * k, k))
+        self.market = np.zeros((n_replications, k + k * (k + 1) // 2, k))
         self.agent = np.zeros((n_agents, n_replications, k + 3, k))
+        # Market row of the product df_a df_b for each of the k^2 ordered
+        # pairs (a, b), in df (x) df's order: row k + tri[min(a, b), max(a, b)].
+        tri = np.zeros((k, k), dtype=int)
+        tri[np.triu_indices(k)] = np.arange(k * (k + 1) // 2)
+        self._t3_rows = k + np.maximum(tri, tri.T).ravel()
 
     def add_episode(self, f_start, df, dx, reg, rows=slice(None)) -> None:
         """Add one episode for each replication in ``rows``: (R', n, k)
@@ -392,7 +410,7 @@ class LstdAccumulator:
         The columns are built transposed, (..., columns, n), so every
         product runs along the n steps."""
         k, n = self.k, df.shape[-2]
-        dft = df.swapaxes(-1, -2)
+        dft = np.ascontiguousarray(df.swapaxes(-1, -2))
         cols = np.empty(dx.shape[:-1] + (k + 3, n))
         np.multiply(dx[..., None, :], dft, out=cols[..., :k, :])
         cols[..., -3, :] = dx
@@ -400,10 +418,13 @@ class LstdAccumulator:
         cols[..., -1, :] = reg
         self.agent[:, rows] += cols @ f_start
         del cols  # before the larger market columns are built
-        cols = np.empty(df.shape[:-2] + (k + k * k, n))
+        cols = np.empty(df.shape[:-2] + (self.market.shape[-2], n))
         cols[..., :k, :] = dft
-        np.multiply(dft[..., :, None, :], dft[..., None, :, :],
-                    out=cols[..., k:, :].reshape(df.shape[:-2] + (k, k, n)))
+        start = k
+        for a in range(k):
+            np.multiply(dft[..., a:a + 1, :], dft[..., a:, :],
+                        out=cols[..., start:start + k - a, :])
+            start += k - a
         self.market[rows] += cols @ f_start
 
     def solve(self, gammas, dt: float, d: int, y_center: float) -> CriticParams:
@@ -418,7 +439,8 @@ class LstdAccumulator:
         """
         k = self.k
         market, agent = self.market.swapaxes(-1, -2), self.agent.swapaxes(-1, -2)
-        a_mat, t3, q1 = market[..., :k], market[..., k:], agent[..., :k]
+        # t3 gathers back all k^2 columns of df (x) df
+        a_mat, t3, q1 = market[..., :k], market[..., self._t3_rows], agent[..., :k]
         bx, q0, b_reg = np.moveaxis(agent[..., k:], -1, 0)
         gamma = np.reshape(gammas, (-1, 1, 1))
         pinv = np.linalg.pinv(a_mat, rcond=k * np.finfo(float).eps)
@@ -582,7 +604,11 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
                 # Perturbed replay: same uniforms and market noise, one-step
                 # deviations from the nominal states.
                 z = np.stack([g.standard_normal((n_agents, n, 4)) for g in rngs], axis=1)[:, rows]
-                phi_bar = phi_a[:, rows, None, :] + cfg.kappa * z
+                # A (A, R', n, 4) view of steps-last memory, so that each
+                # parameter's arithmetic below runs along the steps.
+                phi_bar = np.multiply(cfg.kappa, z.swapaxes(-1, -2), order="C")
+                phi_bar += phi_a[:, rows, :, None]
+                phi_bar = phi_bar.swapaxes(-1, -2)
                 base_bar = actor_base_mean(phi_bar, t_steps, y_steps[rows], horizon)
                 scale_bar = _scale_coeff(phi_bar, lam, gammas)
                 u_bar = k_mu[:, rows] + base_bar + scale_bar * h_p[:, rows]

@@ -414,13 +414,19 @@ class TestCliErrors:
          _RATE_PRODUCT),
         ({("market", "rho"): "0.0", ("market", "iota"): "1e-30"}, "simulate", _RATE_PRODUCT),
         ({("market", "sigma"): "1e-20"}, "equilibrium", _STD_PRODUCT),
-        ({("market", "sigma"): "1e-20"}, "simulate", _STD_PRODUCT)],
+        ({("market", "sigma"): "1e-20"}, "simulate", _STD_PRODUCT),
+        ({("market", "sigma"): "1e-20"}, "iterate", _STD_PRODUCT),
+        ({("market", "sigma"): "1e-10"}, "iterate",
+         "numerical failure: agent 1: response mean is not finite")],
         ids=["rate-iterate", "rate-equilibrium", "rate-simulate", "std-equilibrium",
-             "std-simulate"])
+             "std-simulate", "std-iterate", "mean-iterate"])
     def test_underflowing_gamma_product_names_the_term(self, tmp_path, keys, command, line):
         """With agent 1's gamma = 1e-300, gamma times the rate iota + rho*v,
         or times sigma^2, underflows to a zero divisor: one line naming both
-        factors, exit 4, and no numpy warning."""
+        factors, exit 4, and no numpy warning.  In ``iterate``, y / (gamma
+        sigma) overflows first: the mean iteration reports it as the same
+        underflow, or, with sigma = 1e-10 (gamma sigma^2 = 1e-320 is not 0),
+        as a response mean that is not finite."""
         text = _set_key(serialize_config(table2_config()), "agent1", "gamma", "1e-300")
         for (section, key), value in keys.items():
             text = _set_key(text, section, key, value)

@@ -882,6 +882,151 @@ class TestPinnedTraining:
                                           pinned[name], err_msg=name)
 
 
+class TestStepAxisHelpers:
+    """The learner's per-episode helpers run their arithmetic along the step
+    axis.  Each equals, bit for bit, the form it replaced, written out here:
+    the same floating-point operations in the same order."""
+
+    @staticmethod
+    def _critic_features(t, y, horizon, d, y_center=0.0):
+        tau = np.asarray(horizon - np.asarray(t, dtype=float), dtype=float)
+        yc = (np.asarray(y, dtype=float) - y_center)[..., None]
+        powers = tau[..., None] ** np.arange(1, d + 1)
+        shape = np.broadcast_shapes(powers.shape, yc.shape)
+        blocks = [np.broadcast_to(powers, shape), powers * yc, powers * yc ** 2]
+        return np.concatenate(blocks, axis=-1)
+
+    @staticmethod
+    def _decay_factors(phi2, tau):
+        phi2 = np.asarray(phi2, dtype=float)
+        tau = np.asarray(tau, dtype=float)
+        safe = np.where(phi2 == 0.0, 1.0, phi2)
+        f1 = np.where(phi2 == 0.0, 2.0 * tau, -np.expm1(-2.0 * safe * tau) / safe)
+        e1 = np.expm1(-safe * tau)
+        f2 = np.where(phi2 == 0.0, tau ** 2, e1 * e1 / (safe * safe))
+        return f1, f2
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_critic_features(self, d):
+        rng = np.random.default_rng(d)
+        n, horizon = 250, 1.0
+        t = np.linspace(0.0, horizon, n + 1)
+        paths = 0.273 + 0.05 * rng.standard_normal((10, n + 1))
+        for args in ((t, paths), (t, paths[3]), (0.25, paths), (t, 0.3), (0.25, 0.3),
+                     (t[:, None], paths[:4].T)):
+            got = rl.critic_features(*args, horizon, d, 0.273)
+            want = self._critic_features(*args, horizon, d, 0.273)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_actor_gradient(self):
+        rng = np.random.default_rng(0)
+        for n_agents in (1, 2):
+            for n_rep in (1, 3, 10):
+                for n in (1, 2, 7, 30, 250, 1000):
+                    def draw(shape):
+                        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, shape)
+
+                    diff_shape = (n_agents, n_rep, n)
+                    c1n, c1p = draw(diff_shape), draw(diff_shape)
+                    stacked = np.stack([draw((n_agents, n, 4)) for _ in range(n_rep)], axis=1)
+                    rows = np.arange(0, n_rep, 2)
+                    for z, sel in ((draw(diff_shape + (4,)), slice(None)),
+                                   (stacked, slice(None)), (stacked[:, rows], rows)):
+                        kappa = 10.0 ** rng.uniform(-3, 1)
+                        want = (z * (c1p[:, sel] - c1n[:, sel])[..., None]).sum(axis=-2) / kappa
+                        got = rl.actor_gradient(c1n[:, sel], c1p[:, sel], z, kappa)
+                        assert np.array_equal(got, want), (n_agents, n_rep, n)
+                    assert np.array_equal(rl.actor_gradient(c1n[0, 0], c1p[0, 0], z[0, 0], 0.1),
+                                          (z[0, 0] * (c1p[0, 0] - c1n[0, 0])[:, None]).sum(
+                                              axis=-2) / 0.1)
+
+    @pytest.mark.parametrize("zeros", ["none", "zero", "negative-zero", "nan"])
+    def test_decay_factors(self, zeros):
+        rng = np.random.default_rng(3)
+        tau = 1.0 - np.linspace(0.0, 1.0, 251)[:-1]
+        phi2 = rng.uniform(-3.0, 3.0, (2, 10, 250))
+        special = {"none": None, "zero": 0.0, "negative-zero": -0.0, "nan": np.nan}[zeros]
+        if special is not None:
+            phi2[1, 4, ::7] = special
+        for p, t in ((phi2, tau), (phi2[:, :, :1], tau), (phi2[0, 0, 3], tau),
+                     (phi2[1, 4, 7], 0.5)):
+            got, want = rl._decay_factors(p, t), self._decay_factors(p, t)
+            for g, w in zip(got, want):
+                assert np.shape(g) == np.shape(w)
+                assert np.array_equal(g, w, equal_nan=True)
+
+    class _FullLstd:
+        """The accumulator with every k^2 column of df (x) df stored."""
+
+        def __init__(self, n_agents, n_replications, k):
+            self.k = k
+            self.market = np.zeros((n_replications, k + k * k, k))
+            self.agent = np.zeros((n_agents, n_replications, k + 3, k))
+
+        def add_episode(self, f_start, df, dx, reg, rows=slice(None)):
+            k, n = self.k, df.shape[-2]
+            dft = df.swapaxes(-1, -2)
+            cols = np.empty(dx.shape[:-1] + (k + 3, n))
+            np.multiply(dx[..., None, :], dft, out=cols[..., :k, :])
+            cols[..., -3, :] = dx
+            np.multiply(dx, dx, out=cols[..., -2, :])
+            cols[..., -1, :] = reg
+            self.agent[:, rows] += cols @ f_start
+            cols = np.empty(df.shape[:-2] + (k + k * k, n))
+            cols[..., :k, :] = dft
+            np.multiply(dft[..., :, None, :], dft[..., None, :, :],
+                        out=cols[..., k:, :].reshape(df.shape[:-2] + (k, k, n)))
+            self.market[rows] += cols @ f_start
+
+        def solve(self, gammas, dt, d, y_center):
+            k = self.k
+            market, agent = self.market.swapaxes(-1, -2), self.agent.swapaxes(-1, -2)
+            a_mat, t3, q1 = market[..., :k], market[..., k:], agent[..., :k]
+            bx, q0, b_reg = np.moveaxis(agent[..., k:], -1, 0)
+            gamma = np.reshape(gammas, (-1, 1, 1))
+            pinv = np.linalg.pinv(a_mat, rcond=k * np.finfo(float).eps)
+            theta_g = (pinv @ -bx[..., None])[..., 0]
+            gg = (theta_g[..., :, None] * theta_g[..., None, :]).reshape(
+                *theta_g.shape[:-1], k * k)
+            dg_sq = (q0 + 2.0 * (q1 @ theta_g[..., None])[..., 0]
+                     + (t3 @ gg[..., None])[..., 0])
+            rhs = bx / dt - 0.5 * gamma * dg_sq / dt + b_reg
+            theta_v = dt * (pinv @ -rhs[..., None])[..., 0]
+            shape = theta_g.shape[:-1] + (3, d)
+            return theta_v.reshape(shape), theta_g.reshape(shape)
+
+    @pytest.mark.parametrize("n_agents", [1, 2])
+    def test_lstd_keeps_only_distinct_products(self, n_agents):
+        """Storing the k(k+1)/2 distinct products of df (x) df solves as
+        storing all k^2 of them, through skipped replications and a 2-step
+        episode that leaves A rank deficient."""
+        rng = np.random.default_rng(n_agents)
+        d, n_rep, y_center = 2, 4, 0.273
+        k = 3 * d
+        lstd, full = rl.LstdAccumulator(n_agents, n_rep, k), self._FullLstd(n_agents, n_rep, k)
+        assert lstd.market.shape == (n_rep, k + k * (k + 1) // 2, k)
+        gammas = np.array([2.0, 3.0])[:n_agents]
+        for n, rows in ((2, slice(None)), (250, [0, 2, 3]), (30, slice(None)), (7, [1]),
+                        (250, slice(None))):
+            n_kept = len(range(n_rep)[rows]) if isinstance(rows, slice) else len(rows)
+            t = np.linspace(0.0, 1.0, n + 1)
+            y = y_center + 0.05 * np.cumsum(rng.standard_normal((n_kept, n + 1)), axis=1)
+            f = rl.critic_features(t, y, 1.0, d, y_center)
+            df = np.diff(f, axis=1)
+            dx = 1e-3 * rng.standard_normal((n_agents, n_kept, n))
+            reg = rng.uniform(0.0, 1e-3, (n_agents, 1, 1)) * rng.uniform(size=(1, n_kept, n))
+            for acc in (lstd, full):
+                acc.add_episode(f[:, :-1], df, dx, reg, rows)
+            theta = lstd.solve(gammas, 1.0 / n, d, y_center)
+            want_v, want_g = full.solve(gammas, 1.0 / n, d, y_center)
+            assert theta.y_center == y_center
+            assert np.array_equal(theta.v, want_v) and np.array_equal(theta.g, want_g)
+        assert np.array_equal(full.market[:, :k], lstd.market[:, :k])
+        pairs = [k + a * k + b for a in range(k) for b in range(a, k)]
+        assert np.array_equal(full.market[:, pairs], lstd.market[:, k:])
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(8)
