@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "Distortion",
@@ -75,9 +74,10 @@ class Distortion:
         return _l2_norm_by_quadrature(self.h_prime)
 
 
-# scipy.integrate is imported only where a quadrature runs: the built-in
-# distortions and the closed-form policies need none, and the import loads
-# about 290 scipy modules.
+# scipy is imported only where it is used: scipy.integrate where a quadrature
+# runs (the built-in distortions and the closed-form policies need none; the
+# import loads about 290 scipy modules), and scipy.special at the normal
+# distortion's first h or h', so that solving and iterating load neither.
 def _l2_norm_by_quadrature(h_prime) -> float:
     from scipy.integrate import quad
 
@@ -88,7 +88,8 @@ def _l2_norm_by_quadrature(h_prime) -> float:
 def _check_distortion(h, h_prime, name: str) -> None:
     h0 = float(h(0.0))
     h1 = float(h(1.0))
-    if abs(h0) > _ENDPOINT_TOL or abs(h1) > _ENDPOINT_TOL:
+    # written so that NaN fails
+    if not (abs(h0) <= _ENDPOINT_TOL and abs(h1) <= _ENDPOINT_TOL):
         raise DistortionError(f"{name}: need h(0)=h(1)=0, got h(0)={h0!r}, h(1)={h1!r}")
     p = np.linspace(0.0, 1.0, _CONCAVITY_GRID + 2)[1:-1]
     hp = np.asarray(h_prime(p), dtype=float)
@@ -100,20 +101,23 @@ def _check_distortion(h, h_prime, name: str) -> None:
 
 def make_distortion(h, h_prime, name: str = "custom", l2_norm: float | None = None,
                     family: str | None = None) -> Distortion:
-    """Build a :class:`Distortion`, validating endpoints and concavity.
+    """Build a :class:`Distortion`; a custom one is validated here.
 
-    ``l2_norm`` overrides the quadrature value when known analytically;
-    the override is checked against quadrature.  Only the built-in
-    distortions set ``family``: their analytic norms are checked against
-    quadrature once, by the test suite, so with ``family`` and ``l2_norm``
-    both given no quadrature runs here.
+    For a custom distortion (``family`` None), endpoints and concavity are
+    checked on a sampled grid, and ``l2_norm``, which overrides the
+    quadrature value when known analytically, is checked against
+    quadrature.  Only the built-in distortions set ``family``: their
+    endpoints, concavity and analytic norms are checked once, by the test
+    suite, so with ``family`` set neither the grid nor the quadrature runs
+    here (and building the normal distortion loads no scipy).
     """
-    _check_distortion(h, h_prime, name)
+    if family is None:
+        _check_distortion(h, h_prime, name)
     if l2_norm is None:
         l2_norm = _l2_norm_by_quadrature(h_prime)
     elif family is None:
         l2_quad = _l2_norm_by_quadrature(h_prime)
-        if abs(l2_norm - l2_quad) > 1e-8 * max(1.0, abs(l2_norm)):
+        if not abs(l2_norm - l2_quad) <= 1e-8 * max(1.0, abs(l2_norm)):
             raise DistortionError(
                 f"{name}: analytic ||h'||_2={l2_norm!r} disagrees with quadrature {l2_quad!r}"
             )
@@ -125,6 +129,8 @@ def _normal_h(p):
     # h(p) = int_0^p z(1-s) ds = pdf(z(p)), using d/dp pdf(z(p)) = -z(1-p)... :
     # direct antiderivative: int_0^p z(1-s) ds = phi(z(1-p)) where phi is the
     # standard normal density (phi(z(0+)) = phi(-inf) = 0).
+    from scipy.special import ndtri
+
     p = np.asarray(p, dtype=float)
     z = ndtri(np.clip(1.0 - p, 1e-300, 1.0))
     out = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
@@ -135,6 +141,8 @@ def _normal_h(p):
 # The two h' below transform their one new array in place, so a call holds no
 # more than one temporary the size of p (the Monte Carlo engine's memory bound).
 def _normal_h_prime(p):
+    from scipy.special import ndtri
+
     q = 1.0 - np.asarray(p, dtype=float)
     return ndtri(q, out=q) if q.ndim else float(ndtri(q))
 
@@ -220,7 +228,7 @@ class QuantilePolicy:
 
 def build_optimal_quantile(distortion: Distortion, m: float, s: float) -> QuantilePolicy:
     """Maximal-exploration law with mean m and standard deviation s >= 0."""
-    if s < 0.0:
+    if not s >= 0.0:  # written so that NaN fails
         raise ValueError(f"scale must be nonnegative, got {s!r}")
     if distortion.l2_norm <= 0.0:
         raise DegenerateDistortionError(

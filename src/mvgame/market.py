@@ -93,15 +93,17 @@ class MarketParams:
     def __post_init__(self):
         # sigma = 0 is allowed here (degenerate noiseless price, useful for
         # simulator checks); equilibrium formulas divide by sigma and enforce
-        # positivity themselves.
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")
-        if self.iota < 0.0:
-            raise ValueError(f"iota must be nonnegative, got {self.iota!r}")
-        if self.v < 0.0:
-            raise ValueError(f"v must be nonnegative, got {self.v!r}")
-        if not -1.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [-1, 1], got {self.rho!r}")
+        # positivity themselves.  (field, holds, requirement); written so
+        # that NaN fails
+        checks = (
+            ("sigma", self.sigma >= 0.0, "be nonnegative"),
+            ("iota", self.iota >= 0.0, "be nonnegative"),
+            ("v", self.v >= 0.0, "be nonnegative"),
+            ("rho", -1.0 <= self.rho <= 1.0, "lie in [-1, 1]"),
+        )
+        for name, holds, requirement in checks:
+            if not holds:
+                raise ValueError(f"{name} must {requirement}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ class Schedule:
     horizon: float = 0.0
 
     def __post_init__(self):
-        if self.lam0 <= 0.0:
+        if not self.lam0 > 0.0:  # written so that NaN fails
             raise ValueError(f"exploration weight must be positive, got {self.lam0!r}")
 
     def __call__(self, t):
@@ -136,7 +138,7 @@ class AgentParams:
     distortion: "Distortion"  # noqa: F821 - mvgame.choquet.Distortion
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:  # written so that NaN fails
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
         # k=0 is accepted: it decouples the game into single-agent problems.
         if not 0.0 <= self.k < 1.0:
@@ -153,9 +155,9 @@ class SimConfig:
     y_0: float = 0.273
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
+        if not self.horizon > 0.0:  # written so that NaN fails
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
-        if self.n_steps < 1:
+        if not self.n_steps >= 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps!r}")
 
     @property

@@ -70,14 +70,39 @@ class TestDistortionConstruction:
                 lambda p: 1.0 - 2.0 * np.asarray(p),
                 l2_norm=0.9)
 
+    def test_nan_endpoint_rejected(self):
+        with pytest.raises(choquet.DistortionError, match="need h\\(0\\)=h\\(1\\)=0"):
+            choquet.make_distortion(lambda p: np.nan * np.asarray(p),
+                                    lambda p: 1.0 - 2.0 * np.asarray(p))
+
+    def test_nan_analytic_norm_rejected(self):
+        with pytest.raises(choquet.DistortionError, match="disagrees with quadrature"):
+            choquet.make_distortion(
+                lambda p: np.asarray(p) * (1.0 - np.asarray(p)),
+                lambda p: 1.0 - 2.0 * np.asarray(p),
+                l2_norm=float("nan"))
+
+    def test_builtins_skip_the_runtime_checks(self, monkeypatch):
+        """With ``family`` set, ``make_distortion`` runs neither the grid
+        check nor the quadrature; the built-ins are checked below instead."""
+        def fail(*args, **kwargs):
+            raise AssertionError("run-time check ran for a built-in distortion")
+
+        monkeypatch.setattr(choquet, "_check_distortion", fail)
+        monkeypatch.setattr(choquet, "_l2_norm_by_quadrature", fail)
+        assert choquet.make_distortion_normal().family == "normal"
+        assert choquet.make_distortion_gini().family == "uniform"
+
 
 @pytest.mark.parametrize("make", [choquet.make_distortion_normal,
                                   choquet.make_distortion_gini],
                          ids=["normal", "gini"])
 def test_builtin_distortion_requirements(make):
-    """The built-ins skip ``make_distortion``'s quadrature at run time, so
-    their analytic norms are checked here, with the run-time check's
-    tolerance; endpoints and concavity on the same 512-point grid."""
+    """With ``family`` set, ``make_distortion`` runs neither the quadrature
+    nor the endpoint and concavity grid at run time, so the built-ins are
+    checked here instead: their analytic norms against quadrature with the
+    run-time check's tolerance, and endpoints and concavity on the same
+    512-point grid at the same tolerances."""
     dist = make()
     assert abs(dist.h(0.0)) <= choquet._ENDPOINT_TOL
     assert abs(dist.h(1.0)) <= choquet._ENDPOINT_TOL
@@ -158,6 +183,10 @@ class TestOptimalQuantile:
     def test_negative_scale_rejected(self, normal_dist):
         with pytest.raises(ValueError):
             choquet.build_optimal_quantile(normal_dist, 0.0, -0.1)
+
+    def test_nan_scale_rejected(self, normal_dist):
+        with pytest.raises(ValueError, match="scale must be nonnegative"):
+            choquet.build_optimal_quantile(normal_dist, 0.0, float("nan"))
 
     def test_flat_distortion_rejected(self):
         flat = choquet.make_distortion(lambda p: np.zeros_like(np.asarray(p, dtype=float)),

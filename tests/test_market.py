@@ -66,6 +66,25 @@ class TestParamValidation:
             SimConfig(horizon=1.0, n_steps=0, seed=1)
         assert SimConfig(horizon=2.0, n_steps=8, seed=1).dt == 0.25
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda d, x: MarketParams(r=0.01, sigma=x, iota=0.1, y_bar=0.2, v=0.1, rho=0.0),
+         "sigma must be nonnegative"),
+        (lambda d, x: MarketParams(r=0.01, sigma=0.1, iota=x, y_bar=0.2, v=0.1, rho=0.0),
+         "iota must be nonnegative"),
+        (lambda d, x: MarketParams(r=0.01, sigma=0.1, iota=0.1, y_bar=0.2, v=x, rho=0.0),
+         "v must be nonnegative"),
+        (lambda d, x: AgentParams(gamma=x, k=0.1, lam=market.Schedule(0.01), distortion=d),
+         "gamma must be positive"),
+        (lambda d, x: market.Schedule(x), "exploration weight must be positive"),
+        (lambda d, x: SimConfig(horizon=x, n_steps=10, seed=1), "horizon must be positive"),
+    ], ids=["sigma", "iota", "v", "gamma", "lam0", "horizon"])
+    def test_nan_rejected(self, normal_dist, build, message):
+        """Each check is written as "not <valid>", so a NaN field fails it
+        with the same message as an out-of-range value."""
+        with pytest.raises(ValueError, match=message):
+            build(normal_dist, float("nan"))
+        build(normal_dist, 0.5)
+
     def test_weight_schedules(self):
         with pytest.raises(ValueError):
             market.Schedule(0.0)

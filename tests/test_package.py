@@ -15,6 +15,15 @@ from mvgame.config import serialize_config, table1_config, table2_config
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mvgame.__file__)))
 DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "demos")
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh process that imports the package from
+    this checkout's source."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(mvgame.__path__)))
@@ -27,10 +36,7 @@ def test_exported_names_resolve(name):
 @pytest.mark.parametrize("demo", ["01_equilibrium_policies.py",
                                   "02_policy_iteration_certificates.py"])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, os.path.join(DEMOS, demo)], env=env,
-                          capture_output=True, text=True)
+    proc = run_fresh(os.path.join(DEMOS, demo))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -39,12 +45,9 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
     the ``scipy.stats`` it pulls in are most of a process's set-up time, and
     nothing in the package needs them.  ``scipy.linalg`` is imported by a
     spline fit when it runs, not at start-up."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     probe = ("import sys, mvgame.cli; print(sorted(m for m in "
              "('scipy.linalg', 'scipy.signal', 'scipy.stats') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True)
+    proc = run_fresh("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -67,12 +70,43 @@ def test_commands_load_neither_interpolate_nor_integrate(tmp_path, command):
     probe = ("import sys; from mvgame import cli; " + run +
              "print(sorted(m for m in ('scipy.interpolate', 'scipy.integrate') "
              "if m in sys.modules))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True)
+    proc = run_fresh("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("step, loads", [("setup", []), ("equilibrium", []),
+                                         ("iterate", ["scipy.linalg"]),
+                                         ("simulate", ["scipy.special"])],
+                         ids=["setup", "equilibrium", "iterate", "simulate"])
+def test_scipy_loads_where_it_is_used(tmp_path, step, loads):
+    """Set-up (import, ``parse_config``, agents, coefficients and the policy
+    constructors, for table1 and table2) loads no scipy subpackage, nor does
+    ``equilibrium``; ``iterate`` loads only ``scipy.linalg``, for its spline
+    fits.  ``scipy.special`` is imported at the normal distortion's first
+    quantile, so ``simulate``, which draws actions, loads it."""
+    if step == "setup":
+        run = "".join(
+            f"cfg = parse_config({os.path.join(CONFIGS, name)!r}); "
+            "agents = cfg.build_agents(cfg.sim.horizon); "
+            "coeffs = eqm.solve_coefficients(agents, cfg.market, cfg.sim.horizon); "
+            "[eqm.equilibrium_policy(i, agents, cfg.market, coeffs) for i in (0, 1)]; "
+            "[eqm.closed_form_policy(i, agents, cfg.market, cfg.sim.horizon) "
+            "for i in (0, 1)]; "
+            for name in ("table1.ini", "table2.ini"))
+    else:
+        run = (f"assert cli.main([{step!r}, '--config', "
+               f"{os.path.join(CONFIGS, 'table1.ini')!r}, "
+               f"'--out', {str(tmp_path / 'o')!r}]) == 0; ")
+    # prints the public subpackages loaded (not scipy's private modules)
+    probe = ("import sys; from mvgame import cli, equilibrium as eqm; "
+             "from mvgame.config import parse_config; " + run +
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.') "
+             "and m.count('.') == 1 and not m.startswith('scipy._') "
+             "and m != 'scipy.version'))")
+    proc = run_fresh("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == str(loads)
 
 
 def test_objective_with_rebuilt_agents_is_bit_identical():
@@ -97,10 +131,7 @@ for i in (0, 1):
     assert got == want, (got, want)
 print('scipy.integrate' in sys.modules)
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True)
+    proc = run_fresh("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -127,10 +158,7 @@ for i in (0, 1):
         eqm.value_functions(i, t, sim.x1_0, sim.y_0, coeffs)
 print('scipy.interpolate' in sys.modules)
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True)
+    proc = run_fresh("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -159,9 +187,6 @@ for i in (0, 1):
         assert all(np.isfinite(eqm.hjb_residuals(i, agents, cfg.market, coeffs, t, 1.0, 0.2)))
 print('scipy.interpolate' in sys.modules)
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True)
+    proc = run_fresh("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
