@@ -230,9 +230,10 @@ def build_optimal_quantile(distortion: Distortion, m: float, s: float) -> Quanti
     """Maximal-exploration law with mean m and standard deviation s >= 0."""
     if not s >= 0.0:  # written so that NaN fails
         raise ValueError(f"scale must be nonnegative, got {s!r}")
-    if distortion.l2_norm <= 0.0:
+    if not distortion.l2_norm > 0.0:  # written so that NaN fails
         raise DegenerateDistortionError(
-            f"{distortion.name}: ||h'||_2 = 0, no nondegenerate optimal law"
+            f"{distortion.name}: ||h'||_2 = {distortion.l2_norm!r}, "
+            "no nondegenerate optimal law"
         )
     return QuantilePolicy(mean=float(m), scale=float(s), distortion=distortion)
 

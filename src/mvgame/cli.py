@@ -53,12 +53,16 @@ class CertificateError(RuntimeError):
     """A certified convergence bound or tolerance band was violated."""
 
 
-def _density_curve(policy, t: float, y: float):
-    """(u grid, density) of the one-instant exploration law; the grid spans
-    the support so a trapezoid integral equals one up to tail mass."""
+def _density_curve(policy, t: float, y: float, agent: int):
+    """(u grid, density) of agent ``agent``'s one-instant exploration law;
+    the grid spans the support so a trapezoid integral equals one up to tail
+    mass.  A zero std has no density: it and a non-finite curve raise."""
     law = policy.policy_at(t, y)
     m, s = law.mean, law.scale
     family = law.distortion.family
+    if not s > 0.0:
+        raise FloatingPointError(f"agent {agent}: the exploration std at t = {t!r} is "
+                                 f"{s!r}: no density")
     if family == "uniform":
         half = np.sqrt(3.0) * s
         u = np.linspace(m - half, m + half, DENSITY_POINTS)
@@ -68,6 +72,9 @@ def _density_curve(policy, t: float, y: float):
         dens = np.exp(-0.5 * ((u - m) / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
     else:
         raise ValueError(f"no density for distortion family {family!r}")
+    if not (np.isfinite(u).all() and np.isfinite(dens).all()):
+        raise FloatingPointError(f"agent {agent}: the density at t = {t!r} is not finite "
+                                 f"(mean {m!r}, std {s!r})")
     return u, dens
 
 
@@ -101,7 +108,7 @@ def cmd_equilibrium(cfg: ExperimentConfig, out_dir: str) -> int:
         for t in times:
             for param, value, pair in [("base", t, agents)] + _sweep_variants(agents):
                 policy = eqm.closed_form_policy(i, pair, cfg.market, horizon)
-                u, dens = _density_curve(policy, t, y0)
+                u, dens = _density_curve(policy, t, y0, i + 1)
                 curves.append([param, value, t, u, dens])
         write_table(os.path.join(out_dir, f"densities_agent{i + 1}.csv"),
                     ["param", "value", "t", "u", "density"], curves)

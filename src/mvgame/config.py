@@ -2,7 +2,9 @@
 
 Experiments carry ~20 parameters, so commands read them from a sectioned
 key=value file rather than positional flags.  Parsing is strict: unknown
-sections or keys are rejected, and parse(serialize(cfg)) == cfg.
+sections or keys are rejected, and parse(serialize(cfg)) == cfg.  The
+paper's two experiments are the shipped files ``configs/table1.ini`` and
+``configs/table2.ini``; this module defines no preset of its own.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ __all__ = [
     "parse_config",
     "parse_config_text",
     "serialize_config",
-    "table1_config",
-    "table2_config",
 ]
 
 _DISTORTION_PRESETS = ("normal", "gini")
@@ -182,42 +182,3 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     buf.write(f"train_band = {_fmt(cfg.train_band)}\n")
     return buf.getvalue()
 
-
-_BENCH_MARKET = MarketParams(r=0.017, sigma=0.15, iota=0.27, y_bar=0.273,
-                             v=0.065, rho=-0.93)
-
-
-def table1_config(output_dir: str = "out") -> ExperimentConfig:
-    """Benchmark equilibrium/iteration configuration: 20-year horizon,
-    exponentially decaying exploration weights, gamma = (2, 1)."""
-    return ExperimentConfig(
-        market=_BENCH_MARKET,
-        agent1=AgentConfig(gamma=2.0, k=0.1, distortion="normal",
-                           lambda_kind="exponential", lambda0=0.01),
-        agent2=AgentConfig(gamma=1.0, k=0.05, distortion="gini",
-                           lambda_kind="exponential", lambda0=0.01),
-        sim=SimConfig(horizon=20.0, n_steps=250, seed=7, x1_0=1.0, x2_0=1.0,
-                      y_0=0.273),
-        train=TrainConfig(episodes=2000, n_steps=250, horizon=1.0,
-                          learning_rate=0.001, kappa=0.01, seed=7,
-                          critic_warmup=250),
-        output_dir=output_dir,
-    )
-
-
-def table2_config(output_dir: str = "out") -> ExperimentConfig:
-    """Benchmark learning configuration: one-year horizon, 250 steps,
-    constant exploration weights (0.015, 0.02), gamma = (2, 3)."""
-    return ExperimentConfig(
-        market=_BENCH_MARKET,
-        agent1=AgentConfig(gamma=2.0, k=0.1, distortion="normal",
-                           lambda_kind="constant", lambda0=0.015),
-        agent2=AgentConfig(gamma=3.0, k=0.05, distortion="gini",
-                           lambda_kind="constant", lambda0=0.02),
-        sim=SimConfig(horizon=1.0, n_steps=250, seed=7, x1_0=1.0, x2_0=1.0,
-                      y_0=0.273),
-        train=TrainConfig(episodes=2000, n_steps=250, horizon=1.0,
-                          learning_rate=0.001, kappa=0.01, seed=7,
-                          critic_warmup=250),
-        output_dir=output_dir,
-    )

@@ -164,15 +164,20 @@ def a_coeffs_closed_form(agent: AgentParams, market: MarketParams, horizon: floa
     return a1, a2
 
 
+def _solve_grid(horizon: float, grid_size: int):
+    """The solve grid t on [0, T] and its refinement with RK4's midpoints."""
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be >= 2, got {grid_size!r}")
+    t = np.linspace(0.0, horizon, grid_size)
+    return t, half_grid(t)
+
+
 def solve_a_coeffs(agent: AgentParams, market: MarketParams, horizon: float,
                    grid_size: int = DEFAULT_GRID_SIZE):
     """(a0, a1, a2) grids on [0, T]: a1, a2 in closed form, a0 by backward
     quadrature of a0' = -a1*iota*y_bar - (v^2/2)*a2 with a0(T) = 0."""
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size!r}")
-    t = np.linspace(0.0, horizon, grid_size)
+    t, th = _solve_grid(horizon, grid_size)
     a1, a2 = a_coeffs_closed_form(agent, market, horizon, t)
-    th = half_grid(t)
     a1_h, a2_h = a_coeffs_closed_form(agent, market, horizon, th)
     beta = -a1_h * market.iota * market.y_bar - 0.5 * _square("[market] v", market.v) * a2_h
     a0 = rk4_backward_affine(beta, 0.0, t[1] - t[0], 0.0)
@@ -187,10 +192,7 @@ def solve_a_coeffs_ode(agent: AgentParams, market: MarketParams, horizon: float,
         a2' = 2c a2 - 2/gamma,  a1' = c a1 - iota*y_bar*a2,
         a0' = -iota*y_bar*a1 - (v^2/2) a2,       all zero at T.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size!r}")
-    t = np.linspace(0.0, horizon, grid_size)
-    th = half_grid(t)
+    t, th = _solve_grid(horizon, grid_size)
     c = _mean_reversion_rate(market)
     g = agent.gamma
     iy = market.iota * market.y_bar
@@ -244,12 +246,9 @@ def solve_b_coeffs(agent_i: AgentParams, agent_j: AgentParams, market: MarketPar
     is left out and sigma_j never built, so the grids do not depend on
     agent_j.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size!r}")
+    t, th = _solve_grid(horizon, grid_size)
     # b0's last term divides by 2 gamma sigma^2, the agent's std divisor.
     _check_std_divisor(agent_i, market)
-    t = np.linspace(0.0, horizon, grid_size)
-    th = half_grid(t)
     a1_h, a2_h = a_coeffs_closed_form(agent_i, market, horizon, th)
 
     g = agent_i.gamma
@@ -298,8 +297,11 @@ def _mean_base(t, y, agent: AgentParams, market: MarketParams, horizon: float):
     a1, a2 = a_coeffs_closed_form(agent, market, horizon, t)
     rv = market.rho * market.v
     y = np.asarray(y, dtype=float)
-    return (y / (agent.gamma * market.sigma)
-            - (rv / market.sigma) * (a2 * y + a1))
+    gs = agent.gamma * market.sigma
+    if gs == 0.0:
+        raise ZeroDivisionError(f"gamma = {agent.gamma!r} times the [market] sigma = "
+                                f"{market.sigma!r}: the product underflows to 0")
+    return y / gs - (rv / market.sigma) * (a2 * y + a1)
 
 
 def couple_means(base1, base2, agents):

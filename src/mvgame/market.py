@@ -19,6 +19,7 @@ each agent's blocks, drawing each block's uniforms as the block runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -100,6 +101,8 @@ class MarketParams:
             ("iota", self.iota >= 0.0, "be nonnegative"),
             ("v", self.v >= 0.0, "be nonnegative"),
             ("rho", -1.0 <= self.rho <= 1.0, "lie in [-1, 1]"),
+            ("r", math.isfinite(self.r), "be finite"),
+            ("y_bar", math.isfinite(self.y_bar), "be finite"),
         )
         for name, holds, requirement in checks:
             if not holds:
@@ -118,6 +121,9 @@ class Schedule:
     def __post_init__(self):
         if not self.lam0 > 0.0:  # written so that NaN fails
             raise ValueError(f"exploration weight must be positive, got {self.lam0!r}")
+        for name in ("rate", "horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     def __call__(self, t):
         return self.lam0 * np.exp(self.rate * (self.horizon - np.asarray(t, dtype=float)))
@@ -159,6 +165,9 @@ class SimConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if not self.n_steps >= 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps!r}")
+        for name in ("x1_0", "x2_0", "y_0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @property
     def dt(self) -> float:

@@ -33,6 +33,7 @@ alone, such as the critic features, is done once per episode and shared.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,9 +147,6 @@ class TrainConfig:
     # The CLI derives each replication's seed from this one; rl.train takes
     # the replication seeds themselves.
     seed: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     x1_0: float = 1.0
     x2_0: float = 1.0
     y_0: float = 0.273
@@ -171,9 +169,9 @@ class TrainConfig:
             ("critic_dim", self.critic_dim >= 1, ">= 1"),
             ("critic_warmup", self.critic_warmup >= 0, ">= 0"),
             ("max_skip_fraction", 0.0 <= self.max_skip_fraction <= 1.0, "in [0, 1]"),
-            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
-            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
-            ("eps", self.eps > 0.0, "positive"),
+            ("x1_0", math.isfinite(self.x1_0), "finite"),
+            ("x2_0", math.isfinite(self.x2_0), "finite"),
+            ("y_0", math.isfinite(self.y_0), "finite"),
         )
         for name, holds, requirement in checks:
             if not holds:
@@ -353,19 +351,21 @@ def actor_gradient(c1_nominal: np.ndarray, c1_perturbed: np.ndarray,
     return np.einsum("...nk,...n->...k", z, diff) / kappa
 
 
-def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
-              alpha: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
+# Adam's standard moment decays and denominator guard (Kingma & Ba, ICLR 2015).
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, alpha: float):
     """One bias-corrected Adam descent step; returns (state', params').
 
     Leading axes of ``params`` are replications, each bias-corrected by its
     own step count."""
     step = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - np.power(beta1, step))[..., None]
-    v_hat = v / (1.0 - np.power(beta2, step))[..., None]
-    new_params = params - alpha * m_hat / (np.sqrt(v_hat) + eps)
+    m = _BETA1 * state.m + (1.0 - _BETA1) * grad
+    v = _BETA2 * state.v + (1.0 - _BETA2) * grad * grad
+    m_hat = m / (1.0 - np.power(_BETA1, step))[..., None]
+    v_hat = v / (1.0 - np.power(_BETA2, step))[..., None]
+    new_params = params - alpha * m_hat / (np.sqrt(v_hat) + _EPS)
     return AdamState(m=m, v=v, step=step), new_params
 
 
@@ -620,8 +620,7 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
                 grad_phi = actor_gradient(c1[0], c1[1], z, cfg.kappa)
                 # The HJB criterion is maximized, so ascend: feed -grad to Adam.
                 adam[kept], phi[kept] = adam_step(adam[kept], phi_a[:, rows], -grad_phi,
-                                                  cfg.learning_rate, cfg.beta1,
-                                                  cfg.beta2, cfg.eps)
+                                                  cfg.learning_rate)
                 # The replay's arrays would otherwise live on through the next
                 # episode's simulation and critic phases, raising the peak.
                 del z, phi_bar, base_bar, scale_bar, u_bar, dx_bar, reg_bar, c1, grad_phi

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from mvgame import choquet, equilibrium, market
+from mvgame import choquet, equilibrium
+from presets import preset
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a failure reproduces.  Hypothesis still caches the constants
@@ -29,21 +30,15 @@ def gini_dist():
 
 @pytest.fixture(scope="session")
 def bench_market():
-    return market.MarketParams(r=0.017, sigma=0.15, iota=0.27, y_bar=0.273,
-                               v=0.065, rho=-0.93)
+    """The market both shipped presets share."""
+    return preset("table1").market
 
 
 @pytest.fixture(scope="session")
-def agents_long(normal_dist, gini_dist):
+def agents_long():
     """Long-horizon benchmark preferences (20y, decaying exploration)."""
-    return (
-        market.AgentParams(gamma=2.0, k=0.1,
-                           lam=market.Schedule(0.01, 0.01, 20.0),
-                           distortion=normal_dist),
-        market.AgentParams(gamma=1.0, k=0.05,
-                           lam=market.Schedule(0.01, 0.01, 20.0),
-                           distortion=gini_dist),
-    )
+    cfg = preset("table1")
+    return cfg.build_agents(cfg.sim.horizon)
 
 
 @pytest.fixture(scope="session")
@@ -52,14 +47,10 @@ def coeffs_long(agents_long, bench_market):
 
 
 @pytest.fixture(scope="session")
-def agents_short(normal_dist, gini_dist):
+def agents_short():
     """Algorithm-scale preferences (1y horizon, constant exploration)."""
-    return (
-        market.AgentParams(gamma=2.0, k=0.1, lam=market.Schedule(0.015),
-                           distortion=normal_dist),
-        market.AgentParams(gamma=3.0, k=0.05, lam=market.Schedule(0.02),
-                           distortion=gini_dist),
-    )
+    cfg = preset("table2")
+    return cfg.build_agents(cfg.sim.horizon)
 
 
 @pytest.fixture(scope="session")

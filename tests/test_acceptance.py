@@ -12,9 +12,9 @@ from dataclasses import replace
 import numpy as np
 
 from mvgame import choquet, cli, equilibrium as eqm, market, policy_iter as pit, rl
-from mvgame.config import serialize_config, table1_config, table2_config
 from mvgame.market import episode_generator
 
+from presets import preset_path
 from test_choquet import discrete_phi, standardized_atoms
 
 
@@ -261,10 +261,8 @@ def test_criterion_09_qualitative_monotonicity(agents_long, bench_market,
     ok = ok and std_decay
     checks.append(f"sigma* strictly decreasing: {std_decay}")
 
-    cfg_path = tmp_path / "t1.ini"
-    cfg_path.write_text(serialize_config(table1_config()))
     out = tmp_path / "eq"
-    assert cli.main(["equilibrium", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert cli.main(["equilibrium", "--config", preset_path("table1"), "--out", str(out)]) == 0
     worst_integral = 0.0
     for i in (1, 2):
         rows = list(csv.DictReader(open(out / f"densities_agent{i}.csv")))
@@ -289,10 +287,8 @@ def test_criterion_10_learning_at_desk_scale(agents_short, bench_market,
 
     # (a) full benchmark protocol: 10 replications, M=2000, actors started
     # within 10% of the closed-form parameters, averaged curves in-band
-    cfg_path = tmp_path / "t2.ini"
-    cfg_path.write_text(serialize_config(table2_config()))
     out = tmp_path / "train"
-    code = cli.main(["train", "--config", str(cfg_path), "--out", str(out)])
+    code = cli.main(["train", "--config", preset_path("table2"), "--out", str(out)])
     rows = list(csv.DictReader(open(out / "learned_vs_true.csv")))
     rel = 0.0
     for r in rows:

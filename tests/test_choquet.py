@@ -195,6 +195,13 @@ class TestOptimalQuantile:
         with pytest.raises(choquet.DegenerateDistortionError):
             choquet.build_optimal_quantile(flat, 0.0, 1.0)
 
+    def test_nan_norm_rejected(self, normal_dist):
+        """A directly constructed distortion with a nan norm is rejected,
+        not turned into a law whose every quantile is nan."""
+        broken = choquet.Distortion(normal_dist.h, normal_dist.h_prime, float("nan"))
+        with pytest.raises(choquet.DegenerateDistortionError, match=r"\|\|h'\|\|_2 = nan"):
+            choquet.build_optimal_quantile(broken, 0.0, 1.0)
+
 
 class TestSampling:
     def test_median_symmetry(self, normal_dist):

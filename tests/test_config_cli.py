@@ -14,30 +14,33 @@ from hypothesis import strategies as st
 
 import mvgame
 from mvgame import cli, rl
-from mvgame.config import (ConfigError, parse_config, parse_config_text,
-                           serialize_config, table1_config, table2_config)
+from mvgame.config import ConfigError, parse_config, parse_config_text, serialize_config
+
+from presets import CONFIGS, preset, preset_path
 
 
 @pytest.fixture(scope="module")
 def t1_text():
-    return serialize_config(table1_config())
+    with open(preset_path("table1")) as fh:
+        return fh.read()
 
 
 class TestConfigRoundTrip:
-    @pytest.mark.parametrize("factory", [table1_config, table2_config])
-    def test_parse_serialize_identity(self, factory):
-        cfg = factory()
+    @pytest.mark.parametrize("name", ["table1", "table2"],
+                             ids=["table1_config", "table2_config"])
+    def test_parse_serialize_identity(self, name):
+        cfg = preset(name)
         assert parse_config_text(serialize_config(cfg)) == cfg
 
     def test_double_round_trip_is_stable(self):
-        text = serialize_config(table2_config())
+        text = serialize_config(preset("table2"))
         again = serialize_config(parse_config_text(text))
         assert text == again
 
     def test_reads_from_file(self, tmp_path, t1_text):
         path = tmp_path / "cfg.ini"
         path.write_text(t1_text)
-        assert parse_config(path) == table1_config()
+        assert parse_config(path) == parse_config_text(t1_text)
 
 
 class TestConfigValidation:
@@ -85,20 +88,18 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key", ["gamma", "k", "lambda0"])
     def test_nan_agent_parameter_rejected(self, key):
-        agent = table1_config().agent1
+        agent = preset("table1").agent1
         with pytest.raises(ConfigError, match=f"^{key} must"):
             replace(agent, **{key: float("nan")})
 
 
-CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
-
-
-@pytest.mark.parametrize("name, preset", [("table1.ini", table1_config),
-                                          ("table2.ini", table2_config)],
-                         ids=["table1.ini", "table2.ini"])
-def test_shipped_configs_parse(name, preset):
-    """Each shipped config is the preset the acceptance tests run."""
-    assert parse_config(os.path.join(CONFIGS, name)) == preset()
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(CONFIGS) if n.endswith(".ini")))
+def test_shipped_configs_parse(name):
+    """Each shipped config is its own serialization, byte for byte, so a
+    config written by ``serialize_config`` reads like the shipped file."""
+    with open(os.path.join(CONFIGS, name)) as fh:
+        text = fh.read()
+    assert serialize_config(parse_config_text(text)) == text
 
 
 def test_module_entry_point_has_no_runtime_warning():
@@ -133,10 +134,6 @@ class TestTrainInputRejected:
         ("train", "critic_warmup", "-1"),
         ("train", "max_skip_fraction", "2.0"),
         ("train", "max_skip_fraction", "-0.1"),
-        ("train", "beta1", "1.0"),
-        ("train", "beta1", "-0.5"),
-        ("train", "beta2", "1.0"),
-        ("train", "eps", "0.0"),
         ("output", "replications", "-1"),
         ("output", "train_band", "-1.0"),
         ("output", "train_band", "0.0"),
@@ -152,8 +149,8 @@ class TestTrainInputRejected:
         (None, "--workers", "-3"),
     ])
     def test_exit_2(self, tmp_path, capsys, section, key, value):
-        cfg = replace(table2_config(), replications=1,
-                      train=replace(table2_config().train, episodes=20))
+        cfg = replace(preset("table2"), replications=1,
+                      train=replace(preset("table2").train, episodes=20))
         text = serialize_config(cfg)
         argv = ["train", "--out", str(tmp_path / "o")]
         if section is None:
@@ -178,6 +175,17 @@ def test_zero_sigma_is_a_config_error(tmp_path, capsys, t1_text, command):
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err == "config error: [market] sigma must be positive, got 0.0\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["beta1", "beta2", "eps"])
+def test_adam_constants_are_not_config_keys(tmp_path, capsys, t1_text, key):
+    """Adam's decays and guard are fixed constants; a config that still sets
+    one is rejected with the key named."""
+    path = tmp_path / "cfg.ini"
+    path.write_text(t1_text.replace("[train]\n", f"[train]\n{key} = 0.9\n"))
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: unknown key {key!r} in section [train]\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -220,7 +228,7 @@ class TestCliErrors:
     @pytest.mark.parametrize("max_skip,code", [(0.01, 4), (0.05, 0)])
     def test_aggregate_skip_check_reads_config(self, tmp_path, monkeypatch,
                                                max_skip, code):
-        cfg = table2_config()
+        cfg = preset("table2")
         cfg = replace(cfg, replications=1,
                       train=replace(cfg.train, episodes=100,
                                     max_skip_fraction=max_skip))
@@ -244,8 +252,8 @@ class TestCliErrors:
                          "--out", str(tmp_path / "o")]) == code
 
     def test_simulation_divergence_exit_4(self, tmp_path, capsys):
-        cfg = replace(table2_config(),
-                      market=replace(table2_config().market, v=50.0))
+        cfg = replace(preset("table2"),
+                      market=replace(preset("table2").market, v=50.0))
         path = tmp_path / "cfg.ini"
         path.write_text(serialize_config(cfg))
         assert cli.main(["simulate", "--config", str(path),
@@ -260,8 +268,8 @@ class TestCliErrors:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(rl.LstdAccumulator, "solve", singular)
-        cfg = replace(table2_config(), replications=1,
-                      train=replace(table2_config().train, episodes=20,
+        cfg = replace(preset("table2"), replications=1,
+                      train=replace(preset("table2").train, episodes=20,
                                     critic_warmup=5, n_steps=20))
         path = tmp_path / "cfg.ini"
         path.write_text(serialize_config(cfg))
@@ -289,7 +297,7 @@ class TestCliErrors:
     def test_training_divergence_prints_no_numpy_warning(self, tmp_path):
         """A huge perturbation scale drives the actors to overflow; the run
         exits 4 with the divergence line alone on stderr."""
-        cfg = table2_config()
+        cfg = preset("table2")
         cfg = replace(cfg, replications=1,
                       train=replace(cfg.train, episodes=40, critic_warmup=5, kappa=1e6))
         path = tmp_path / "cfg.ini"
@@ -316,8 +324,8 @@ class TestCliErrors:
     def test_python_float_failure_exit_4(self, tmp_path, capsys, key, value, command):
         """sigma**2 underflowing to a zero divisor, or a Python float
         overflowing, is a numerical failure: exit 4 and one message."""
-        cfg = replace(table2_config(), replications=1,
-                      train=replace(table2_config().train, episodes=5, critic_warmup=1,
+        cfg = replace(preset("table2"), replications=1,
+                      train=replace(preset("table2").train, episodes=5, critic_warmup=1,
                                     n_steps=10))
         path = tmp_path / "cfg.ini"
         path.write_text(_set_key(serialize_config(cfg), "market", key, value))
@@ -349,8 +357,8 @@ class TestCliErrors:
         """A square that overflows, or a divisor's square that underflows to
         0, names its [market] key or the rate; a command that never squares
         the parameter keeps its exit code."""
-        cfg = replace(table2_config(), replications=1,
-                      train=replace(table2_config().train, episodes=5, critic_warmup=1,
+        cfg = replace(preset("table2"), replications=1,
+                      train=replace(preset("table2").train, episodes=5, critic_warmup=1,
                                     n_steps=10))
         text = serialize_config(cfg)
         for key, value in market.items():
@@ -362,7 +370,7 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err == ("" if line is None else f"numerical failure: {line}\n")
 
-    @pytest.mark.parametrize("preset,section,key,value,command,line", [
+    @pytest.mark.parametrize("name,section,key,value,command,line", [
         ("table2", "market", "v", "1e200", "iterate",
          "numerical failure: the rate iota + rho*v = -9.3e+199: its square overflows"),
         ("table2", "market", "v", "1e200", "train",
@@ -370,11 +378,11 @@ class TestCliErrors:
         ("table1", "sim", "horizon", "1e160", "iterate",
          "numerical failure: agent 1: response iterate: coefficient a2: ")],
         ids=["v-iterate", "v-train", "horizon-iterate"])
-    def test_iterate_and_train_print_no_numpy_warning(self, tmp_path, preset, section,
+    def test_iterate_and_train_print_no_numpy_warning(self, tmp_path, name, section,
                                                       key, value, command, line):
         """An overflowing closed form or response-iterate spline is reported
         alone on stderr, without numpy's overflow warnings."""
-        cfg = table2_config() if preset == "table2" else table1_config()
+        cfg = preset(name)
         cfg = replace(cfg, replications=1,
                       train=replace(cfg.train, episodes=5, critic_warmup=1, n_steps=10))
         path = tmp_path / "cfg.ini"
@@ -385,7 +393,7 @@ class TestCliErrors:
         """A horizon of 1e6 overflows the response iteration's RK4 iterates:
         a numerical failure, not CubicSpline's complaint as a config error."""
         path = tmp_path / "cfg.ini"
-        path.write_text(_set_key(serialize_config(table2_config()), "sim", "horizon",
+        path.write_text(_set_key(serialize_config(preset("table2")), "sim", "horizon",
                                  "1e6"))
         _assert_one_exit_4_line(
             tmp_path, "iterate", path,
@@ -395,7 +403,7 @@ class TestCliErrors:
         """With a horizon of 1e160 the iterates stay finite, but the spline
         through them overflows its slopes on the 2.5e156 grid step."""
         path = tmp_path / "cfg.ini"
-        path.write_text(_set_key(serialize_config(table2_config()), "sim", "horizon",
+        path.write_text(_set_key(serialize_config(preset("table2")), "sim", "horizon",
                                  "1e160"))
         assert cli.main(["iterate", "--config", str(path),
                          "--out", str(tmp_path / "o")]) == 4
@@ -407,6 +415,8 @@ class TestCliErrors:
                      "1e-30: the product underflows to 0")
     _STD_PRODUCT = ("numerical failure: gamma = 1e-300 times the squared [market] "
                     "sigma = 1e-20: the product underflows to 0")
+    _MEAN_PRODUCT = ("numerical failure: gamma = 1e-300 times the [market] sigma = 1e-30: "
+                     "the product underflows to 0")
 
     @pytest.mark.parametrize("keys,command,line", [
         ({("market", "rho"): "0.0", ("market", "iota"): "1e-30"}, "iterate", _RATE_PRODUCT),
@@ -417,27 +427,47 @@ class TestCliErrors:
         ({("market", "sigma"): "1e-20"}, "simulate", _STD_PRODUCT),
         ({("market", "sigma"): "1e-20"}, "iterate", _STD_PRODUCT),
         ({("market", "sigma"): "1e-10"}, "iterate",
-         "numerical failure: agent 1: response mean is not finite")],
+         "numerical failure: agent 1: response mean is not finite"),
+        ({("market", "sigma"): "1e-30"}, "iterate", _MEAN_PRODUCT),
+        ({("market", "sigma"): "1e-30"}, "train", _MEAN_PRODUCT)],
         ids=["rate-iterate", "rate-equilibrium", "rate-simulate", "std-equilibrium",
-             "std-simulate", "std-iterate", "mean-iterate"])
+             "std-simulate", "std-iterate", "mean-iterate", "mean-divisor-iterate",
+             "mean-divisor-train"])
     def test_underflowing_gamma_product_names_the_term(self, tmp_path, keys, command, line):
         """With agent 1's gamma = 1e-300, gamma times the rate iota + rho*v,
         or times sigma^2, underflows to a zero divisor: one line naming both
         factors, exit 4, and no numpy warning.  In ``iterate``, y / (gamma
         sigma) overflows first: the mean iteration reports it as the same
         underflow, or, with sigma = 1e-10 (gamma sigma^2 = 1e-320 is not 0),
-        as a response mean that is not finite."""
-        text = _set_key(serialize_config(table2_config()), "agent1", "gamma", "1e-300")
+        as a response mean that is not finite.  With sigma = 1e-30, gamma
+        sigma itself underflows to 0, and ``iterate`` and ``train``, which
+        start from the closed-form means, name that product."""
+        text = _set_key(serialize_config(preset("table2")), "agent1", "gamma", "1e-300")
         for (section, key), value in keys.items():
             text = _set_key(text, section, key, value)
         path = tmp_path / "cfg.ini"
         path.write_text(text)
         _assert_one_exit_4_line(tmp_path, command, path, line)
 
+    @pytest.mark.parametrize("section", ["agent1", "agent2"], ids=["normal", "gini"])
+    def test_zero_exploration_std_exit_4(self, tmp_path, t1_text, section):
+        """gamma = 1e100 and lambda0 = 1e-300 make the agent's exploration
+        std underflow to 0, which has no density (the normal law's would be
+        nan, the uniform's inf): exit 4 with one line naming the agent, and
+        no numpy warning."""
+        text = _set_key(_set_key(t1_text, section, "gamma", "1e100"), section, "lambda0",
+                        "1e-300")
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        _assert_one_exit_4_line(
+            tmp_path, "equilibrium", path,
+            f"numerical failure: agent {section[-1]}: the exploration std at t = 0.1 is 0.0: "
+            "no density")
+
     def test_zero_sensitivity_failure_names_the_opponent(self, tmp_path, capsys):
         """At k1 = 0 agent 1's value coefficients leave out agent 2's std, so
         agent 2's overflowing exploration weight fails agent 2's set only."""
-        text = _set_key(serialize_config(table2_config()), "agent1", "k", "0.0")
+        text = _set_key(serialize_config(preset("table2")), "agent1", "k", "0.0")
         path = tmp_path / "cfg.ini"
         path.write_text(_set_key(text, "agent2", "lambda0", "1e155"))
         assert cli.main(["equilibrium", "--config", str(path),
@@ -471,8 +501,8 @@ def test_every_command_exits_with_a_defined_code(values, bad, n_steps):
     tiny sizes: every command exits 0, 2, 3 or 4, and none raises.  Each
     example runs four commands, so a failing one is reported as drawn, not
     shrunk."""
-    cfg = replace(table2_config(), replications=1,
-                  train=replace(table2_config().train, episodes=3, critic_warmup=1))
+    cfg = replace(preset("table2"), replications=1,
+                  train=replace(preset("table2").train, episodes=3, critic_warmup=1))
     if bad is not None:
         values = {**values, bad[0]: bad[1]}
     text = serialize_config(cfg)
@@ -674,7 +704,7 @@ class TestEquilibriumCommand:
     def test_one_solve_for_the_coefficient_csvs(self, tmp_path, monkeypatch):
         solved = self._count_solves(monkeypatch)
         out = tmp_path / "o"
-        assert cli.cmd_equilibrium(table1_config(), str(out)) == 0
+        assert cli.cmd_equilibrium(preset("table1"), str(out)) == 0
         assert len(solved) == 1
         params = ["base", "k1", "gamma1", "k2", "gamma2"]
         for i in (1, 2):
@@ -688,9 +718,9 @@ class TestEquilibriumCommand:
         """Simulation, both iterations and a frozen-opponent training run
         build closed-form policies and means without solving coefficients."""
         solved = self._count_solves(monkeypatch)
-        assert cli.cmd_simulate(table1_config(), str(tmp_path / "sim")) == 0
-        assert cli.cmd_iterate(table1_config(), str(tmp_path / "it")) == 0
-        cfg = table2_config()
+        assert cli.cmd_simulate(preset("table1"), str(tmp_path / "sim")) == 0
+        assert cli.cmd_iterate(preset("table1"), str(tmp_path / "it")) == 0
+        cfg = preset("table2")
         cfg = replace(cfg, train=replace(cfg.train, episodes=4, critic_warmup=2, n_steps=10))
         assert cli.cmd_train(cfg, str(tmp_path / "tr"), replications=1,
                              freeze_opponent=True) == 0
@@ -698,18 +728,18 @@ class TestEquilibriumCommand:
 
     def test_normal_density_peaks_at_mean(self, tmp_path, t1_text):
         from mvgame import equilibrium as eqm
-        cfg = table1_config()
+        cfg = preset("table1")
         agents = cfg.build_agents(20.0)
         coeffs = eqm.solve_coefficients(agents, cfg.market, 20.0)
         pol = eqm.equilibrium_policy(0, agents, cfg.market, coeffs)
-        u, dens = cli._density_curve(pol, 0.1, cfg.market.y_bar)
+        u, dens = cli._density_curve(pol, 0.1, cfg.market.y_bar, 1)
         peak_u = u[np.argmax(dens)]
         assert peak_u == pytest.approx(pol.mean(0.1, cfg.market.y_bar), abs=1e-9)
 
 
 class TestTrainCommand:
     def _small_cfg_text(self):
-        cfg = table2_config()
+        cfg = preset("table2")
         cfg = replace(cfg,
                       train=replace(cfg.train, episodes=60, critic_warmup=20,
                                     n_steps=40),
@@ -732,7 +762,7 @@ class TestTrainCommand:
     def test_undefined_relative_error_fails_the_band(self, tmp_path, capsys):
         """With y_bar = 0 the true mean curves on the y = y_bar slice are
         identically 0, so the relative error is undefined and fails the band."""
-        cfg = table2_config()
+        cfg = preset("table2")
         cfg = replace(cfg, market=replace(cfg.market, y_bar=0.0),
                       train=replace(cfg.train, episodes=30), replications=2)
         path = tmp_path / "cfg.ini"
@@ -753,7 +783,7 @@ class TestTrainCommand:
             (out2 / "training_metrics.csv").read_bytes()
 
     def test_zero_episodes_writes_true_curves_only(self, tmp_path):
-        cfg = replace(table2_config(), train=replace(table2_config().train,
+        cfg = replace(preset("table2"), train=replace(preset("table2").train,
                                                      episodes=0))
         path = tmp_path / "cfg.ini"
         path.write_text(serialize_config(cfg))
@@ -779,8 +809,8 @@ class TestParallelReplications:
     @pytest.mark.parametrize("mode", [[], ["--freeze-opponent"]],
                              ids=["joint", "freeze"])
     def test_worker_pool_matches_sequential(self, tmp_path, mode):
-        cfg = replace(table2_config(),
-                      train=replace(table2_config().train, episodes=40,
+        cfg = replace(preset("table2"),
+                      train=replace(preset("table2").train, episodes=40,
                                     critic_warmup=10, n_steps=30),
                       replications=2)
         path = tmp_path / "cfg.ini"
@@ -795,8 +825,8 @@ class TestParallelReplications:
     def test_more_workers_than_replications(self, tmp_path):
         # 3 workers for 2 replications make two one-replication groups; an
         # empty group would fail its worker
-        cfg = replace(table2_config(),
-                      train=replace(table2_config().train, episodes=40,
+        cfg = replace(preset("table2"),
+                      train=replace(preset("table2").train, episodes=40,
                                     critic_warmup=10, n_steps=30),
                       replications=2)
         path = tmp_path / "cfg.ini"

@@ -7,8 +7,9 @@ import pytest
 from mvgame import equilibrium as eqm
 from mvgame import market
 from mvgame import policy_iter as pit
-from mvgame.config import table1_config, table2_config
 from mvgame.market import AgentParams, MarketParams
+
+from presets import preset
 
 
 class TestACoefficients:
@@ -410,9 +411,10 @@ class TestPlainData:
     """Agents and every policy kind are data and module-level functions, so
     they pickle: the CLI sends them to its training workers."""
 
-    @pytest.mark.parametrize("factory", [table1_config, table2_config])
-    def test_built_agents_round_trip(self, factory):
-        cfg = factory()
+    @pytest.mark.parametrize("name", ["table1", "table2"],
+                             ids=["table1_config", "table2_config"])
+    def test_built_agents_round_trip(self, name):
+        cfg = preset(name)
         agents = cfg.build_agents(cfg.sim.horizon)
         again = pickle.loads(pickle.dumps(agents))
         assert again == agents
@@ -424,7 +426,7 @@ class TestPlainData:
 
     @staticmethod
     def _policies():
-        cfg = table1_config()
+        cfg = preset("table1")
         horizon = cfg.sim.horizon
         agents = cfg.build_agents(horizon)
         coeffs = eqm.solve_coefficients(agents, cfg.market, horizon, 401)

@@ -3,7 +3,8 @@ import pytest
 
 from mvgame import equilibrium as eqm
 from mvgame._integrate import half_grid, rk4_backward_affine
-from mvgame.config import table1_config, table2_config
+
+from presets import preset
 
 
 def reference_rk4(alpha_half, beta_half, dt, terminal):
@@ -95,12 +96,11 @@ def test_matrix_system_matches_loop(alpha, terminal):
     np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("preset", [table1_config, table2_config],
-                         ids=["table1", "table2"])
-def test_b_systems_of_presets_match_loop(preset, monkeypatch):
+@pytest.mark.parametrize("name", ["table1", "table2"])
+def test_b_systems_of_presets_match_loop(name, monkeypatch):
     """The b-systems ``solve_b_coeffs`` builds for both agents of a preset,
     scanned row by row, agree with the per-step loop on the same inputs."""
-    cfg = preset()
+    cfg = preset(name)
     agents = cfg.build_agents(cfg.sim.horizon)
     calls = []
 

@@ -77,10 +77,21 @@ class TestParamValidation:
          "gamma must be positive"),
         (lambda d, x: market.Schedule(x), "exploration weight must be positive"),
         (lambda d, x: SimConfig(horizon=x, n_steps=10, seed=1), "horizon must be positive"),
-    ], ids=["sigma", "iota", "v", "gamma", "lam0", "horizon"])
+        (lambda d, x: MarketParams(r=x, sigma=0.1, iota=0.1, y_bar=0.2, v=0.1, rho=0.0),
+         "r must be finite"),
+        (lambda d, x: MarketParams(r=0.01, sigma=0.1, iota=0.1, y_bar=x, v=0.1, rho=0.0),
+         "y_bar must be finite"),
+        (lambda d, x: market.Schedule(0.01, x, 1.0), "rate must be finite"),
+        (lambda d, x: market.Schedule(0.01, 0.01, x), "horizon must be finite"),
+        (lambda d, x: SimConfig(horizon=1.0, n_steps=10, seed=1, x1_0=x), "x1_0 must be finite"),
+        (lambda d, x: SimConfig(horizon=1.0, n_steps=10, seed=1, x2_0=x), "x2_0 must be finite"),
+        (lambda d, x: SimConfig(horizon=1.0, n_steps=10, seed=1, y_0=x), "y_0 must be finite"),
+    ], ids=["sigma", "iota", "v", "gamma", "lam0", "horizon", "r", "y_bar", "rate",
+            "schedule_horizon", "x1_0", "x2_0", "y_0"])
     def test_nan_rejected(self, normal_dist, build, message):
-        """Each check is written as "not <valid>", so a NaN field fails it
-        with the same message as an out-of-range value."""
+        """Each range check is written as "not <valid>", so a NaN field fails
+        it with the same message as an out-of-range value; a field with no
+        range must be finite."""
         with pytest.raises(ValueError, match=message):
             build(normal_dist, float("nan"))
         build(normal_dist, 0.5)

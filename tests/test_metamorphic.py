@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from mvgame import equilibrium as eqm
 from mvgame.choquet import make_distortion_gini, make_distortion_normal
-from mvgame.config import table1_config, table2_config
 from mvgame.market import AgentParams, Schedule
+
+from presets import preset
 
 # Coarser than the default grid, so each example solves in about 1 ms; the
 # relations are exact on any grid.
@@ -33,7 +34,7 @@ _MARKETS = st.fixed_dictionaries({
 _AGENT = st.tuples(_MAGNITUDE, _UNIT, _MAGNITUDE)  # gamma, k, lambda0
 
 _DISTORTIONS = (make_distortion_normal(), make_distortion_gini())
-_BASE = table2_config()
+_BASE = preset("table2")
 
 
 def _agent(draw, index):
@@ -127,12 +128,13 @@ def test_zero_sensitivity_decouples_the_agent(market, draws, horizon, i):
                       replace(_BASE.market, **market), horizon)
 
 
-@pytest.mark.parametrize("factory", [table1_config, table2_config])
-def test_relations_hold_on_the_presets(factory):
-    cfg = factory()
+@pytest.mark.parametrize("name, other", [("table1", "table2"), ("table2", "table1")],
+                         ids=["table1_config", "table2_config"])
+def test_relations_hold_on_the_presets(name, other):
+    cfg = preset(name)
     horizon = cfg.sim.horizon
     agents = cfg.build_agents(horizon)
-    other = (table2_config if factory is table1_config else table1_config)()
+    other = preset(other)
     _check_swap(agents, cfg.market, horizon)
     _check_doubling(agents, cfg.market, horizon)
     for i in (0, 1):

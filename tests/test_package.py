@@ -11,11 +11,12 @@ from dataclasses import replace
 import pytest
 
 import mvgame
-from mvgame.config import serialize_config, table1_config, table2_config
+from mvgame.config import serialize_config
+
+from presets import preset, preset_path
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mvgame.__file__)))
 DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "demos")
-CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
 
 
 def run_fresh(*args: str) -> subprocess.CompletedProcess:
@@ -59,7 +60,7 @@ def test_commands_load_neither_interpolate_nor_integrate(tmp_path, command):
     run no quadrature, so neither subpackage (each about 290 scipy modules
     and 26 MB resident) is loaded by a fresh process that runs any
     command."""
-    cfg = table2_config() if command == "train" else table1_config()
+    cfg = preset("table2" if command == "train" else "table1")
     cfg = replace(cfg, replications=1,
                   train=replace(cfg.train, episodes=40, critic_warmup=5))
     path = tmp_path / "cfg.ini"
@@ -87,16 +88,16 @@ def test_scipy_loads_where_it_is_used(tmp_path, step, loads):
     quantile, so ``simulate``, which draws actions, loads it."""
     if step == "setup":
         run = "".join(
-            f"cfg = parse_config({os.path.join(CONFIGS, name)!r}); "
+            f"cfg = parse_config({preset_path(name)!r}); "
             "agents = cfg.build_agents(cfg.sim.horizon); "
             "coeffs = eqm.solve_coefficients(agents, cfg.market, cfg.sim.horizon); "
             "[eqm.equilibrium_policy(i, agents, cfg.market, coeffs) for i in (0, 1)]; "
             "[eqm.closed_form_policy(i, agents, cfg.market, cfg.sim.horizon) "
             "for i in (0, 1)]; "
-            for name in ("table1.ini", "table2.ini"))
+            for name in ("table1", "table2"))
     else:
         run = (f"assert cli.main([{step!r}, '--config', "
-               f"{os.path.join(CONFIGS, 'table1.ini')!r}, "
+               f"{preset_path('table1')!r}, "
                f"'--out', {str(tmp_path / 'o')!r}]) == 0; ")
     # prints the public subpackages loaded (not scipy's private modules)
     probe = ("import sys; from mvgame import cli, equilibrium as eqm; "
@@ -114,12 +115,12 @@ def test_objective_with_rebuilt_agents_is_bit_identical():
     ``estimate_objective`` takes the analytic regularizer branch for them, as
     for the agents the policies were built from: the same bits, and no
     ``scipy.integrate`` import in a fresh process."""
-    probe = """
+    probe = f"""
 import sys
 from dataclasses import replace
 from mvgame import equilibrium as eqm, market as mkt
-from mvgame.config import table2_config
-cfg = table2_config()
+from mvgame.config import parse_config
+cfg = parse_config({preset_path("table2")!r})
 sim = replace(cfg.sim, n_steps=20)
 agents = cfg.build_agents(sim.horizon)
 rebuilt = cfg.build_agents(sim.horizon)
@@ -141,12 +142,12 @@ def test_value_check_loads_no_interpolate():
     t = 0, a grid node: with the closed-form policies, a fresh process that
     solves, estimates and reads V_i at t = 0 and t = T never loads
     ``scipy.interpolate``."""
-    probe = """
+    probe = f"""
 import sys
 from dataclasses import replace
 from mvgame import equilibrium as eqm, market as mkt
-from mvgame.config import table2_config
-cfg = table2_config()
+from mvgame.config import parse_config
+cfg = parse_config({preset_path("table2")!r})
 sim = replace(cfg.sim, n_steps=20)
 agents = cfg.build_agents(sim.horizon)
 coeffs = eqm.solve_coefficients(agents, cfg.market, sim.horizon)
@@ -171,8 +172,8 @@ def test_hjb_check_from_csv_grids_loads_no_interpolate(tmp_path):
 import csv, sys
 import numpy as np
 from mvgame import equilibrium as eqm
-from mvgame.config import table2_config
-cfg = table2_config()
+from mvgame.config import parse_config
+cfg = parse_config({preset_path("table2")!r})
 horizon = cfg.sim.horizon
 agents = cfg.build_agents(horizon)
 coeffs = []

@@ -343,6 +343,12 @@ class TestTrain:
     def _phis(self, agents, mkt):
         return _one_replication(rl.equilibrium_actor_params(a, mkt) for a in agents)
 
+    @pytest.mark.parametrize("name", ["x1_0", "x2_0", "y_0"])
+    def test_initial_state_must_be_finite(self, name):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}"):
+                self._cfg(**{name: value})
+
     def test_deterministic(self, agents_short, bench_market):
         phis = self._phis(agents_short, bench_market)
         r1 = rl.train(agents_short, bench_market, self._cfg(), initial_actors=phis,
@@ -525,8 +531,7 @@ def _reference_train(agents, mkt, cfg, initial_actors, frozen_opponent=None):
             c1_bar, _, _ = rl._td_residuals(new_theta[i], gamma, df, dx_bar, dt, reg_bar)
             grad_phi = rl.actor_gradient(c1_nom, c1_bar, z_draws[i], cfg.kappa)
             adam[i], new_phi[i] = rl.adam_step(adam[i], phi[i], -grad_phi,
-                                               cfg.learning_rate, cfg.beta1,
-                                               cfg.beta2, cfg.eps)
+                                               cfg.learning_rate)
         phi = new_phi
         theta = new_theta
         for i in range(2):

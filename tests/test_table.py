@@ -11,7 +11,8 @@ import pytest
 
 from mvgame import cli, equilibrium as eqm, market, policy_iter as pit, rl
 from mvgame._table import _CHUNK_ROWS, write_table
-from mvgame.config import table1_config, table2_config
+
+from presets import preset
 
 
 def _r(x):
@@ -53,7 +54,7 @@ def test_trajectory_csv(tmp_path, agents_short, bench_market, policies_short):
 
 
 def test_metrics_csv_blanks_nan_losses(tmp_path):
-    cfg = table2_config()
+    cfg = preset("table2")
     cfg = replace(cfg, train=replace(cfg.train, episodes=6, critic_warmup=2, n_steps=10))
     agents = cfg.build_agents(cfg.train.horizon)
     frozen = eqm.closed_form_policy(1, agents, cfg.market, cfg.train.horizon)
@@ -101,7 +102,7 @@ def test_history_csv_unequal_lengths(tmp_path, agents_long, bench_market,
 
 
 def test_density_csv(tmp_path):
-    cfg = table1_config()
+    cfg = preset("table1")
     assert cli.cmd_equilibrium(cfg, str(tmp_path)) == 0
     horizon = cfg.sim.horizon
     agents = cfg.build_agents(horizon)
@@ -110,7 +111,7 @@ def test_density_csv(tmp_path):
         for t in cli.DENSITY_TIMES:
             for param, value, pair in [("base", t, agents)] + cli._sweep_variants(agents):
                 policy = eqm.closed_form_policy(i, pair, cfg.market, horizon)
-                u, dens = cli._density_curve(policy, t, cfg.market.y_bar)
+                u, dens = cli._density_curve(policy, t, cfg.market.y_bar, i + 1)
                 rows += [[param, _r(value), _r(t), _r(uu), _r(dd)]
                          for uu, dd in zip(u, dens)]
         want = _csv_bytes(tmp_path / "want.csv", ["param", "value", "t", "u", "density"],
@@ -120,7 +121,7 @@ def test_density_csv(tmp_path):
 
 @pytest.mark.parametrize("reps", [0, 1])
 def test_learned_csv(tmp_path, reps):
-    cfg = table2_config()
+    cfg = preset("table2")
     cfg = replace(cfg, train=replace(cfg.train, episodes=4, critic_warmup=2, n_steps=10))
     assert cli.cmd_train(cfg, str(tmp_path), replications=reps) == 0
     horizon, y = cfg.train.horizon, cfg.market.y_bar
