@@ -101,17 +101,20 @@ def cmd_equilibrium(cfg: ExperimentConfig, out_dir: str) -> int:
     y0 = cfg.market.y_bar
     times = [t for t in DENSITY_TIMES if t < horizon] or [0.1 * horizon]
 
-    for i, coeff in enumerate(eqm.solve_coefficients(agents, cfg.market, horizon)):
-        coeff.to_csv(os.path.join(out_dir, f"coefficients_agent{i + 1}.csv"))
+    # Every table is computed before the first is written, so a failure
+    # leaves no CSV behind.
+    coeffs = eqm.solve_coefficients(agents, cfg.market, horizon)
+    curves = [[], []]
     for i in (0, 1):
-        curves = []
         for t in times:
             for param, value, pair in [("base", t, agents)] + _sweep_variants(agents):
                 policy = eqm.closed_form_policy(i, pair, cfg.market, horizon)
                 u, dens = _density_curve(policy, t, y0, i + 1)
-                curves.append([param, value, t, u, dens])
+                curves[i].append([param, value, t, u, dens])
+    for i in (0, 1):
+        coeffs[i].to_csv(os.path.join(out_dir, f"coefficients_agent{i + 1}.csv"))
         write_table(os.path.join(out_dir, f"densities_agent{i + 1}.csv"),
-                    ["param", "value", "t", "u", "density"], curves)
+                    ["param", "value", "t", "u", "density"], curves[i])
     print(f"equilibrium: wrote coefficient and density CSVs to {out_dir}")
     return EXIT_OK
 
@@ -140,6 +143,7 @@ def cmd_iterate(cfg: ExperimentConfig, out_dir: str) -> int:
         if not it.sup_err <= it.bound + slack:
             failures.append(f"mean iteration error {it.sup_err} > bound {it.bound} at n={it.n}")
 
+    hists = []
     for i in (0, 1):
         try:
             hist = pit.run_response_iteration(agents[i], cfg.market, horizon,
@@ -160,11 +164,15 @@ def cmd_iterate(cfg: ExperimentConfig, out_dir: str) -> int:
         if not hist.converged:
             failures.append(f"agent {i + 1} response iteration did not reach "
                             f"tol={hist.tol} within {len(hist.iterates) - 1} iterations")
-        pit.export_history_csv(
-            os.path.join(out_dir, f"iteration_agent{i + 1}.csv"), hist, mean_hist)
+        hists.append(hist)
         status = "converged" if hist.converged else "NOT converged"
         print(f"iterate: agent {i + 1} {status} in {hist.n_iterations} iterations")
 
+    # Both histories are written, as the certificates' evidence, only once
+    # neither iteration failed numerically.
+    for i, hist in enumerate(hists):
+        pit.export_history_csv(
+            os.path.join(out_dir, f"iteration_agent{i + 1}.csv"), hist, mean_hist)
     if failures:
         for msg in failures:
             print(f"certificate FAILED: {msg}", file=sys.stderr)

@@ -97,9 +97,9 @@ class MarketParams:
         # positivity themselves.  (field, holds, requirement); written so
         # that NaN fails
         checks = (
-            ("sigma", self.sigma >= 0.0, "be nonnegative"),
-            ("iota", self.iota >= 0.0, "be nonnegative"),
-            ("v", self.v >= 0.0, "be nonnegative"),
+            ("sigma", self.sigma >= 0.0 and math.isfinite(self.sigma), "be nonnegative"),
+            ("iota", self.iota >= 0.0 and math.isfinite(self.iota), "be nonnegative"),
+            ("v", self.v >= 0.0 and math.isfinite(self.v), "be nonnegative"),
             ("rho", -1.0 <= self.rho <= 1.0, "lie in [-1, 1]"),
             ("r", math.isfinite(self.r), "be finite"),
             ("y_bar", math.isfinite(self.y_bar), "be finite"),
@@ -119,7 +119,7 @@ class Schedule:
     horizon: float = 0.0
 
     def __post_init__(self):
-        if not self.lam0 > 0.0:  # written so that NaN fails
+        if not (self.lam0 > 0.0 and math.isfinite(self.lam0)):
             raise ValueError(f"exploration weight must be positive, got {self.lam0!r}")
         for name in ("rate", "horizon"):
             if not math.isfinite(getattr(self, name)):
@@ -144,7 +144,7 @@ class AgentParams:
     distortion: "Distortion"  # noqa: F821 - mvgame.choquet.Distortion
 
     def __post_init__(self):
-        if not self.gamma > 0.0:  # written so that NaN fails
+        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
         # k=0 is accepted: it decouples the game into single-agent problems.
         if not 0.0 <= self.k < 1.0:
@@ -161,7 +161,7 @@ class SimConfig:
     y_0: float = 0.273
 
     def __post_init__(self):
-        if not self.horizon > 0.0:  # written so that NaN fails
+        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if not self.n_steps >= 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps!r}")

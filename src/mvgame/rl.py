@@ -161,11 +161,12 @@ class TrainConfig:
     def __post_init__(self):
         # (field, holds, requirement); written so that NaN fails
         checks = (
-            ("kappa", self.kappa > 0.0, "positive"),
-            ("learning_rate", self.learning_rate > 0.0, "positive"),
+            ("kappa", self.kappa > 0.0 and math.isfinite(self.kappa), "positive"),
+            ("learning_rate", self.learning_rate > 0.0 and math.isfinite(self.learning_rate),
+             "positive"),
             ("episodes", self.episodes >= 0, ">= 0"),
             ("n_steps", self.n_steps >= 1, ">= 1"),
-            ("horizon", self.horizon > 0.0, "positive"),
+            ("horizon", self.horizon > 0.0 and math.isfinite(self.horizon), "positive"),
             ("critic_dim", self.critic_dim >= 1, ">= 1"),
             ("critic_warmup", self.critic_warmup >= 0, ">= 0"),
             ("max_skip_fraction", 0.0 <= self.max_skip_fraction <= 1.0, "in [0, 1]"),

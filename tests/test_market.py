@@ -89,11 +89,12 @@ class TestParamValidation:
     ], ids=["sigma", "iota", "v", "gamma", "lam0", "horizon", "r", "y_bar", "rate",
             "schedule_horizon", "x1_0", "x2_0", "y_0"])
     def test_nan_rejected(self, normal_dist, build, message):
-        """Each range check is written as "not <valid>", so a NaN field fails
-        it with the same message as an out-of-range value; a field with no
-        range must be finite."""
-        with pytest.raises(ValueError, match=message):
-            build(normal_dist, float("nan"))
+        """Each range check is written as "not <valid>" and asks for a finite
+        value, so a NaN or +inf field fails it with the same message as an
+        out-of-range value; a field with no range must be finite."""
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=message):
+                build(normal_dist, value)
         build(normal_dist, 0.5)
 
     def test_weight_schedules(self):

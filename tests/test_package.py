@@ -4,8 +4,6 @@ exercise it run to completion."""
 import importlib
 import os
 import pkgutil
-import subprocess
-import sys
 from dataclasses import replace
 
 import pytest
@@ -13,18 +11,9 @@ import pytest
 import mvgame
 from mvgame.config import serialize_config
 
-from presets import preset, preset_path
+from presets import preset, preset_path, run_fresh
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(mvgame.__file__)))
 DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "demos")
-
-
-def run_fresh(*args: str) -> subprocess.CompletedProcess:
-    """``python *args`` in a fresh process that imports the package from
-    this checkout's source."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(mvgame.__path__)))

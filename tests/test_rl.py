@@ -349,6 +349,12 @@ class TestTrain:
             with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}"):
                 self._cfg(**{name: value})
 
+    @pytest.mark.parametrize("name", ["horizon", "learning_rate", "kappa"])
+    def test_positive_field_must_be_finite(self, name):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be positive, got {value!r}"):
+                self._cfg(**{name: value})
+
     def test_deterministic(self, agents_short, bench_market):
         phis = self._phis(agents_short, bench_market)
         r1 = rl.train(agents_short, bench_market, self._cfg(), initial_actors=phis,
