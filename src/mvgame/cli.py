@@ -241,13 +241,12 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, replications: int | None = No
     else:
         runs = [_train_group(jobs[0])]
 
+    # rl.train's cap on each replication, summed over the replications
     skipped_total = sum(r.skipped_episodes for r in runs)
-    episodes_total = sum(r.episodes_run for r in runs)
-    max_skip = cfg.train.max_skip_fraction
-    if skipped_total > max_skip * episodes_total:
-        print(f"train: {skipped_total}/{episodes_total} episodes skipped",
-              file=sys.stderr)
-        raise rl.TrainingDivergedError(f"more than {max_skip:.0%} of episodes diverged")
+    if skipped_total > reps * cfg.train.max_skips:
+        raise rl.TrainingDivergedError(
+            f"{skipped_total}/{sum(r.episodes_run for r in runs)} episodes skipped, more "
+            f"than the {cfg.train.max_skip_fraction:.0%} cap per replication allows")
 
     # Average actor histories across replications (axis 1, after the agent
     # axis), then evaluate the final averaged parameters.

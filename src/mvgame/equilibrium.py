@@ -16,8 +16,7 @@ action standard deviation lam_i(t) ||h_i'||_2 / (gamma_i sigma^2) involves
 only the agent's own preferences.  A solved set answers node queries (such
 as V_i at t = 0 for the Monte Carlo value check) from its grid; only
 off-node values and all time derivatives fit a cubic spline, the in-house
-``_spline`` fit, which imports ``scipy.linalg`` and never
-``scipy.interpolate``.
+``_spline`` fit, which loads no scipy.
 """
 
 from __future__ import annotations

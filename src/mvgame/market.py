@@ -212,7 +212,11 @@ def _draw_state_noise(cfg: SimConfig, n_paths: int, rng) -> np.ndarray:
     if isinstance(rng, np.random.Generator):
         noise = rng.standard_normal((2, n_paths, cfg.n_steps))
     elif len(rng) == n_paths:
-        noise = np.stack([g.standard_normal((2, cfg.n_steps)) for g in rng], axis=1)
+        # each path's (2, n_steps) draw, written in place
+        noise = np.empty((2, n_paths, cfg.n_steps))
+        for r, g in enumerate(rng):
+            g.standard_normal(out=noise[0, r])
+            g.standard_normal(out=noise[1, r])
     else:
         raise ValueError(f"need one generator per path: {len(rng)} for {n_paths}")
     noise *= np.sqrt(cfg.dt)

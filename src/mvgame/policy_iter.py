@@ -98,10 +98,9 @@ class MeanHistory:
 
 def _on_half_grid(name: str, t, th, grid):
     """``grid`` on the uniform grid ``t``, cubic-interpolated at the half
-    steps ``th`` by the in-house spline (which loads only ``scipy.linalg``,
-    never ``scipy.interpolate``).  The fit raises ValueError when its slopes
-    overflow (a grid step near 1e154 or more): a numerical failure, not bad
-    input."""
+    steps ``th`` by the in-house spline (which loads no scipy).  The fit
+    raises ValueError when its slopes overflow (a grid step near 1e154 or
+    more, even for an all-zero grid): a numerical failure, not bad input."""
     try:
         return cubic_spline(t, grid)(th)
     except ValueError as exc:
@@ -135,7 +134,9 @@ def iterate_response(prev, agent: AgentParams, market: MarketParams,
     rv = market.rho * market.v
     if prev_a2_half is None:
         prev_a2_half = _on_half_grid("a2", t, th, prev_a2)
-    prev_a1_h = _on_half_grid("a1", t, th, prev_a1)
+    # identical grids, such as the zero initial iterate's, share one fit
+    prev_a1_h = (prev_a2_half if prev_a1.tobytes() == prev_a2.tobytes()
+                 else _on_half_grid("a1", t, th, prev_a1))
 
     beta2 = 2.0 * rv * prev_a2_half - 2.0 / agent.gamma
     a2_new = rk4_backward_affine(beta2, 2.0 * market.iota, dt, 0.0)

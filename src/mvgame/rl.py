@@ -183,6 +183,12 @@ class TrainConfig:
     def dt(self) -> float:
         return self.horizon / self.n_steps
 
+    @property
+    def max_skips(self) -> int:
+        """Skipped episodes one replication may have: ``max_skip_fraction``
+        of the episodes, rounded up."""
+        return int(np.ceil(self.max_skip_fraction * self.episodes))
+
 
 def equilibrium_actor_params(agent: AgentParams, market: MarketParams) -> np.ndarray:
     """Actor parameters (phi0, phi1, phi2, phi3) reproducing the closed-form
@@ -461,7 +467,8 @@ def _markets_ahead(market: MarketParams, sim: SimConfig, seeds, episodes: int):
     """Yield, for each episode m, its generators ``episode_generator(seed, m)``
     and their (y, s_disc) paths, one row per seed.  The paths of up to
     ``_DRAW_AHEAD`` episodes come from one simulator call; each generator
-    then goes on with its own episode's later draws."""
+    then goes on with its own episode's later draws.  Each episode gets a
+    copy of its rows, so one block at a time is held."""
     n_rep = len(seeds)
     for start in range(0, episodes, _DRAW_AHEAD):
         block = [[episode_generator(seed, m) for seed in seeds]
@@ -470,7 +477,8 @@ def _markets_ahead(market: MarketParams, sim: SimConfig, seeds, episodes: int):
                                            [g for rngs in block for g in rngs])
         for j, rngs in enumerate(block):
             rows = slice(j * n_rep, (j + 1) * n_rep)
-            yield rngs, y[rows], s_disc[rows]
+            yield rngs, y[rows].copy(), s_disc[rows].copy()
+        del y, s_disc
 
 
 @dataclass
@@ -547,7 +555,7 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
         [a.gamma for a in agents], [a.distortion.l2_norm ** 2 for a in agents],
         [a.k for a in agents]))
     x0 = np.reshape([cfg.x1_0, cfg.x2_0], (2, 1, 1))
-    max_skips = int(np.ceil(cfg.max_skip_fraction * cfg.episodes))
+    max_skips = cfg.max_skips
     skipped = np.zeros(n_rep, dtype=int)
     lstd = LstdAccumulator(n_agents, n_rep, 3 * d)
 

@@ -327,8 +327,9 @@ class TestCliErrors:
         Row(None, T2, {("sim", "horizon"): "1e6"}, "iterate", 4,
             "numerical failure: agent 1: response iterate: coefficient a2 is not finite",
             fresh=True))
-    # At a horizon of 1e160 the iterates stay finite, but the spline through
-    # them overflows its slopes on the 2.5e156 grid step.
+    # At a horizon of 1e160 the spline through the zero initial iterate
+    # overflows its slopes on the 2.5e156 grid step (the square of the step
+    # is inf, times a zero slope nan), before RK4 makes the first iterate.
     test_overflowing_spline_fit_exit_4 = _rows(
         Row(None, T2, {("sim", "horizon"): "1e160"}, "iterate", 4,
             "numerical failure: agent 1: response iterate: coefficient a2: ..."))
@@ -375,31 +376,44 @@ class TestCliErrors:
         run_row(Row(None, TINY, {}, "train", 4, "training divergence: forced"), tmp_path,
                 capsys)
 
-    @pytest.mark.parametrize("max_skip,code", [(0.01, 4), (0.05, 0)])
-    def test_aggregate_skip_check_reads_config(self, tmp_path, monkeypatch,
-                                               max_skip, code):
+    # The check sums rl.train's cap on each replication, ceil(max_skip_fraction
+    # * episodes): one skip in 50 episodes is within a 1% cap.
+    @pytest.mark.parametrize("episodes,skips,max_skip,code", [
+        pytest.param(100, 3, 0.01, 4, id="0.01-4"),
+        pytest.param(100, 3, 0.05, 0, id="0.05-0"),
+        pytest.param(50, 1, 0.01, 0, id="50-episodes-1-skip")])
+    def test_aggregate_skip_check_reads_config(self, tmp_path, capsys, monkeypatch,
+                                               episodes, skips, max_skip, code):
         cfg = preset("table2")
         cfg = replace(cfg, replications=1,
-                      train=replace(cfg.train, episodes=100,
+                      train=replace(cfg.train, episodes=episodes,
                                     max_skip_fraction=max_skip))
         agents = cfg.build_agents(cfg.train.horizon)
         # two agents, one replication: leading axes (2, 1) on every array
         phi = np.stack([np.tile(rl.equilibrium_actor_params(a, cfg.market),
-                                (1, 101, 1)) for a in agents])
+                                (1, episodes + 1, 1)) for a in agents])
 
-        def skips_3_percent(args):
+        def skips_some(args):
             return rl.TrainResult(
                 phi_history=phi,
                 theta=rl.CriticParams(v=np.zeros((2, 1, 3, 2)), g=np.zeros((2, 1, 3, 2))),
-                critic_losses=np.zeros((2, 1, 100)),
+                critic_losses=np.zeros((2, 1, episodes)),
                 adam_states=rl.AdamState.zeros((2, 1, 4)),
-                skipped_episodes=3, episodes_run=100)
+                skipped_episodes=skips, episodes_run=episodes)
 
-        monkeypatch.setattr(cli, "_train_group", skips_3_percent)
+        monkeypatch.setattr(cli, "_train_group", skips_some)
         path = tmp_path / "cfg.ini"
         path.write_text(serialize_config(cfg))
+        capsys.readouterr()
         assert cli.main(["train", "--config", str(path),
                          "--out", str(tmp_path / "o")]) == code
+        # an exit-4 line stands alone on stderr
+        want = ("" if code == 0 else
+                f"training divergence: {skips}/{episodes} episodes skipped, more than "
+                f"the {max_skip:.0%} cap per replication allows\n")
+        assert capsys.readouterr().err == want
+        if code == 4:
+            assert _files(tmp_path / "o") == []
 
     def test_numerical_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         def singular(self, *args, **kwargs):

@@ -33,8 +33,8 @@ def test_demo_runs(demo):
 def test_cli_import_leaves_out_scipy_signal_and_stats():
     """Every command's start-up imports ``mvgame.cli``; ``scipy.signal`` and
     the ``scipy.stats`` it pulls in are most of a process's set-up time, and
-    nothing in the package needs them.  ``scipy.linalg`` is imported by a
-    spline fit when it runs, not at start-up."""
+    nothing in the package needs them, nor ``scipy.linalg``, which only a
+    3-knot spline fit imports."""
     probe = ("import sys, mvgame.cli; print(sorted(m for m in "
              "('scipy.linalg', 'scipy.signal', 'scipy.stats') if m in sys.modules))")
     proc = run_fresh("-c", probe)
@@ -65,31 +65,37 @@ def test_commands_load_neither_interpolate_nor_integrate(tmp_path, command):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
-@pytest.mark.parametrize("step, loads", [("setup", []), ("equilibrium", []),
-                                         ("iterate", ["scipy.linalg"]),
-                                         ("simulate", ["scipy.special"])],
-                         ids=["setup", "equilibrium", "iterate", "simulate"])
+@pytest.mark.parametrize("step, loads", [("setup", []), ("equilibrium", []), ("iterate", []),
+                                         ("hjb", []), ("simulate", ["scipy.special"])],
+                         ids=["setup", "equilibrium", "iterate", "hjb-residuals", "simulate"])
 def test_scipy_loads_where_it_is_used(tmp_path, step, loads):
     """Set-up (import, ``parse_config``, agents, coefficients and the policy
-    constructors, for table1 and table2) loads no scipy subpackage, nor does
-    ``equilibrium``; ``iterate`` loads only ``scipy.linalg``, for its spline
-    fits.  ``scipy.special`` is imported at the normal distortion's first
-    quantile, so ``simulate``, which draws actions, loads it."""
+    constructors, for table1 and table2) loads no scipy subpackage, nor do
+    ``equilibrium``, ``iterate`` and ``hjb_residuals`` off the grid's nodes,
+    whose splines solve their tridiagonal systems in-house.
+    ``scipy.special`` is imported at the normal distortion's first quantile,
+    so ``simulate``, which draws actions, loads it."""
+    setup = "".join(
+        f"cfg = parse_config({preset_path(name)!r}); "
+        "agents = cfg.build_agents(cfg.sim.horizon); "
+        "coeffs = eqm.solve_coefficients(agents, cfg.market, cfg.sim.horizon); "
+        "[eqm.equilibrium_policy(i, agents, cfg.market, coeffs) for i in (0, 1)]; "
+        "[eqm.closed_form_policy(i, agents, cfg.market, cfg.sim.horizon) "
+        "for i in (0, 1)]; "
+        for name in ("table1", "table2"))
     if step == "setup":
-        run = "".join(
-            f"cfg = parse_config({preset_path(name)!r}); "
-            "agents = cfg.build_agents(cfg.sim.horizon); "
-            "coeffs = eqm.solve_coefficients(agents, cfg.market, cfg.sim.horizon); "
-            "[eqm.equilibrium_policy(i, agents, cfg.market, coeffs) for i in (0, 1)]; "
-            "[eqm.closed_form_policy(i, agents, cfg.market, cfg.sim.horizon) "
-            "for i in (0, 1)]; "
-            for name in ("table1", "table2"))
+        run = setup
+    elif step == "hjb":
+        # every a_deriv and b_deriv fits a spline
+        run = setup + ("assert all(all(np.isfinite(eqm.hjb_residuals("
+                       "i, agents, cfg.market, coeffs, 0.37 * cfg.sim.horizon, 1.0, 0.2))) "
+                       "for i in (0, 1)); ")
     else:
         run = (f"assert cli.main([{step!r}, '--config', "
                f"{preset_path('table1')!r}, "
                f"'--out', {str(tmp_path / 'o')!r}]) == 0; ")
     # prints the public subpackages loaded (not scipy's private modules)
-    probe = ("import sys; from mvgame import cli, equilibrium as eqm; "
+    probe = ("import sys; import numpy as np; from mvgame import cli, equilibrium as eqm; "
              "from mvgame.config import parse_config; " + run +
              "print(sorted(m for m in sys.modules if m.startswith('scipy.') "
              "and m.count('.') == 1 and not m.startswith('scipy._') "
