@@ -4,8 +4,12 @@ Subcommands: ``equilibrium`` (coefficient grids and density-curve sweeps),
 ``iterate`` (policy-iteration error histories with certified bounds),
 ``train`` (actor-critic learning with learned-vs-true mean curves), and
 ``simulate`` (one trajectory under the equilibrium policies).  Every command
-is deterministic given (config, seed) and writes CSV only; plots are left to
-whatever consumes the CSVs.
+writes CSV only; plots are left to whatever consumes the CSVs.
+
+Every command is byte-deterministic given (config, seed) on one CPU path.
+numpy's loop dispatch and the OpenBLAS core can move the last bits of the
+coefficient, density, trajectory and ``train`` files, within 1e-10 relative
+(``tests/test_cpu_paths.py`` reports which files move).
 
 Exit codes: 0 success, 2 config error, 3 certificate failure, 4 divergence
 (training or simulation) or numerical failure.

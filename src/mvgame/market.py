@@ -165,6 +165,8 @@ class SimConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if not self.n_steps >= 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps!r}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         for name in ("x1_0", "x2_0", "y_0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

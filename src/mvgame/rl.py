@@ -137,19 +137,15 @@ class AdamState:
         self.step[rows] = other.step
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+@dataclass(frozen=True, kw_only=True)
+class TrainConfig(SimConfig):
+    """A ``SimConfig`` for the training run plus the learner's settings.  The
+    CLI derives each replication's seed from ``seed``; rl.train takes the
+    replication seeds themselves."""
+
     episodes: int
-    n_steps: int
-    horizon: float
     learning_rate: float
     kappa: float
-    # The CLI derives each replication's seed from this one; rl.train takes
-    # the replication seeds themselves.
-    seed: int
-    x1_0: float = 1.0
-    x2_0: float = 1.0
-    y_0: float = 0.273
     critic_dim: int = 2
     max_skip_fraction: float = 0.01
     # Episodes at the start during which only the critics update.  A raw
@@ -159,20 +155,16 @@ class TrainConfig:
     critic_warmup: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         # (field, holds, requirement); written so that NaN fails
         checks = (
             ("kappa", self.kappa > 0.0 and math.isfinite(self.kappa), "positive"),
             ("learning_rate", self.learning_rate > 0.0 and math.isfinite(self.learning_rate),
              "positive"),
             ("episodes", self.episodes >= 0, ">= 0"),
-            ("n_steps", self.n_steps >= 1, ">= 1"),
-            ("horizon", self.horizon > 0.0 and math.isfinite(self.horizon), "positive"),
             ("critic_dim", self.critic_dim >= 1, ">= 1"),
             ("critic_warmup", self.critic_warmup >= 0, ">= 0"),
             ("max_skip_fraction", 0.0 <= self.max_skip_fraction <= 1.0, "in [0, 1]"),
-            ("x1_0", math.isfinite(self.x1_0), "finite"),
-            ("x2_0", math.isfinite(self.x2_0), "finite"),
-            ("y_0", math.isfinite(self.y_0), "finite"),
         )
         for name, holds, requirement in checks:
             if not holds:
@@ -180,14 +172,13 @@ class TrainConfig:
                                  f"{getattr(self, name)!r}")
 
     @property
-    def dt(self) -> float:
-        return self.horizon / self.n_steps
-
-    @property
     def max_skips(self) -> int:
         """Skipped episodes one replication may have: ``max_skip_fraction``
-        of the episodes, rounded up."""
-        return int(np.ceil(self.max_skip_fraction * self.episodes))
+        of the episodes, rounded up.  The fraction is taken as written, so
+        0.07 of 100 episodes is 7, not the float product's 8."""
+        from fractions import Fraction  # not at import: set-up stays lean
+
+        return math.ceil(Fraction(repr(self.max_skip_fraction)) * self.episodes)
 
 
 def equilibrium_actor_params(agent: AgentParams, market: MarketParams) -> np.ndarray:
@@ -546,9 +537,6 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
     losses = np.full((2, n_rep, cfg.episodes), np.nan)
     phi_hist[:, :, 0] = phi
 
-    sim = SimConfig(horizon=horizon, n_steps=n, seed=cfg.seed,
-                    x1_0=cfg.x1_0, x2_0=cfg.x2_0, y_0=cfg.y_0)
-
     # The trained agents' constants, shaped (A, 1, n) or (A, 1, 1).
     lam, gammas, l2sq, ks = (np.reshape(c, (2, 1, -1))[trained] for c in (
         [a.lam(t_steps) for a in agents],
@@ -559,7 +547,7 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
     skipped = np.zeros(n_rep, dtype=int)
     lstd = LstdAccumulator(n_agents, n_rep, 3 * d)
 
-    markets = _markets_ahead(market, sim, seeds, cfg.episodes)
+    markets = _markets_ahead(market, cfg, seeds, cfg.episodes)
     # A diverging replication overflows to inf and nan, which the wealth
     # guard turns into skips and the skip cap into TrainingDivergedError;
     # numpy need not warn on the way.

@@ -28,9 +28,10 @@ def preset(name: str):
     return parse_config(preset_path(name))
 
 
-def run_fresh(*args: str) -> subprocess.CompletedProcess:
+def run_fresh(*args: str, env=None) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh process that imports the package from
-    this checkout's source."""
-    env = dict(os.environ)
+    this checkout's source.  ``env`` sets variables, and a None value
+    removes one."""
+    env = {k: v for k, v in {**os.environ, **(env or {})}.items() if v is not None}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)

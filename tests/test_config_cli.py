@@ -204,6 +204,15 @@ test_zero_sigma_is_a_config_error = _rows(*(
     Row(command, T1, {("market", "sigma"): "0.0"}, command, 2,
         "config error: [market] sigma must be positive, got 0.0")
     for command in ("equilibrium", "iterate", "train", "simulate")))
+# A negative seed is rejected where it enters, from either section or from
+# --seed, which sets both, before any command creates --out.
+test_negative_seed_is_a_config_error = _rows(*(
+    Row(f"{source}-{command}", T1, edits, command, 2, f"config error: {message}", argv)
+    for source, edits, argv, message in (
+        ("sim", {("sim", "seed"): "-5"}, (), "[sim] seed must be >= 0, got -5"),
+        ("train", {("train", "seed"): "-5"}, (), "[train] seed must be >= 0, got -5"),
+        ("option", {}, ("--seed", "-1"), "seed must be >= 0, got -1"))
+    for command in ("equilibrium", "iterate", "train", "simulate")))
 # Adam's decays and guard are constants, not config keys.
 test_adam_constants_are_not_config_keys = _rows(*(
     Row(key, T1.replace("[train]\n", f"[train]\n{key} = 0.9\n"), {}, "train", 2,

@@ -64,6 +64,8 @@ class TestParamValidation:
             SimConfig(horizon=0.0, n_steps=10, seed=1)
         with pytest.raises(ValueError):
             SimConfig(horizon=1.0, n_steps=0, seed=1)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            SimConfig(horizon=1.0, n_steps=10, seed=-1)
         assert SimConfig(horizon=2.0, n_steps=8, seed=1).dt == 0.25
 
     @pytest.mark.parametrize("build, message", [

@@ -1,6 +1,7 @@
 """The package surface: every exported name resolves, and the demos that
 exercise it run to completion."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -14,6 +15,20 @@ from mvgame.config import serialize_config
 from presets import preset, preset_path, run_fresh
 
 DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "demos")
+
+# Ends a probe script: prints the public scipy subpackages loaded, leaving
+# out scipy's private modules.
+_PRINT_SCIPY = ("\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy.') "
+                "and m.count('.') == 1 and not m.startswith('scipy._') "
+                "and m != 'scipy.version'))\n")
+
+
+def scipy_loaded(script: str) -> list:
+    """The sorted public scipy subpackages that a fresh process running
+    ``script`` has loaded."""
+    proc = run_fresh("-c", script + _PRINT_SCIPY)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
 
 
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(mvgame.__path__)))
@@ -35,20 +50,19 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
     the ``scipy.stats`` it pulls in are most of a process's set-up time, and
     nothing in the package needs them, nor ``scipy.linalg``, which only a
     3-knot spline fit imports."""
-    probe = ("import sys, mvgame.cli; print(sorted(m for m in "
-             "('scipy.linalg', 'scipy.signal', 'scipy.stats') if m in sys.modules))")
-    proc = run_fresh("-c", probe)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert scipy_loaded("import mvgame.cli") == []
 
 
-@pytest.mark.parametrize("command", ["import", "equilibrium", "iterate", "simulate", "train"])
-def test_commands_load_neither_interpolate_nor_integrate(tmp_path, command):
+@pytest.mark.parametrize("command, loads", [
+    ("import", []), ("equilibrium", []), ("iterate", []), ("simulate", ["scipy.special"]),
+    ("train", ["scipy.special"])], ids=["import", "equilibrium", "iterate", "simulate", "train"])
+def test_commands_load_neither_interpolate_nor_integrate(tmp_path, command, loads):
     """Every policy and mean the commands use is closed-form, the response
     iterates are fitted by the in-house spline, and the built-in distortions
-    run no quadrature, so neither subpackage (each about 290 scipy modules
-    and 26 MB resident) is loaded by a fresh process that runs any
-    command."""
+    run no quadrature, so neither ``scipy.interpolate`` nor
+    ``scipy.integrate`` (each about 290 scipy modules and 26 MB resident) is
+    loaded by a fresh process that runs any command: only the commands that
+    draw actions load ``scipy.special``."""
     cfg = preset("table2" if command == "train" else "table1")
     cfg = replace(cfg, replications=1,
                   train=replace(cfg.train, episodes=40, critic_warmup=5))
@@ -57,12 +71,7 @@ def test_commands_load_neither_interpolate_nor_integrate(tmp_path, command):
     run = ("" if command == "import" else
            f"assert cli.main([{command!r}, '--config', {str(path)!r}, "
            f"'--out', {str(tmp_path / 'o')!r}]) == 0; ")
-    probe = ("import sys; from mvgame import cli; " + run +
-             "print(sorted(m for m in ('scipy.interpolate', 'scipy.integrate') "
-             "if m in sys.modules))")
-    proc = run_fresh("-c", probe)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert scipy_loaded("from mvgame import cli; " + run) == loads
 
 
 @pytest.mark.parametrize("step, loads", [("setup", []), ("equilibrium", []), ("iterate", []),
@@ -94,15 +103,8 @@ def test_scipy_loads_where_it_is_used(tmp_path, step, loads):
         run = (f"assert cli.main([{step!r}, '--config', "
                f"{preset_path('table1')!r}, "
                f"'--out', {str(tmp_path / 'o')!r}]) == 0; ")
-    # prints the public subpackages loaded (not scipy's private modules)
-    probe = ("import sys; import numpy as np; from mvgame import cli, equilibrium as eqm; "
-             "from mvgame.config import parse_config; " + run +
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.') "
-             "and m.count('.') == 1 and not m.startswith('scipy._') "
-             "and m != 'scipy.version'))")
-    proc = run_fresh("-c", probe)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == str(loads)
+    assert scipy_loaded("import numpy as np; from mvgame import cli, equilibrium as eqm; "
+                        "from mvgame.config import parse_config; " + run) == loads
 
 
 def test_objective_with_rebuilt_agents_is_bit_identical():
@@ -111,7 +113,6 @@ def test_objective_with_rebuilt_agents_is_bit_identical():
     for the agents the policies were built from: the same bits, and no
     ``scipy.integrate`` import in a fresh process."""
     probe = f"""
-import sys
 from dataclasses import replace
 from mvgame import equilibrium as eqm, market as mkt
 from mvgame.config import parse_config
@@ -125,11 +126,8 @@ for i in (0, 1):
                                         mkt.episode_generator(7, 10_000 + i))
                  for a in (agents, rebuilt))
     assert got == want, (got, want)
-print('scipy.integrate' in sys.modules)
 """
-    proc = run_fresh("-c", probe)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert scipy_loaded(probe) == ["scipy.special"]
 
 
 def test_value_check_loads_no_interpolate():
@@ -138,7 +136,6 @@ def test_value_check_loads_no_interpolate():
     solves, estimates and reads V_i at t = 0 and t = T never loads
     ``scipy.interpolate``."""
     probe = f"""
-import sys
 from dataclasses import replace
 from mvgame import equilibrium as eqm, market as mkt
 from mvgame.config import parse_config
@@ -152,11 +149,8 @@ for i in (0, 1):
                            mkt.episode_generator(7, 10_000 + i))
     for t in (0.0, sim.horizon):
         eqm.value_functions(i, t, sim.x1_0, sim.y_0, coeffs)
-print('scipy.interpolate' in sys.modules)
 """
-    proc = run_fresh("-c", probe)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert scipy_loaded(probe) == ["scipy.special"]
 
 
 def test_hjb_check_from_csv_grids_loads_no_interpolate(tmp_path):
@@ -164,7 +158,7 @@ def test_hjb_check_from_csv_grids_loads_no_interpolate(tmp_path):
     from the written CSVs; its splines are fitted in-house, so a fresh
     process running it never loads ``scipy.interpolate``."""
     probe = f"""
-import csv, sys
+import csv
 import numpy as np
 from mvgame import equilibrium as eqm
 from mvgame.config import parse_config
@@ -181,8 +175,5 @@ for i, cs in enumerate(eqm.solve_coefficients(agents, cfg.market, horizon, 401))
 for i in (0, 1):
     for t in (0.0, 0.37 * horizon):
         assert all(np.isfinite(eqm.hjb_residuals(i, agents, cfg.market, coeffs, t, 1.0, 0.2)))
-print('scipy.interpolate' in sys.modules)
 """
-    proc = run_fresh("-c", probe)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert scipy_loaded(probe) == []

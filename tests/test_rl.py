@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -354,6 +354,21 @@ class TestTrain:
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"^{name} must be positive, got {value!r}"):
                 self._cfg(**{name: value})
+
+    def test_is_a_sim_config(self):
+        """The training run's grid and start state are SimConfig's fields,
+        declared and checked there once."""
+        assert issubclass(rl.TrainConfig, market.SimConfig)
+        own = set(vars(rl.TrainConfig)["__annotations__"]) | set(vars(rl.TrainConfig))
+        assert not own & ({f.name for f in fields(market.SimConfig)} | {"dt"})
+
+    # The cap is the fraction as written times the episodes, rounded up:
+    # the float products 0.07 * 100 and 0.14 * 100 round up one too many.
+    @pytest.mark.parametrize("fraction, episodes, cap", [
+        (0.07, 100, 7), (0.14, 100, 14), (0.01, 50, 1), (0.01, 2000, 20),
+        (0.0, 10, 0), (1.0, 7, 7)])
+    def test_max_skips_rounds_the_fraction_as_written(self, fraction, episodes, cap):
+        assert self._cfg(episodes=episodes, max_skip_fraction=fraction).max_skips == cap
 
     def test_deterministic(self, agents_short, bench_market):
         phis = self._phis(agents_short, bench_market)
