@@ -7,24 +7,23 @@ the policies respond to the competition and risk-aversion parameters.
 Run:  python demos/01_equilibrium_policies.py
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 
-from mvgame import choquet, equilibrium as eqm, market
+from mvgame import equilibrium as eqm
+from mvgame.config import parse_config
 
 # ---------------------------------------------------------------------------
-# Market and preferences.  Agent 1 explores with a Gaussian-inducing
-# regularizer, agent 2 with the Gini regularizer (uniform exploration law).
-# The exploration weight decays exponentially toward lam0 at the horizon.
+# Market and preferences of configs/table1.ini.  Agent 1 explores with a
+# Gaussian-inducing regularizer, agent 2 with the Gini regularizer (uniform
+# exploration law).  The exploration weight decays exponentially toward lam0
+# at the horizon.
 # ---------------------------------------------------------------------------
-T = 20.0
-mkt = market.MarketParams(r=0.017, sigma=0.15, iota=0.27, y_bar=0.273,
-                          v=0.065, rho=-0.93)
-agents = (
-    market.AgentParams(gamma=2.0, k=0.1, lam=market.Schedule(0.01, 0.01, T),
-                       distortion=choquet.make_distortion_normal()),
-    market.AgentParams(gamma=1.0, k=0.05, lam=market.Schedule(0.01, 0.01, T),
-                       distortion=choquet.make_distortion_gini()),
-)
+experiment = parse_config(Path(__file__).resolve().parents[1] / "configs" / "table1.ini")
+T = experiment.sim.horizon
+mkt, agents = experiment.market, experiment.build_agents(T)
 
 coeffs = eqm.solve_coefficients(agents, mkt, T)
 print("coefficient functions at t = 0 (agent 1):")
@@ -57,8 +56,6 @@ print(f"regularizer values: {law1.phi():.4f} (normal), {law2.phi():.4f} (gini)")
 # Comparative statics of agent 1's mean: more competitive sensitivity (k)
 # raises the stake in the risky asset; more risk aversion lowers it.
 # ---------------------------------------------------------------------------
-from dataclasses import replace
-
 # Policies are closed-form, so the sweep solves no coefficient grids.
 print("\nmean_1 at (t=0.1, y=0.273) as parameters vary:")
 for k1 in (0.05, 0.1, 0.2, 0.4):

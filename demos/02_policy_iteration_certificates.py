@@ -11,19 +11,17 @@ measured errors against the certified bounds.
 Run:  python demos/02_policy_iteration_certificates.py
 """
 
+from pathlib import Path
+
 import numpy as np
 
-from mvgame import choquet, equilibrium as eqm, market, policy_iter as pit
+from mvgame import equilibrium as eqm, policy_iter as pit
+from mvgame.config import parse_config
 
-T = 20.0
-mkt = market.MarketParams(r=0.017, sigma=0.15, iota=0.27, y_bar=0.273,
-                          v=0.065, rho=-0.93)
-agents = (
-    market.AgentParams(gamma=2.0, k=0.1, lam=market.Schedule(0.01, 0.01, T),
-                       distortion=choquet.make_distortion_normal()),
-    market.AgentParams(gamma=1.0, k=0.05, lam=market.Schedule(0.01, 0.01, T),
-                       distortion=choquet.make_distortion_gini()),
-)
+# The market and preferences of configs/table1.ini.
+experiment = parse_config(Path(__file__).resolve().parents[1] / "configs" / "table1.ini")
+T = experiment.sim.horizon
+mkt, agents = experiment.market, experiment.build_agents(T)
 
 # ---------------------------------------------------------------------------
 # Response iteration from zero initial coefficient grids.

@@ -10,23 +10,23 @@ structure against the exploratory dynamics.
 Run:  python demos/03_monte_carlo_value_check.py  (about 8 seconds)
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 
-from mvgame import choquet, equilibrium as eqm, market
+from mvgame import equilibrium as eqm, market
+from mvgame.config import parse_config
 
-T, N = 1.0, 250
-mkt = market.MarketParams(r=0.017, sigma=0.15, iota=0.27, y_bar=0.273,
-                          v=0.065, rho=-0.93)
-agents = (
-    market.AgentParams(gamma=2.0, k=0.1, lam=market.Schedule(0.015),
-                       distortion=choquet.make_distortion_normal()),
-    market.AgentParams(gamma=3.0, k=0.05, lam=market.Schedule(0.02),
-                       distortion=choquet.make_distortion_gini()),
-)
+# The market, preferences and simulation grid of configs/table2.ini, with
+# this demo's own seed.
+experiment = parse_config(Path(__file__).resolve().parents[1] / "configs" / "table2.ini")
+cfg = replace(experiment.sim, seed=1)
+T = cfg.horizon
+mkt, agents = experiment.market, experiment.build_agents(T)
 coeffs = eqm.solve_coefficients(agents, mkt, T)
 policies = (eqm.equilibrium_policy(0, agents, mkt, coeffs),
             eqm.equilibrium_policy(1, agents, mkt, coeffs))
-cfg = market.SimConfig(horizon=T, n_steps=N, seed=1, x1_0=1.0, x2_0=1.0, y_0=0.273)
 
 # ---------------------------------------------------------------------------
 # Objective vs value function over 100k episodes.
@@ -35,7 +35,7 @@ n_episodes = 100_000
 print(f"simulating {n_episodes} episodes under the equilibrium policies ...")
 for i in (0, 1):
     est = market.estimate_objective(i, agents, policies, mkt, cfg, n_episodes,
-                                    market.episode_generator(1, 1000 + i))
+                                    market.episode_generator(cfg.seed, 1000 + i))
     x0 = (cfg.x1_0, cfg.x2_0)
     xh0 = x0[i] - agents[i].k * x0[1 - i]
     v, _ = eqm.value_functions(i, 0.0, xh0, cfg.y_0, coeffs)
@@ -50,8 +50,8 @@ for i in (0, 1):
 # have the policy's mean and variance.
 # ---------------------------------------------------------------------------
 batch = market.run_episode_batch(mkt, agents, policies, cfg, 20_000,
-                                 market.episode_generator(1, 99))
-t_steps = np.linspace(0.0, T, N + 1)[:-1]
+                                 market.episode_generator(cfg.seed, 99))
+t_steps = cfg.times[:-1]
 for i in (0, 1):
     mean_res = batch.resid_sum[i] / batch.n_episodes
     var_res = batch.resid_sumsq[i] / batch.n_episodes - mean_res ** 2

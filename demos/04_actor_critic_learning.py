@@ -8,22 +8,24 @@ per-episode gradient is extremely noisy); averaging the learned parameters
 over independent replications concentrates the curves onto the closed form.
 All replications train together in one batched call.
 
-Run:  python demos/04_actor_critic_learning.py  (about 8 seconds)
+Run:  python demos/04_actor_critic_learning.py  (about 4 seconds)
 """
+
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from mvgame import choquet, equilibrium as eqm, market, rl
+from mvgame import equilibrium as eqm, rl
+from mvgame.config import parse_config
 
-T, N, M, REPS = 1.0, 250, 2000, 5
-mkt = market.MarketParams(r=0.017, sigma=0.15, iota=0.27, y_bar=0.273,
-                          v=0.065, rho=-0.93)
-agents = (
-    market.AgentParams(gamma=2.0, k=0.1, lam=market.Schedule(0.015),
-                       distortion=choquet.make_distortion_normal()),
-    market.AgentParams(gamma=3.0, k=0.05, lam=market.Schedule(0.02),
-                       distortion=choquet.make_distortion_gini()),
-)
+# The market, preferences and training run of configs/table2.ini (2000
+# episodes of 250 steps), with this demo's own seed and replication count.
+experiment = parse_config(Path(__file__).resolve().parents[1] / "configs" / "table2.ini")
+cfg = replace(experiment.train, seed=42)
+REPS = 5
+T = cfg.horizon
+mkt, agents = experiment.market, experiment.build_agents(T)
 t_grid = np.linspace(0.0, T, 11)
 y_slice = np.full_like(t_grid, mkt.y_bar)
 true1, true2 = eqm.equilibrium_means(t_grid, mkt.y_bar, agents, mkt, T)
@@ -44,10 +46,8 @@ for rep in range(REPS):
     for i in (0, 1):
         initial[i].append(phi_star[i] * (1.0 + rng.uniform(-0.1, 0.1, size=4)))
 initial = (np.array(initial[0]), np.array(initial[1]))
-cfg = rl.TrainConfig(episodes=M, n_steps=N, horizon=T, learning_rate=1e-3,
-                     kappa=0.01, seed=42, critic_warmup=250)
 result = rl.train(agents, mkt, cfg, initial_actors=initial,
-                  seeds=[42 + rep for rep in range(REPS)])
+                  seeds=[cfg.seed + rep for rep in range(REPS)])
 finals = (result.phi_history[0][:, -1], result.phi_history[1][:, -1])
 for rep in range(REPS):
     start = (initial[0][rep], initial[1][rep])

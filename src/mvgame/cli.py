@@ -226,7 +226,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, replications: int | None = No
     reps = cfg.replications if replications is None else replications
     horizon = cfg.train.horizon
     agents = cfg.build_agents(horizon)
-    t_grid = np.linspace(0.0, horizon, cfg.train.n_steps + 1)
+    t_grid = cfg.train.times
     y_slice = cfg.market.y_bar
     true = np.array(eqm.equilibrium_means(t_grid, y_slice, agents, cfg.market, horizon))
 
@@ -246,11 +246,12 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, replications: int | None = No
         runs = [_train_group(jobs[0])]
 
     # rl.train's cap on each replication, summed over the replications
-    skipped_total = sum(r.skipped_episodes for r in runs)
-    if skipped_total > reps * cfg.train.max_skips:
+    skipped_total, cap = sum(r.skipped_episodes for r in runs), cfg.train.max_skips
+    if skipped_total > reps * cap:
         raise rl.TrainingDivergedError(
             f"{skipped_total}/{sum(r.episodes_run for r in runs)} episodes skipped, more "
-            f"than the {cfg.train.max_skip_fraction:.0%} cap per replication allows")
+            f"than the cap of {reps * cap}: {cap} per replication (max_skip_fraction = "
+            f"{cfg.train.max_skip_fraction!r} of {cfg.train.episodes} episodes, rounded up)")
 
     # Average actor histories across replications (axis 1, after the agent
     # axis), then evaluate the final averaged parameters.

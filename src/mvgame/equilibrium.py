@@ -36,7 +36,6 @@ from .market import AgentParams, MarketParams, _square
 __all__ = [
     "CoefficientSet",
     "EquilibriumPolicy",
-    "SingularMeanSystemError",
     "NonFiniteCoefficientError",
     "DEFAULT_GRID_SIZE",
     "a_coeffs_closed_form",
@@ -57,10 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID_SIZE = 4001
-
-
-class SingularMeanSystemError(ValueError):
-    """k1*k2 >= 1 makes the equilibrium mean system singular."""
 
 
 class NonFiniteCoefficientError(ArithmeticError):
@@ -277,7 +272,7 @@ def solve_b_coeffs(agent_i: AgentParams, agent_j: AgentParams, market: MarketPar
 def solve_coefficients(agents, market: MarketParams, horizon: float,
                        grid_size: int = DEFAULT_GRID_SIZE):
     """Solve both agents' coefficient sets on a shared grid."""
-    t = np.linspace(0.0, horizon, grid_size)
+    t, _ = _solve_grid(horizon, grid_size)
     out = []
     for i, j in ((0, 1), (1, 0)):
         a0, a1, a2 = solve_a_coeffs(agents[i], market, horizon, grid_size)
@@ -305,11 +300,10 @@ def _mean_base(t, y, agent: AgentParams, market: MarketParams, horizon: float):
 
 def couple_means(base1, base2, agents):
     """Solve the two agents' mean coupling mu_i - k_i mu_j = base_i exactly:
-    mu_i = (base_i + k_i base_j)/(1 - k1 k2).  The bases broadcast."""
+    mu_i = (base_i + k_i base_j)/(1 - k1 k2), whose divisor is positive as
+    ``AgentParams`` keeps each k in [0, 1).  The bases broadcast."""
     k1, k2 = agents[0].k, agents[1].k
     denom = 1.0 - k1 * k2
-    if denom <= 0.0:
-        raise SingularMeanSystemError(f"k1*k2 = {k1 * k2!r} >= 1")
     return (base1 + k1 * base2) / denom, (base2 + k2 * base1) / denom
 
 

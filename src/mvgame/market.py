@@ -82,9 +82,9 @@ def _square(name: str, x: float, divisor: bool = False) -> float:
 
 @dataclass(frozen=True)
 class MarketParams:
-    """Constants of the Gaussian mean-return model."""
+    """Constants of the Gaussian mean-return model.  Wealth and prices are
+    discounted, so the risk-free rate cancels: the paper's r = 0.017 does not enter."""
 
-    r: float
     sigma: float
     iota: float
     y_bar: float
@@ -101,7 +101,6 @@ class MarketParams:
             ("iota", self.iota >= 0.0 and math.isfinite(self.iota), "be nonnegative"),
             ("v", self.v >= 0.0 and math.isfinite(self.v), "be nonnegative"),
             ("rho", -1.0 <= self.rho <= 1.0, "lie in [-1, 1]"),
-            ("r", math.isfinite(self.r), "be finite"),
             ("y_bar", math.isfinite(self.y_bar), "be finite"),
         )
         for name, holds, requirement in checks:
@@ -174,6 +173,11 @@ class SimConfig:
     @property
     def dt(self) -> float:
         return self.horizon / self.n_steps
+
+    @property
+    def times(self) -> np.ndarray:
+        """The episode grid t_0 = 0, ..., t_N = horizon (N = n_steps)."""
+        return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
 
 @dataclass
@@ -294,7 +298,7 @@ def simulate_game(params: MarketParams, agents, policies, cfg: SimConfig,
     p1 = _draw_uniforms(rng, n)
     p2 = _draw_uniforms(rng, n)
 
-    t_grid = np.linspace(0.0, cfg.horizon, n + 1)
+    t_grid = cfg.times
     u1 = np.asarray(policies[0].quantile(t_grid[:-1], y[:-1], p1), dtype=float)
     u2 = np.asarray(policies[1].quantile(t_grid[:-1], y[:-1], p2), dtype=float)
 
@@ -337,7 +341,7 @@ def run_episode_batch(params: MarketParams, agents, policies, cfg: SimConfig,
     noise arrays are as large as the batch.
     """
     n = cfg.n_steps
-    t_steps = np.linspace(0.0, cfg.horizon, n + 1)[:-1]
+    t_steps = cfg.times[:-1]
     # dB and dB~, which the price pass overwrites with what the actions read
     rel, states = _draw_state_noise(cfg, n_episodes, rng)
     laws = [(*pol.affine(t_steps), pol.std(t_steps), pol.distortion) for pol in policies]
@@ -429,8 +433,7 @@ def estimate_objective(agent_index: int, agents, policies, params: MarketParams,
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
     agent = agents[agent_index]
-    t_grid = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
-    reg = _regularizer_integral(agent, policies[agent_index], t_grid, cfg.dt)
+    reg = _regularizer_integral(agent, policies[agent_index], cfg.times, cfg.dt)
 
     samples = np.empty(n_episodes)
     for done in range(0, n_episodes, _MC_BLOCK):

@@ -30,11 +30,11 @@ from functools import partial
 
 import numpy as np
 
-from ._integrate import half_grid, rk4_backward_affine
+from ._integrate import rk4_backward_affine
 from ._spline import cubic_spline
 from ._table import write_table
 from .equilibrium import (DEFAULT_GRID_SIZE, EquilibriumPolicy, NonFiniteCoefficientError,
-                          _check_std_divisor, _mean_base, _require_finite,
+                          _check_std_divisor, _mean_base, _require_finite, _solve_grid,
                           a_coeffs_closed_form, couple_means, equilibrium_std)
 from .market import AgentParams, MarketParams
 
@@ -122,14 +122,13 @@ def iterate_response(prev, agent: AgentParams, market: MarketParams,
     Raises ``NonFiniteCoefficientError`` if either new grid or a spline fit
     overflows.
     """
+    t, th = _solve_grid(horizon, grid_size)
     prev_a1, prev_a2 = (np.asarray(p, dtype=float) for p in prev)
     if len(prev_a1) != grid_size or len(prev_a2) != grid_size:
         raise ValueError(
             f"previous grids have length {len(prev_a1)}/{len(prev_a2)}, "
             f"expected {grid_size}"
         )
-    t = np.linspace(0.0, horizon, grid_size)
-    th = half_grid(t)
     dt = t[1] - t[0]
     rv = market.rho * market.v
     if prev_a2_half is None:
@@ -183,7 +182,7 @@ def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: fl
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    t = np.linspace(0.0, horizon, grid_size)
+    t, _ = _solve_grid(horizon, grid_size)
     target_a1, target_a2 = a_coeffs_closed_form(agent, market, horizon, t)
     a1 = np.zeros(grid_size)
     a2 = np.zeros(grid_size)
@@ -222,8 +221,6 @@ def simultaneous_mean_iteration(agents, market: MarketParams, horizon: float,
     ZeroDivisionError of :func:`equilibrium_std` when gamma sigma^2, the
     divisor's square, underflows to 0.
     """
-    if not (0.0 <= agents[0].k < 1.0 and 0.0 <= agents[1].k < 1.0):
-        raise ValueError("sensitivities must lie in [0, 1)")
     times = np.asarray(times, dtype=float)
     if y_value is None:
         y_value = market.y_bar

@@ -522,7 +522,7 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
         raise ValueError(f"initial_actors must be a (2, {n_rep}, 4) array, "
                          f"one row per agent and seed")
     n, horizon, dt, d = cfg.n_steps, cfg.horizon, cfg.dt, cfg.critic_dim
-    t_grid = np.linspace(0.0, horizon, n + 1)
+    t_grid = cfg.times
     t_steps = t_grid[:-1]
     n_agents = 1 if frozen_opponent is not None else 2
     trained = slice(n_agents)
@@ -582,7 +582,8 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
                 r = int(np.argmax(skipped > max_skips))
                 raise TrainingDivergedError(
                     f"replication with seed {seeds[r]}: {skipped[r]} skipped episodes "
-                    f"out of {m + 1} exceeds the {cfg.max_skip_fraction:.0%} cap")
+                    f"out of {m + 1} exceeds the cap of {max_skips} (max_skip_fraction = "
+                    f"{cfg.max_skip_fraction!r} of {cfg.episodes} episodes, rounded up)")
             # Only the replications that kept their episode update, by indexing:
             # a skipped row may hold inf, and 0 * inf is nan.
             rows = np.flatnonzero(~bad) if bad.any() else slice(None)

@@ -53,7 +53,7 @@ class TestConfigValidation:
 
     def test_missing_section_rejected(self):
         with pytest.raises(ConfigError, match="missing sections"):
-            parse_config_text("[market]\nr = 0.01\n")
+            parse_config_text("[market]\nsigma = 0.01\n")
 
     def test_bad_type_rejected(self, t1_text):
         with pytest.raises(ConfigError, match="not a valid"):
@@ -218,6 +218,11 @@ test_adam_constants_are_not_config_keys = _rows(*(
     Row(key, T1.replace("[train]\n", f"[train]\n{key} = 0.9\n"), {}, "train", 2,
         f"config error: unknown key {key!r} in section [train]")
     for key in ("beta1", "beta2", "eps")))
+# Wealth and prices are discounted, so the risk-free rate is not a key.
+test_risk_free_rate_is_not_a_config_key = _rows(*(
+    Row(command, T2.replace("[market]\n", "[market]\nr = 0.017\n"), {}, command, 2,
+        "config error: unknown key 'r' in section [market]")
+    for command in ("equilibrium", "iterate", "train", "simulate")))
 test_cli_boundary = _rows(
     # the last --out wins; makedirs refuses an existing file
     Row("out-is-a-file", T1, {}, "equilibrium", 2, "config error: [Errno 17] File exists: ...",
@@ -250,7 +255,6 @@ class TestTrainInputRejected:
         _exit_2("output", "replications", "-1", "replications must be >= 0, got -1"),
         _exit_2("output", "train_band", "-1.0", "train_band must be positive, got -1.0"),
         _exit_2("output", "train_band", "0.0", "train_band must be positive, got 0.0"),
-        _exit_2("market", "r", "nan"),
         _exit_2("market", "sigma", "nan"),
         _exit_2("agent1", "gamma", "inf"),
         _exit_2("agent2", "lambda0", "-inf"),
@@ -264,7 +268,7 @@ class TestTrainInputRejected:
 
 class TestCliErrors:
     test_bad_config_exit_2 = _rows(
-        Row(None, "[market]\nr = 0.01\n", {}, "simulate", 2,
+        Row(None, "[market]\nsigma = 0.01\n", {}, "simulate", 2,
             "config error: missing sections: agent1, agent2, sim, train, output"))
     test_missing_file_exit_2 = _rows(
         Row(None, None, {}, "iterate", 2, "config error: cannot read config file ..."))
@@ -387,12 +391,19 @@ class TestCliErrors:
 
     # The check sums rl.train's cap on each replication, ceil(max_skip_fraction
     # * episodes): one skip in 50 episodes is within a 1% cap.
-    @pytest.mark.parametrize("episodes,skips,max_skip,code", [
-        pytest.param(100, 3, 0.01, 4, id="0.01-4"),
-        pytest.param(100, 3, 0.05, 0, id="0.05-0"),
-        pytest.param(50, 1, 0.01, 0, id="50-episodes-1-skip")])
+    # The exit-4 line names the cap as a count of episodes, so a cap under
+    # 0.5% does not print as 0%.
+    @pytest.mark.parametrize("episodes,skips,max_skip,err", [
+        pytest.param(100, 3, 0.01, "3/100 episodes skipped, more than the cap of 1: 1 per "
+                     "replication (max_skip_fraction = 0.01 of 100 episodes, rounded up)",
+                     id="0.01-4"),
+        pytest.param(100, 3, 0.05, None, id="0.05-0"),
+        pytest.param(50, 1, 0.01, None, id="50-episodes-1-skip"),
+        pytest.param(1000, 5, 0.004, "5/1000 episodes skipped, more than the cap of 4: 4 per "
+                     "replication (max_skip_fraction = 0.004 of 1000 episodes, rounded up)",
+                     id="0.004-1000-5")])
     def test_aggregate_skip_check_reads_config(self, tmp_path, capsys, monkeypatch,
-                                               episodes, skips, max_skip, code):
+                                               episodes, skips, max_skip, err):
         cfg = preset("table2")
         cfg = replace(cfg, replications=1,
                       train=replace(cfg.train, episodes=episodes,
@@ -415,13 +426,11 @@ class TestCliErrors:
         path.write_text(serialize_config(cfg))
         capsys.readouterr()
         assert cli.main(["train", "--config", str(path),
-                         "--out", str(tmp_path / "o")]) == code
+                         "--out", str(tmp_path / "o")]) == (0 if err is None else 4)
         # an exit-4 line stands alone on stderr
-        want = ("" if code == 0 else
-                f"training divergence: {skips}/{episodes} episodes skipped, more than "
-                f"the {max_skip:.0%} cap per replication allows\n")
-        assert capsys.readouterr().err == want
-        if code == 4:
+        assert capsys.readouterr().err == ("" if err is None else
+                                           f"training divergence: {err}\n")
+        if err is not None:
             assert _files(tmp_path / "o") == []
 
     def test_numerical_failure_exit_4(self, tmp_path, capsys, monkeypatch):

@@ -31,7 +31,7 @@ class TestACoefficients:
 
     def test_zero_rate_limit_branch(self, normal_dist):
         # iota = 0, rho = 0: a2' = -2/gamma gives a2 = 2(T-t)/gamma exactly
-        mkt = MarketParams(r=0.01, sigma=0.2, iota=0.0, y_bar=0.3, v=0.1, rho=0.0)
+        mkt = MarketParams(sigma=0.2, iota=0.0, y_bar=0.3, v=0.1, rho=0.0)
         agent = AgentParams(gamma=2.5, k=0.1, lam=market.Schedule(0.01),
                             distortion=normal_dist)
         t = np.linspace(0.0, 4.0, 101)
@@ -107,15 +107,6 @@ class TestEquilibriumMeans:
         mu1, mu2 = eqm.equilibrium_means(20.0, 0.0, agents_long, bench_market, 20.0)
         assert mu1 == pytest.approx(0.0, abs=1e-12)
         assert mu2 == pytest.approx(0.0, abs=1e-12)
-
-    def test_singular_system(self, bench_market, normal_dist, gini_dist):
-        lam = market.Schedule(0.01)
-        class FakeAgent:
-            pass
-        a1 = FakeAgent(); a1.k = 2.0; a1.gamma = 1.0
-        a2 = FakeAgent(); a2.k = 0.5; a2.gamma = 1.0
-        with pytest.raises(eqm.SingularMeanSystemError):
-            eqm.equilibrium_means(1.0, 0.3, (a1, a2), bench_market, 20.0)
 
 
 class TestEquilibriumPolicy:
@@ -373,7 +364,7 @@ class TestBlackScholes:
         agents = (AgentParams(gamma=2.0, k=0.1, lam=lam, distortion=normal_dist),
                   AgentParams(gamma=1.0, k=0.05, lam=lam, distortion=gini_dist))
         bs1, bs2 = eqm.black_scholes_policy(agents, a, b, r)
-        mkt = MarketParams(r=r, sigma=b, iota=0.0, y_bar=0.0, v=0.0, rho=0.0)
+        mkt = MarketParams(sigma=b, iota=0.0, y_bar=0.0, v=0.0, rho=0.0)
         coeffs = eqm.solve_coefficients(agents, mkt, 5.0, 801)
         y = (a - r) / b
         for i, bs in enumerate((bs1, bs2)):

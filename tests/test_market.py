@@ -40,15 +40,15 @@ def point_mass(value, dist):
 class TestParamValidation:
     def test_market_params(self):
         with pytest.raises(ValueError):
-            MarketParams(r=0.01, sigma=-0.1, iota=0.1, y_bar=0.2, v=0.1, rho=0.0)
+            MarketParams(sigma=-0.1, iota=0.1, y_bar=0.2, v=0.1, rho=0.0)
         with pytest.raises(ValueError):
-            MarketParams(r=0.01, sigma=0.1, iota=-0.1, y_bar=0.2, v=0.1, rho=0.0)
+            MarketParams(sigma=0.1, iota=-0.1, y_bar=0.2, v=0.1, rho=0.0)
         with pytest.raises(ValueError):
-            MarketParams(r=0.01, sigma=0.1, iota=0.1, y_bar=0.2, v=-0.1, rho=0.0)
+            MarketParams(sigma=0.1, iota=0.1, y_bar=0.2, v=-0.1, rho=0.0)
         with pytest.raises(ValueError):
-            MarketParams(r=0.01, sigma=0.1, iota=0.1, y_bar=0.2, v=0.1, rho=-1.5)
+            MarketParams(sigma=0.1, iota=0.1, y_bar=0.2, v=0.1, rho=-1.5)
         # negative correlation is accepted on the full interval
-        MarketParams(r=0.017, sigma=0.15, iota=0.27, y_bar=0.273, v=0.065, rho=-0.93)
+        MarketParams(sigma=0.15, iota=0.27, y_bar=0.273, v=0.065, rho=-0.93)
 
     def test_agent_params(self, normal_dist):
         lam = market.Schedule(0.01)
@@ -67,28 +67,28 @@ class TestParamValidation:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             SimConfig(horizon=1.0, n_steps=10, seed=-1)
         assert SimConfig(horizon=2.0, n_steps=8, seed=1).dt == 0.25
+        assert np.array_equal(SimConfig(horizon=2.0, n_steps=8, seed=1).times,
+                              np.linspace(0.0, 2.0, 9))
 
     @pytest.mark.parametrize("build, message", [
-        (lambda d, x: MarketParams(r=0.01, sigma=x, iota=0.1, y_bar=0.2, v=0.1, rho=0.0),
+        (lambda d, x: MarketParams(sigma=x, iota=0.1, y_bar=0.2, v=0.1, rho=0.0),
          "sigma must be nonnegative"),
-        (lambda d, x: MarketParams(r=0.01, sigma=0.1, iota=x, y_bar=0.2, v=0.1, rho=0.0),
+        (lambda d, x: MarketParams(sigma=0.1, iota=x, y_bar=0.2, v=0.1, rho=0.0),
          "iota must be nonnegative"),
-        (lambda d, x: MarketParams(r=0.01, sigma=0.1, iota=0.1, y_bar=0.2, v=x, rho=0.0),
+        (lambda d, x: MarketParams(sigma=0.1, iota=0.1, y_bar=0.2, v=x, rho=0.0),
          "v must be nonnegative"),
         (lambda d, x: AgentParams(gamma=x, k=0.1, lam=market.Schedule(0.01), distortion=d),
          "gamma must be positive"),
         (lambda d, x: market.Schedule(x), "exploration weight must be positive"),
         (lambda d, x: SimConfig(horizon=x, n_steps=10, seed=1), "horizon must be positive"),
-        (lambda d, x: MarketParams(r=x, sigma=0.1, iota=0.1, y_bar=0.2, v=0.1, rho=0.0),
-         "r must be finite"),
-        (lambda d, x: MarketParams(r=0.01, sigma=0.1, iota=0.1, y_bar=x, v=0.1, rho=0.0),
+        (lambda d, x: MarketParams(sigma=0.1, iota=0.1, y_bar=x, v=0.1, rho=0.0),
          "y_bar must be finite"),
         (lambda d, x: market.Schedule(0.01, x, 1.0), "rate must be finite"),
         (lambda d, x: market.Schedule(0.01, 0.01, x), "horizon must be finite"),
         (lambda d, x: SimConfig(horizon=1.0, n_steps=10, seed=1, x1_0=x), "x1_0 must be finite"),
         (lambda d, x: SimConfig(horizon=1.0, n_steps=10, seed=1, x2_0=x), "x2_0 must be finite"),
         (lambda d, x: SimConfig(horizon=1.0, n_steps=10, seed=1, y_0=x), "y_0 must be finite"),
-    ], ids=["sigma", "iota", "v", "gamma", "lam0", "horizon", "r", "y_bar", "rate",
+    ], ids=["sigma", "iota", "v", "gamma", "lam0", "horizon", "y_bar", "rate",
             "schedule_horizon", "x1_0", "x2_0", "y_0"])
     def test_nan_rejected(self, normal_dist, build, message):
         """Each range check is written as "not <valid>" and asks for a finite
@@ -115,13 +115,13 @@ class TestParamValidation:
 
 class TestStateAndPrice:
     def test_degenerate_state_is_constant(self):
-        params = MarketParams(r=0.017, sigma=0.15, iota=0.0, y_bar=0.3, v=0.0, rho=0.0)
+        params = MarketParams(sigma=0.15, iota=0.0, y_bar=0.3, v=0.0, rho=0.0)
         cfg = SimConfig(horizon=1.0, n_steps=50, seed=4, y_0=0.3)
         y, _ = market._state_and_price_batch(params, cfg, 1, episode_generator(4, 0))
         assert np.all(y == 0.3)
 
     def test_zero_vol_price_constant_discounted(self):
-        params = MarketParams(r=0.017, sigma=0.0, iota=0.27, y_bar=0.273, v=0.065, rho=0.5)
+        params = MarketParams(sigma=0.0, iota=0.27, y_bar=0.273, v=0.065, rho=0.5)
         cfg = SimConfig(horizon=1.0, n_steps=50, seed=4)
         _, s_disc = market._state_and_price_batch(params, cfg, 1, episode_generator(4, 0))
         assert np.allclose(s_disc, 1.0, atol=1e-14)
@@ -339,7 +339,7 @@ class TestMomentMatching:
 
 class TestEstimateObjective:
     def test_point_mass_zero_market(self, agents_short, normal_dist, gini_dist):
-        params = MarketParams(r=0.0, sigma=0.0, iota=0.0, y_bar=0.0, v=0.0, rho=0.0)
+        params = MarketParams(sigma=0.0, iota=0.0, y_bar=0.0, v=0.0, rho=0.0)
         cfg = SimConfig(horizon=1.0, n_steps=20, seed=2, x1_0=1.4, x2_0=0.6, y_0=0.0)
         pols = (point_mass(0.0, normal_dist), point_mass(0.0, gini_dist))
         est = market.estimate_objective(0, agents_short, pols, params, cfg, 100,

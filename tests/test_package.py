@@ -2,7 +2,9 @@
 exercise it run to completion."""
 
 import ast
+import hashlib
 import importlib
+import importlib.util
 import os
 import pkgutil
 from dataclasses import replace
@@ -12,9 +14,10 @@ import pytest
 import mvgame
 from mvgame.config import serialize_config
 
-from presets import preset, preset_path, run_fresh
+from presets import CONFIGS, SRC, preset, preset_path, run_fresh
 
 DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "demos")
+TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
 
 # Ends a probe script: prints the public scipy subpackages loaded, leaving
 # out scipy's private modules.
@@ -43,6 +46,24 @@ def test_exported_names_resolve(name):
 def test_demo_runs(demo):
     proc = run_fresh(os.path.join(DEMOS, demo))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_output_digests_name_no_temporary_path():
+    """``tools/output_digests.py`` hashes each output file, stdout, stderr and
+    exit code with the temporary ``--out`` path replaced by a token, so two
+    runs, each in its own temporary directory, list the same lines."""
+    spec = importlib.util.spec_from_file_location("output_digests",
+                                                  os.path.join(TOOLS, "output_digests.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = [("table1", ("simulate",))]
+    first = list(tool.digests(SRC, CONFIGS, runs))
+    assert list(tool.digests(SRC, CONFIGS, runs)) == first
+    stdout = b"simulate: wrote trajectory.csv to <out>/table1-simulate\n"
+    assert first[1:] == [f"{hashlib.md5(stdout).hexdigest()}  table1-simulate.stdout",
+                         f"{hashlib.md5(b'').hexdigest()}  table1-simulate.stderr",
+                         f"{hashlib.md5(b'0').hexdigest()}  table1-simulate.exit"]
+    assert first[0].endswith("  table1-simulate/trajectory.csv")
 
 
 def test_cli_import_leaves_out_scipy_signal_and_stats():

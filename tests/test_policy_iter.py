@@ -48,8 +48,20 @@ class TestIterateResponse:
             pit.iterate_response((np.zeros(10), np.zeros(10)), agents_long[0],
                                  bench_market, 20.0, grid_size=GRID)
 
+    # Each solver lays out its grid with equilibrium._solve_grid, which names
+    # a grid too small for one RK4 step.
+    @pytest.mark.parametrize("solve", [
+        lambda agents, mkt: pit.iterate_response((np.zeros(1), np.zeros(1)), agents[0], mkt,
+                                                 20.0, grid_size=1),
+        lambda agents, mkt: pit.run_response_iteration(agents[0], mkt, 20.0, grid_size=1),
+        lambda agents, mkt: eqm.solve_coefficients(agents, mkt, 20.0, grid_size=1),
+    ], ids=["iterate_response", "run_response_iteration", "solve_coefficients"])
+    def test_grid_size_below_two_rejected(self, agents_long, bench_market, solve):
+        with pytest.raises(ValueError, match=r"^grid_size must be >= 2, got 1$"):
+            solve(agents_long, bench_market)
+
     def test_rho_zero_converges_in_one_step(self, normal_dist):
-        mkt = MarketParams(r=0.017, sigma=0.15, iota=0.27, y_bar=0.273,
+        mkt = MarketParams(sigma=0.15, iota=0.27, y_bar=0.273,
                            v=0.065, rho=0.0)
         agent = AgentParams(gamma=2.0, k=0.1, lam=market.Schedule(0.01),
                             distortion=normal_dist)

@@ -360,7 +360,7 @@ class TestTrain:
         declared and checked there once."""
         assert issubclass(rl.TrainConfig, market.SimConfig)
         own = set(vars(rl.TrainConfig)["__annotations__"]) | set(vars(rl.TrainConfig))
-        assert not own & ({f.name for f in fields(market.SimConfig)} | {"dt"})
+        assert not own & ({f.name for f in fields(market.SimConfig)} | {"dt", "times"})
 
     # The cap is the fraction as written times the episodes, rounded up:
     # the float products 0.07 * 100 and 0.14 * 100 round up one too many.
@@ -449,10 +449,13 @@ class TestTrain:
         good = rl.equilibrium_actor_params(agents_short[0], bench_market)
         bad = (np.array([good, [1e13, 0.0, 0.1, 0.0]]),
                np.array([[1.0, 0.0, 0.1, 0.0]] * 2))
-        with pytest.raises(rl.TrainingDivergedError, match="seed 6"):
+        with pytest.raises(rl.TrainingDivergedError) as info:
             rl.train(agents_short, bench_market,
                      self._cfg(episodes=5, max_skip_fraction=0.0),
                      initial_actors=bad, seeds=[5, 6])
+        assert str(info.value) == (
+            "replication with seed 6: 1 skipped episodes out of 1 exceeds the cap of 0 "
+            "(max_skip_fraction = 0.0 of 5 episodes, rounded up)")
 
 
 def _reference_train(agents, mkt, cfg, initial_actors, frozen_opponent=None):
@@ -731,7 +734,7 @@ class TestBatchedTrain:
     def test_diverging_state_raises(self, agents_short):
         """A state recursion that overflows stops training with
         SimulationDivergedError."""
-        exploding = market.MarketParams(r=0.017, sigma=0.15, iota=3e12, y_bar=0.273,
+        exploding = market.MarketParams(sigma=0.15, iota=3e12, y_bar=0.273,
                                         v=0.065, rho=-0.93)
         cfg = self._cfg(episodes=33)
         initial = self._initial(agents_short, exploding, 1)
