@@ -50,7 +50,6 @@ __all__ = [
     "closed_form_policy",
     "equilibrium_policy",
     "value_functions",
-    "black_scholes_policy",
     "generator_apply",
     "hjb_residuals",
 ]
@@ -387,25 +386,6 @@ def value_functions(agent_index: int, t, xhat, y, coeffs):
     v = xhat + 0.5 * b2 * y ** 2 + b1 * y + b0
     g = xhat + 0.5 * a2 * y ** 2 + a1 * y + a0
     return v, g
-
-
-def black_scholes_policy(agents, a: float, b: float, r: float):
-    """Equilibrium pair in the constant-parameter (Black-Scholes) market.
-
-    Means are the constants coupling the bases ((a-r)/b^2)/gamma_i;
-    stds are lam_i(t) ||h_i'||_2 / (gamma_i b^2).
-    """
-    if b <= 0.0:
-        raise ValueError(f"volatility must be positive, got {b!r}")
-    sharpe_sq = (a - r) / b ** 2
-    means = couple_means(sharpe_sq / agents[0].gamma, sharpe_sq / agents[1].gamma, agents)
-    return tuple(EquilibriumPolicy(affine=partial(_constant_affine, m),
-                                   std=partial(_std, agent, b), distortion=agent.distortion)
-                 for agent, m in zip(agents, means))
-
-
-def _constant_affine(intercept, t):
-    return 0.0, intercept
 
 
 def generator_apply(market: MarketParams, t, y, mu_i, sigma_i, mu_j, sigma_j,

@@ -129,6 +129,9 @@ def iterate_response(prev, agent: AgentParams, market: MarketParams,
             f"previous grids have length {len(prev_a1)}/{len(prev_a2)}, "
             f"expected {grid_size}"
         )
+    if prev_a2_half is not None and len(prev_a2_half) != len(th):
+        raise ValueError(f"prev_a2_half has length {len(prev_a2_half)}, expected "
+                         f"{len(th)} = 2 * grid_size - 1")
     dt = t[1] - t[0]
     rv = market.rho * market.v
     if prev_a2_half is None:

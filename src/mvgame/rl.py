@@ -74,6 +74,9 @@ __all__ = [
 # replications hold 1.3 MB of 250-step paths, small enough to stay in cache.
 _DRAW_AHEAD = 32
 
+# The critic's time-to-go basis in ``train`` is tau, tau^2 (d = 2).
+_CRITIC_DIM = 2
+
 
 class TrainingDivergedError(RuntimeError):
     """More than the allowed fraction of episodes hit the wealth guard."""
@@ -146,7 +149,6 @@ class TrainConfig(SimConfig):
     episodes: int
     learning_rate: float
     kappa: float
-    critic_dim: int = 2
     max_skip_fraction: float = 0.01
     # Episodes at the start during which only the critics update.  A raw
     # critic makes the actor chase the myopic policy (the hedging terms of
@@ -162,7 +164,6 @@ class TrainConfig(SimConfig):
             ("learning_rate", self.learning_rate > 0.0 and math.isfinite(self.learning_rate),
              "positive"),
             ("episodes", self.episodes >= 0, ">= 0"),
-            ("critic_dim", self.critic_dim >= 1, ">= 1"),
             ("critic_warmup", self.critic_warmup >= 0, ">= 0"),
             ("max_skip_fraction", 0.0 <= self.max_skip_fraction <= 1.0, "in [0, 1]"),
         )
@@ -326,7 +327,7 @@ def sf_gradient(loss_fn, phi: np.ndarray, z: np.ndarray, kappa: float) -> np.nda
     but removes the O(1/kappa) variance of the raw (z/kappa) L(phi + kappa z)
     form.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:  # written so that NaN fails
         raise ValueError(f"kappa must be positive, got {kappa!r}")
     phi = np.asarray(phi, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -342,7 +343,7 @@ def actor_gradient(c1_nominal: np.ndarray, c1_perturbed: np.ndarray,
     runs over the steps in order (einsum without BLAS), as ``sum(axis=-2)``
     of the products would, without building them.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:  # written so that NaN fails
         raise ValueError(f"kappa must be positive, got {kappa!r}")
     z = np.asarray(z, dtype=float)
     diff = np.asarray(c1_perturbed, dtype=float) - np.asarray(c1_nominal, dtype=float)
@@ -521,7 +522,7 @@ def train(agents, market: MarketParams, cfg: TrainConfig, initial_actors, seeds,
     if phi.shape != (2, n_rep, 4):
         raise ValueError(f"initial_actors must be a (2, {n_rep}, 4) array, "
                          f"one row per agent and seed")
-    n, horizon, dt, d = cfg.n_steps, cfg.horizon, cfg.dt, cfg.critic_dim
+    n, horizon, dt, d = cfg.n_steps, cfg.horizon, cfg.dt, _CRITIC_DIM
     t_grid = cfg.times
     t_steps = t_grid[:-1]
     n_agents = 1 if frozen_opponent is not None else 2

@@ -223,6 +223,11 @@ test_risk_free_rate_is_not_a_config_key = _rows(*(
     Row(command, T2.replace("[market]\n", "[market]\nr = 0.017\n"), {}, command, 2,
         "config error: unknown key 'r' in section [market]")
     for command in ("equilibrium", "iterate", "train", "simulate")))
+# The critic's basis size is a constant of rl.train, not a key.
+test_critic_dim_is_not_a_config_key = _rows(*(
+    Row(command, T2.replace("[train]\n", "[train]\ncritic_dim = 2\n"), {}, command, 2,
+        "config error: unknown key 'critic_dim' in section [train]")
+    for command in ("equilibrium", "iterate", "train", "simulate")))
 test_cli_boundary = _rows(
     # the last --out wins; makedirs refuses an existing file
     Row("out-is-a-file", T1, {}, "equilibrium", 2, "config error: [Errno 17] File exists: ...",
@@ -246,7 +251,6 @@ class TestTrainInputRejected:
         _exit_2("train", "n_steps", "0", "[train] n_steps must be >= 1, got 0"),
         _exit_2("train", "horizon", "0.0", "[train] horizon must be positive, got 0.0"),
         _exit_2("train", "horizon", "nan"),
-        _exit_2("train", "critic_dim", "0", "[train] critic_dim must be >= 1, got 0"),
         _exit_2("train", "critic_warmup", "-1", "[train] critic_warmup must be >= 0, got -1"),
         _exit_2("train", "max_skip_fraction", "2.0",
                 "[train] max_skip_fraction must be in [0, 1], got 2.0"),

@@ -175,15 +175,6 @@ class TestAffinePolicies:
             self._check(pol, lambda t, y: eqm.equilibrium_means(
                 t, y, agents, bench_market, horizon)[i], horizon)
 
-    def test_black_scholes_policy(self, agents_short):
-        a, b, r = 0.08, 0.3, 0.02
-        k1, k2 = agents_short[0].k, agents_short[1].k
-        g1, g2 = agents_short[0].gamma, agents_short[1].gamma
-        pols = eqm.black_scholes_policy(agents_short, a, b, r)
-        for pol, m in zip(pols, ((1.0 / g1 + k1 / g2), (1.0 / g2 + k2 / g1))):
-            m *= (a - r) / b ** 2 / (1.0 - k1 * k2)
-            self._check(pol, lambda t, y: m * np.ones_like(y), 1.0)
-
     def test_response_policy(self, bench_market, agents_long):
         from scipy.interpolate import CubicSpline
 
@@ -351,39 +342,104 @@ class TestHJBResiduals:
         assert abs(rw) > 1e-3
 
 
+class TestNashCondition:
+    """Each agent's (mu*, sigma*) maximizes its own Hamiltonian
+
+        H_i(mu, s) = L V - (gamma/2) L(g^2) + gamma g L g + lam(t) s ||h'||_2
+
+    against the opponent's equilibrium law, the generator applied to the
+    partials that ``hjb_residuals`` builds.  H_i is concave quadratic in mu
+    and in s with curvature -gamma sigma^2, so a deviation loses exactly
+    -(gamma sigma^2/2) times its square; a wrong mu* adds a term linear in it."""
+
+    Y = np.array([-0.2, 0.273, 0.6])
+
+    @staticmethod
+    def _hamiltonian(i, agents, market, cs, t, y):
+        """mu, s -> H_i at (t, y) against the opponent's equilibrium law."""
+        agent, xhat = agents[i], 1.0
+        a0, a1, a2 = cs.a_at(t)
+        b0, b1, b2 = cs.b_at(t)
+        da0, da1, da2 = cs.a_deriv(t)
+        db0, db1, db2 = cs.b_deriv(t)
+        g = xhat + 0.5 * a2 * y ** 2 + a1 * y + a0
+        g_t, g_y = 0.5 * da2 * y ** 2 + da1 * y + da0, a2 * y + a1
+        g_partials = (g_t, 1.0, 0.0, g_y, a2, 0.0)
+        v_partials = (0.5 * db2 * y ** 2 + db1 * y + db0, 1.0, 0.0, b2 * y + b1, b2, 0.0)
+        g_sq_partials = (2.0 * g * g_t, 2.0 * g, 2.0, 2.0 * g * g_y,
+                         2.0 * (g_y ** 2 + g * a2), 2.0 * g_y)
+        mu_j = eqm.equilibrium_means(t, y, agents, market, cs.times[-1])[1 - i]
+        s_j = eqm.equilibrium_std(agents[1 - i], market)(t)
+
+        def h(mu, s):
+            def gen(partials):
+                return eqm.generator_apply(market, t, y, mu, s, mu_j, s_j, agent.k, partials)
+            return (gen(v_partials) - 0.5 * agent.gamma * gen(g_sq_partials)
+                    + agent.gamma * g * gen(g_partials)
+                    + agent.lam(t) * s * agent.distortion.l2_norm)
+        return h
+
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    def test_equilibrium_maximizes_hamiltonian(self, name, bench_market, agents_long,
+                                               coeffs_long, agents_short, coeffs_short):
+        agents, coeffs = ((agents_long, coeffs_long) if name == "table1"
+                          else (agents_short, coeffs_short))
+        market, horizon = bench_market, coeffs[0].times[-1]
+        for i in (0, 1):
+            curvature = -0.5 * agents[i].gamma * market.sigma ** 2
+            for t in (0.015 * horizon, 0.355 * horizon, 0.75 * horizon):
+                h = self._hamiltonian(i, agents, market, coeffs[i], t, self.Y)
+                mu = eqm.equilibrium_means(t, self.Y, agents, market, horizon)[i]
+                s = eqm.equilibrium_std(agents[i], market)(t)
+                h_star = h(mu, s)
+                for delta in (-0.3, 0.1, 1.0):
+                    np.testing.assert_allclose(h(mu + delta, s) - h_star,
+                                               curvature * delta ** 2, rtol=1e-10, atol=0)
+                for f in (0.5, 1.5):
+                    np.testing.assert_allclose(h(mu, f * s) - h_star,
+                                               curvature * ((f - 1.0) * s) ** 2,
+                                               rtol=1e-10, atol=0)
+
+
 class TestBlackScholes:
+    """The constant-parameter (Black-Scholes) market with drift a and
+    volatility b is the iota = v = rho = 0 case of the Gaussian model, read at
+    y = (a - r)/b with sigma = b."""
+
+    @staticmethod
+    def _market(b):
+        return MarketParams(sigma=b, iota=0.0, y_bar=0.0, v=0.0, rho=0.0)
+
     def test_zero_premium_means_zero(self, agents_short):
-        p1, p2 = eqm.black_scholes_policy(agents_short, a=0.03, b=0.2, r=0.03)
+        p1, p2 = (eqm.closed_form_policy(i, agents_short, self._market(0.2), 1.0)
+                  for i in (0, 1))
         assert p1.mean(0.0, 0.0) == 0.0
         assert p2.mean(0.5, 0.0) == 0.0
 
-    def test_matches_gaussian_reduction(self, normal_dist, gini_dist):
-        # reduction: y = (a - r)/b, sigma = b, iota = v = 0
+    def test_matches_gaussian_reduction(self, agents_short):
+        # means ((a - r)/b^2)(1/gamma_i + k_i/gamma_j)/(1 - k1 k2),
+        # stds lam_i(t) ||h_i'||_2 / (gamma_i b^2)
         a, b, r = 0.08, 0.3, 0.02
-        lam = market.Schedule(0.01)
-        agents = (AgentParams(gamma=2.0, k=0.1, lam=lam, distortion=normal_dist),
-                  AgentParams(gamma=1.0, k=0.05, lam=lam, distortion=gini_dist))
-        bs1, bs2 = eqm.black_scholes_policy(agents, a, b, r)
-        mkt = MarketParams(sigma=b, iota=0.0, y_bar=0.0, v=0.0, rho=0.0)
-        coeffs = eqm.solve_coefficients(agents, mkt, 5.0, 801)
-        y = (a - r) / b
-        for i, bs in enumerate((bs1, bs2)):
-            gen = eqm.equilibrium_policy(i, agents, mkt, coeffs)
-            for t in (0.0, 2.5, 5.0):
-                assert bs.mean(t, y) == pytest.approx(gen.mean(t, y), abs=1e-12)
-                assert bs.std(t) == pytest.approx(gen.std(t), abs=1e-14)
+        t = np.linspace(0.0, 1.0, 11)
+        for i, j in ((0, 1), (1, 0)):
+            pol = eqm.closed_form_policy(i, agents_short, self._market(b), 1.0)
+            ai, aj = agents_short[i], agents_short[j]
+            mean = (a - r) / b ** 2 * (1.0 / ai.gamma + ai.k / aj.gamma) / (1.0 - ai.k * aj.k)
+            std = ai.lam(t) * ai.distortion.l2_norm / (ai.gamma * b ** 2)
+            np.testing.assert_allclose(pol.mean(t, (a - r) / b), mean, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(pol.std(t), std, rtol=1e-14, atol=0)
 
     def test_symmetric_agents_identical(self, normal_dist):
         lam = market.Schedule(0.02)
         agents = (AgentParams(gamma=3.0, k=0.2, lam=lam, distortion=normal_dist),
                   AgentParams(gamma=3.0, k=0.2, lam=lam, distortion=normal_dist))
-        p1, p2 = eqm.black_scholes_policy(agents, a=0.07, b=0.25, r=0.01)
-        assert p1.mean(0.0, 0.0) == p2.mean(0.0, 0.0)
+        p1, p2 = (eqm.closed_form_policy(i, agents, self._market(0.25), 1.0) for i in (0, 1))
+        assert p1.mean(0.0, 0.24) == p2.mean(0.0, 0.24)
         assert p1.std(1.0) == p2.std(1.0)
 
     def test_nonpositive_vol_rejected(self, agents_short):
-        with pytest.raises(ValueError):
-            eqm.black_scholes_policy(agents_short, a=0.05, b=0.0, r=0.01)
+        with pytest.raises(ValueError, match=r"^equilibrium requires a strictly positive sigma$"):
+            eqm.closed_form_policy(0, agents_short, self._market(0.0), 1.0)
 
 
 class TestCsvExport:
@@ -426,12 +482,10 @@ class TestPlainData:
         return {
             "closed_form": eqm.closed_form_policy(0, agents, cfg.market, horizon),
             "equilibrium": eqm.equilibrium_policy(1, agents, cfg.market, coeffs),
-            "black_scholes": eqm.black_scholes_policy(agents, 0.08, 0.2, 0.017)[1],
             "response": pit.response_policy(agents[0], cfg.market, horizon, a1, a2, t),
         }
 
-    @pytest.mark.parametrize("kind", ["closed_form", "equilibrium", "black_scholes",
-                                      "response"])
+    @pytest.mark.parametrize("kind", ["closed_form", "equilibrium", "response"])
     def test_policy_round_trip(self, kind):
         policy = self._policies()[kind]
         again = pickle.loads(pickle.dumps(policy))

@@ -47,6 +47,11 @@ class TestIterateResponse:
         with pytest.raises(ValueError):
             pit.iterate_response((np.zeros(10), np.zeros(10)), agents_long[0],
                                  bench_market, 20.0, grid_size=GRID)
+        # a carried half grid of the wrong length is bad input, not a numerical failure
+        with pytest.raises(ValueError, match=r"^prev_a2_half has length 5, expected 21 = "
+                                             r"2 \* grid_size - 1$"):
+            pit.iterate_response((np.zeros(11), np.zeros(11)), agents_long[0],
+                                 bench_market, 20.0, grid_size=11, prev_a2_half=np.zeros(5))
 
     # Each solver lays out its grid with equilibrium._solve_grid, which names
     # a grid too small for one RK4 step.

@@ -279,10 +279,12 @@ class TestSmoothedFunctional:
         assert np.var(without) > 10.0 * np.var(with_baseline)
 
     def test_kappa_must_be_positive(self):
-        with pytest.raises(ValueError):
-            rl.sf_gradient(lambda p: 0.0, np.zeros(4), np.ones(4), kappa=0.0)
-        with pytest.raises(ValueError):
-            rl.actor_gradient(np.zeros(3), np.zeros(3), np.ones(4), kappa=-1.0)
+        for kappa in (0.0, np.nan):
+            with pytest.raises(ValueError, match="kappa must be positive"):
+                rl.sf_gradient(lambda p: 0.0, np.zeros(4), np.ones(4), kappa=kappa)
+        for kappa in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="kappa must be positive"):
+                rl.actor_gradient(np.zeros(3), np.zeros(3), np.ones(4), kappa=kappa)
 
     def test_actor_gradient_shapes(self):
         c1n = np.array([1.0, 2.0, 3.0])
@@ -436,7 +438,7 @@ class TestTrain:
         res = rl.train(agents_short, bench_market, cfg, initial, seeds=[1, 2],
                        frozen_opponent=policies_short[1] if frozen else None)
         assert res.phi_history.shape == (2, n_rep, m + 1, 4)
-        assert res.theta.v.shape == res.theta.g.shape == (2, n_rep, 3, cfg.critic_dim)
+        assert res.theta.v.shape == res.theta.g.shape == (2, n_rep, 3, 2)
         assert res.critic_losses.shape == (2, n_rep, m)
         assert res.adam_states.m.shape == res.adam_states.v.shape == (2, n_rep, 4)
         assert res.adam_states.step.shape == (2, n_rep)
@@ -466,10 +468,11 @@ def _reference_train(agents, mkt, cfg, initial_actors, frozen_opponent=None):
     t_grid = np.linspace(0.0, horizon, n + 1)
     t_steps = t_grid[:-1]
     trained = (0,) if frozen_opponent is not None else (0, 1)
-    k = 3 * cfg.critic_dim
+    d = 2  # the critic basis tau, tau^2
+    k = 3 * d
 
     phi = [np.array(p, dtype=float) for p in initial_actors]
-    theta = [rl.CriticParams.zeros(cfg.critic_dim, y_center=cfg.y_0) for _ in range(2)]
+    theta = [rl.CriticParams.zeros(d, y_center=cfg.y_0) for _ in range(2)]
     adam = [rl.AdamState.zeros(4) for _ in range(2)]
     phi_hist = [np.empty((cfg.episodes + 1, 4)) for _ in range(2)]
     losses = [np.full(cfg.episodes, np.nan) for _ in range(2)]
@@ -523,7 +526,7 @@ def _reference_train(agents, mkt, cfg, initial_actors, frozen_opponent=None):
             j = 1 - i
             gamma = agents[i].gamma
             xhat = x[i] - ks[i] * x[j]
-            f = rl.critic_features(t_grid, y_path, horizon, cfg.critic_dim, cfg.y_0)
+            f = rl.critic_features(t_grid, y_path, horizon, d, cfg.y_0)
             f_start, df, dx = f[:-1], np.diff(f, axis=0), np.diff(xhat)
             reg = lam[i] * rl.actor_scale_coeff(phi[i], agents[i], t_steps) * l2sq[i]
 
@@ -662,7 +665,7 @@ class TestBatchedTrain:
     def test_rank_deficient_critic_keeps_lstsq_minimum_norm(
             self, agents_short, bench_market, n_steps):
         # with 1 or 3 steps per episode A has rank below k = 6 for a while
-        cfg = self._cfg(episodes=20, n_steps=n_steps, critic_warmup=5, critic_dim=2)
+        cfg = self._cfg(episodes=20, n_steps=n_steps, critic_warmup=5)
         seeds = self.SEEDS[:2]
         initial = self._initial(agents_short, bench_market, len(seeds))
         res = rl.train(agents_short, bench_market, cfg, initial, seeds)
