@@ -22,7 +22,6 @@ import csv  # noqa: F401 -- unused; perfbench/tracing.py patches cli.csv
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -240,6 +239,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, replications: int | None = No
     groups = np.array_split(np.arange(reps), min(workers, reps))
     jobs = [(cfg, agents, frozen, tuple(int(rep) for rep in group)) for group in groups]
     if len(jobs) > 1:
+        # loaded here, so a serial run never imports multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             runs = list(pool.map(_train_group, jobs))
     else:

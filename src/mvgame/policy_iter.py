@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -102,9 +102,22 @@ def _on_half_grid(name: str, t, th, grid):
     raises ValueError when its slopes overflow (a grid step near 1e154 or
     more, even for an all-zero grid): a numerical failure, not bad input."""
     try:
+        if not np.any(grid):
+            return _zeros_on_half_grid(t.tobytes(), th.tobytes()).copy()
         return cubic_spline(t, grid)(th)
     except ValueError as exc:
         raise NonFiniteCoefficientError(f"coefficient {name}: {exc}") from None
+
+
+@lru_cache(maxsize=1)
+def _zeros_on_half_grid(t: bytes, th: bytes) -> np.ndarray:
+    """The spline of an all-zero grid on the knots ``t``, read at ``th``;
+    the signs of the zeros do not change it.  The zero initial iterate is
+    thus fitted once per grid, not once per agent: its all-zero right-hand
+    side takes ``_spline._gtsv_solve``'s slow path.  A fit that overflows
+    raises on every call, as exceptions are not cached."""
+    t = np.frombuffer(t)
+    return cubic_spline(t, np.zeros(len(t)))(np.frombuffer(th))
 
 
 def iterate_response(prev, agent: AgentParams, market: MarketParams,

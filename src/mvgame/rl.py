@@ -69,10 +69,13 @@ __all__ = [
 ]
 
 
-# Episodes whose market paths are drawn in one simulator call.  The state
-# recursion steps through all of their paths together; 32 episodes of 10
-# replications hold 1.3 MB of 250-step paths, small enough to stay in cache.
-_DRAW_AHEAD = 32
+# Episodes whose market paths are drawn in one simulator call.  The
+# simulator's cost per path does not depend on the block size, but its
+# temporaries grow with it: at 10 replications x 40 table2 episodes,
+# ``train``'s traced peak is 3.4 MiB with blocks of 32 and 2.3 MiB with 8.
+# At 8 the learner's own per-episode arrays (mostly the LSTD columns) set the
+# peak, so a smaller block saves little and calls the simulator more often.
+_DRAW_AHEAD = 8
 
 # The critic's time-to-go basis in ``train`` is tau, tau^2 (d = 2).
 _CRITIC_DIM = 2

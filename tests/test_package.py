@@ -74,6 +74,17 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
     assert scipy_loaded("import mvgame.cli") == []
 
 
+def test_cli_import_leaves_out_the_process_pool():
+    """Only ``train --workers N`` with N > 1 starts a process pool, so
+    ``mvgame.cli`` imports it there, and a fresh process that imports the
+    package loads neither ``concurrent.futures.process`` nor
+    ``multiprocessing``."""
+    proc = run_fresh("-c", "import sys, mvgame.cli; print(sorted(m for m in sys.modules if "
+                           "m == 'concurrent.futures.process' or m.startswith('multiprocessing')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("command, loads", [
     ("import", []), ("equilibrium", []), ("iterate", []), ("simulate", ["scipy.special"]),
     ("train", ["scipy.special"])], ids=["import", "equilibrium", "iterate", "simulate", "train"])

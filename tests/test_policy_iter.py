@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mvgame import equilibrium as eqm, market, policy_iter as pit
+from mvgame._spline import cubic_spline
 from mvgame.market import AgentParams, MarketParams
 
 GRID = eqm.DEFAULT_GRID_SIZE
@@ -52,6 +53,23 @@ class TestIterateResponse:
                                              r"2 \* grid_size - 1$"):
             pit.iterate_response((np.zeros(11), np.zeros(11)), agents_long[0],
                                  bench_market, 20.0, grid_size=11, prev_a2_half=np.zeros(5))
+
+    # At a horizon of 1e150 the zero spline's cubic term overflows to nan.
+    @pytest.mark.parametrize("horizon", [20.0, 1e150])
+    def test_zero_grid_reads_as_its_fit(self, horizon):
+        """An all-zero grid, whatever the signs of its zeros, reads on the
+        half grid as the spline fit of that grid would, bit for bit; a grid
+        holding a nan is still fitted, and rejected."""
+        t, th = eqm._solve_grid(horizon, GRID)
+        zeros = np.zeros(GRID)
+        for grid in (zeros, -zeros, np.where(np.arange(GRID) % 3 == 0, -0.0, 0.0)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = pit._on_half_grid("a2", t, th, grid), cubic_spline(t, grid)(th)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        with pytest.raises(eqm.NonFiniteCoefficientError,
+                           match=r"^coefficient a1: spline values are not finite$"):
+            pit._on_half_grid("a1", t, th, np.where(np.arange(GRID) == 7, np.nan, 0.0))
 
     # Each solver lays out its grid with equilibrium._solve_grid, which names
     # a grid too small for one RK4 step.

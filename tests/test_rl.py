@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from mvgame import equilibrium as eqm, market, rl
 from mvgame.market import episode_generator
+
+from presets import preset
 
 
 def ls_fit_critic(coeff_set, horizon, d=2, y_center=0.0):
@@ -713,12 +716,13 @@ class TestBatchedTrain:
     def test_drawing_ahead_matches_drawing_each_episode(
             self, agents_short, bench_market, policies_short, monkeypatch, frozen,
             episodes):
-        """rl.train draws the market paths of rl._DRAW_AHEAD = 32 episodes in
-        one simulator call.  On both sides of each block boundary its results
+        """rl.train draws the market paths of rl._DRAW_AHEAD = 8 episodes in
+        one simulator call.  On both sides of each block boundary (31-33
+        straddle the one at 32 = 4 x 8, and 65 = 8 x 8 + 1) its results
         equal, bit for bit, those of drawing every episode alone, and match
         the one-replication loop as closely as test_matches_one_replication_loop
         requires."""
-        assert rl._DRAW_AHEAD == 32
+        assert rl._DRAW_AHEAD == 8
         cfg = self._cfg(episodes=episodes)
         initial = self._initial(agents_short, bench_market, len(self.SEEDS))
         opponent = policies_short[1] if frozen else None
@@ -733,6 +737,26 @@ class TestBatchedTrain:
             ref = _reference_train(agents_short, bench_market, replace(cfg, seed=seed),
                                    (initial[0][r], initial[1][r]), opponent)
             _assert_matches_reference(res, r, ref, rtol=1e-12)
+
+    def test_peak_memory_of_a_table2_run(self):
+        """rl.train on table2's market, 10 replications x 40 episodes (the
+        first 20 critic-only), keeps its traced peak under 2.75 MiB: 2.3 MiB
+        with 8-episode draw-ahead blocks, 3.4 MiB with blocks of 32, which
+        held the simulator's temporaries for 320 paths at once."""
+        cfg = preset("table2")
+        train_cfg = replace(cfg.train, episodes=40, critic_warmup=20)
+        agents = cfg.build_agents(train_cfg.horizon)
+        initial = self._initial(agents, cfg.market, 10)
+        seeds = [cfg.train.seed + 1000 * (rep + 1) for rep in range(10)]
+        # a first call makes the imports and caches that train makes once
+        rl.train(agents, cfg.market, replace(train_cfg, episodes=2), initial, seeds)
+        tracemalloc.start()
+        try:
+            rl.train(agents, cfg.market, train_cfg, initial, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * 2 ** 20
 
     def test_diverging_state_raises(self, agents_short):
         """A state recursion that overflows stops training with
