@@ -75,6 +75,7 @@ class CoefficientSet:
     on the uniform grid ``times``.  ``a_at``/``b_at`` read the grid's columns
     when every queried t is a node; off-node values and all derivatives use
     a cubic spline, fitted on the first such query.  Construction raises
+    ValueError on grids of other shapes, then
     :class:`NonFiniteCoefficientError` on any inf or nan, naming the row.
     Immutable after solving.
     """
@@ -87,6 +88,11 @@ class CoefficientSet:
         self.times = np.asarray(self.times, dtype=float)
         self.a = np.asarray(self.a, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
+        shape = (3, *self.times.shape)
+        if self.times.ndim != 1 or self.a.shape != shape or self.b.shape != shape:
+            raise ValueError(
+                "coefficients need a 1-D times of length n and a, b of shape (3, n); "
+                f"got times {self.times.shape}, a {self.a.shape}, b {self.b.shape}")
         for prefix, rows in (("a", self.a), ("b", self.b)):
             for k, row in enumerate(rows):
                 _require_finite(f"{prefix}{k}", row)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -100,24 +100,11 @@ def _on_half_grid(name: str, t, th, grid):
     """``grid`` on the uniform grid ``t``, cubic-interpolated at the half
     steps ``th`` by the in-house spline (which loads no scipy).  The fit
     raises ValueError when its slopes overflow (a grid step near 1e154 or
-    more, even for an all-zero grid): a numerical failure, not bad input."""
+    more): a numerical failure, not bad input."""
     try:
-        if not np.any(grid):
-            return _zeros_on_half_grid(t.tobytes(), th.tobytes()).copy()
         return cubic_spline(t, grid)(th)
     except ValueError as exc:
         raise NonFiniteCoefficientError(f"coefficient {name}: {exc}") from None
-
-
-@lru_cache(maxsize=1)
-def _zeros_on_half_grid(t: bytes, th: bytes) -> np.ndarray:
-    """The spline of an all-zero grid on the knots ``t``, read at ``th``;
-    the signs of the zeros do not change it.  The zero initial iterate is
-    thus fitted once per grid, not once per agent: its all-zero right-hand
-    side takes ``_spline._gtsv_solve``'s slow path.  A fit that overflows
-    raises on every call, as exceptions are not cached."""
-    t = np.frombuffer(t)
-    return cubic_spline(t, np.zeros(len(t)))(np.frombuffer(th))
 
 
 def iterate_response(prev, agent: AgentParams, market: MarketParams,
@@ -193,12 +180,13 @@ def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: fl
 
     The initial policy's mean coefficients are zero grids (its scale
     does not enter the iteration: after one update it is pinned to
-    lam(t)||h'||_2/(gamma sigma^2) by the first-order condition).
+    lam(t)||h'||_2/(gamma sigma^2) by the first-order condition).  Their
+    interpolant is zero, so the first update reads zeros on the half grid.
     Non-convergence within ``n_max`` is reported, not fatal.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    t, _ = _solve_grid(horizon, grid_size)
+    t, th = _solve_grid(horizon, grid_size)
     target_a1, target_a2 = a_coeffs_closed_form(agent, market, horizon, t)
     a1 = np.zeros(grid_size)
     a2 = np.zeros(grid_size)
@@ -211,7 +199,7 @@ def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: fl
     # both errors compared, so a nan in either one is never converged
     converged = m_a1 < tol and m_a2 < tol
     n = 0
-    a2_half = None
+    a2_half = np.zeros(len(th))  # the zero iterate's interpolant
     while not converged and n < n_max:
         n += 1
         a1, a2, a2_half = iterate_response((a1, a2), agent, market, horizon, grid_size,

@@ -196,6 +196,9 @@ _MEAN_PRODUCT = ("numerical failure: gamma = 1e-300 times the [market] sigma = 1
 _SIGMA_SQUARE = "numerical failure: [market] sigma = 1e+200: its square overflows"
 _TINY_SIGMA = "numerical failure: [market] sigma = 1e-300: its square underflows to 0"
 _NO_DENSITY = "numerical failure: agent {}: the exploration std at t = 0.1 is 0.0: no density"
+# A horizon whose first response iterate is finite but overflows its spline fit.
+_SPLINE_OVERFLOW = {("sim", "horizon"): "1e160", ("market", "iota"): "0.0",
+                    ("market", "rho"): "0.5"}
 _TOL = "agent {} response iteration did not reach tol=1e-06 within 25 iterations"
 
 # Every command divides by sigma, so sigma = 0 is rejected where the config
@@ -333,22 +336,25 @@ class TestCliErrors:
             ("v", "1e200", "equilibrium", _RATE),
             ("v", "1e200", "iterate", _RATE),
             ("v", "1e200", "train", _RATE))))
-    # An overflowing closed form or response-iterate spline.
+    # An overflowing closed form, response-iterate spline or RK4 iterate.
     test_iterate_and_train_print_no_numpy_warning = _rows(
         Row("v-iterate", TINY, {("market", "v"): "1e200"}, "iterate", 4, _RATE, fresh=True),
         Row("v-train", TINY, {("market", "v"): "1e200"}, "train", 4, _RATE, fresh=True),
-        Row("horizon-iterate", T1, {("sim", "horizon"): "1e160"}, "iterate", 4,
-            "numerical failure: agent 1: response iterate: coefficient a2: ...", fresh=True))
+        Row("horizon-iterate", T1, _SPLINE_OVERFLOW, "iterate", 4,
+            "numerical failure: agent 1: response iterate: coefficient a2: ...", fresh=True),
+        Row("horizon-rk4-iterate", T1, {("sim", "horizon"): "1e160"}, "iterate", 4,
+            "numerical failure: agent 1: response iterate: coefficient a2 is not finite",
+            fresh=True))
     # A horizon of 1e6 overflows the response iteration's RK4 iterates.
     test_non_finite_response_iterate_exit_4 = _rows(
         Row(None, T2, {("sim", "horizon"): "1e6"}, "iterate", 4,
             "numerical failure: agent 1: response iterate: coefficient a2 is not finite",
             fresh=True))
-    # At a horizon of 1e160 the spline through the zero initial iterate
-    # overflows its slopes on the 2.5e156 grid step (the square of the step
-    # is inf, times a zero slope nan), before RK4 makes the first iterate.
+    # At a horizon of 1e160 with iota = 0, RK4 keeps the first iterate finite,
+    # but its a2 grows like 2 tau / gamma, about 1e160, and the spline through
+    # it overflows its slopes on the 2.5e156 grid step.
     test_overflowing_spline_fit_exit_4 = _rows(
-        Row(None, T2, {("sim", "horizon"): "1e160"}, "iterate", 4,
+        Row(None, T2, _SPLINE_OVERFLOW, "iterate", 4,
             "numerical failure: agent 1: response iterate: coefficient a2: ..."))
     # With agent 1's gamma = 1e-300, gamma times the rate iota + rho*v, or
     # times sigma^2, underflows to a zero divisor.  In ``iterate``, y / (gamma

@@ -1,5 +1,6 @@
 import csv
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -440,6 +441,25 @@ class TestBlackScholes:
     def test_nonpositive_vol_rejected(self, agents_short):
         with pytest.raises(ValueError, match=r"^equilibrium requires a strictly positive sigma$"):
             eqm.closed_form_policy(0, agents_short, self._market(0.0), 1.0)
+
+
+class TestCoefficientShapes:
+    """A coefficient set is refused unless ``times`` is 1-D of length n and
+    ``a``, ``b`` are (3, n): a mismatch would write ragged CSV rows or fail
+    later in numpy's broadcasting."""
+
+    @pytest.mark.parametrize("times, a, b, got", [
+        (np.arange(4.0), np.zeros((3, 3)), np.zeros((3, 4)), "times (4,), a (3, 3), b (3, 4)"),
+        (np.arange(4.0), np.zeros((3, 4)), np.zeros((3, 5)), "times (4,), a (3, 4), b (3, 5)"),
+        (np.arange(5.0), np.zeros((2, 5)), np.zeros((3, 5)), "times (5,), a (2, 5), b (3, 5)"),
+        (np.zeros((2, 4)), np.zeros((3, 4)), np.zeros((3, 4)),
+         "times (2, 4), a (3, 4), b (3, 4)"),
+    ], ids=["short-a", "wide-b", "two-rows-of-a", "2d-times"])
+    def test_mismatched_shapes_rejected(self, times, a, b, got):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "coefficients need a 1-D times of length n and a, b of shape (3, n); "
+                f"got {got}") + "$"):
+            eqm.CoefficientSet(times=times, a=a, b=b)
 
 
 class TestCsvExport:

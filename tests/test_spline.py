@@ -96,13 +96,20 @@ def _tridiagonal(kind, n, rng):
 
 def _right_hand_sides(n, nrhs, rng):
     """Random columns at magnitudes from 1e-200 to 1e200, random ones with
-    exact zeros of both signs, +0.0, -0.0, and zeros of random sign."""
+    exact zeros of both signs, +0.0, -0.0, zeros of random sign, and random
+    ones holding +inf, -inf or nan in the first, middle and last row."""
     scale = 10.0 ** rng.uniform(-200.0, 200.0, nrhs)
     sparse = rng.standard_normal((n, nrhs))
     sparse[rng.random((n, nrhs)) < 0.5] = 0.0
     sparse[rng.random((n, nrhs)) < 0.25] = -0.0
+    non_finite = []
+    for value in (np.inf, -np.inf, np.nan):
+        b = rng.standard_normal((n, nrhs))
+        b[[0, n // 2, -1]] = value
+        non_finite.append(b)
     return [rng.standard_normal((n, nrhs)) * scale, sparse, np.zeros((n, nrhs)),
-            np.full((n, nrhs), -0.0), np.where(rng.random((n, nrhs)) < 0.5, -0.0, 0.0)]
+            np.full((n, nrhs), -0.0), np.where(rng.random((n, nrhs)) < 0.5, -0.0, 0.0),
+            *non_finite]
 
 
 @pytest.mark.parametrize("n", [2, 4, 5, 401, 4001])
