@@ -1,10 +1,10 @@
 """Backward RK4 integration of constant-rate linear ODE systems.
 
 All coefficient ODEs in this package are affine with a constant,
-lower-triangular rate, x'(t) = alpha x + beta(t) with a terminal condition
-at T, so each classical RK4 step from t_{j+1} down to t_j collapses to an
-affine update x_j = A x_{j+1} + B_j with one lower-triangular step map A for
-the whole grid.  The B_j are assembled vectorized from beta sampled on the
+lower-triangular rate, x'(t) = alpha x + beta(t), and zero at T, so each
+classical RK4 step from t_{j+1} down to t_j collapses to an affine update
+x_j = A x_{j+1} + B_j with one lower-triangular step map A for the whole
+grid.  The B_j are assembled vectorized from beta sampled on the
 half-step grid.  Row r of the update is then a scalar recursion whose
 forcing B_j[r] + A[r, :r] x_{j+1}[:r] is known once the earlier rows are
 solved.  Each row is scanned step by step in Python floats, which is exactly
@@ -15,19 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["half_grid", "rk4_backward_affine"]
+__all__ = ["rk4_backward_affine"]
 
 
-def half_grid(t_grid: np.ndarray) -> np.ndarray:
-    """Uniform refinement with midpoints: 2n+1 points for an n-step grid."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    n = len(t_grid) - 1
-    return np.linspace(t_grid[0], t_grid[-1], 2 * n + 1)
-
-
-def rk4_backward_affine(beta_half: np.ndarray, alpha, dt: float,
-                        terminal) -> np.ndarray:
-    """Integrate x' = alpha x + beta(t) backward from x(T) = terminal.
+def rk4_backward_affine(beta_half: np.ndarray, alpha, dt: float) -> np.ndarray:
+    """Integrate x' = alpha x + beta(t) backward from zero at T.
 
     ``beta_half`` has shape (2n+1,) for scalar systems or (2n+1, d), sampled
     on the half grid; ``alpha`` is the constant rate, a float or a
@@ -63,13 +55,12 @@ def rk4_backward_affine(beta_half: np.ndarray, alpha, dt: float,
     big_a = eye + (h / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
     big_b = (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
 
-    out = np.empty((n + 1, d))
-    out[n] = np.atleast_1d(np.asarray(terminal, dtype=float))
+    out = np.zeros((n + 1, d))
     for r in range(d):
         # x_j[r] = forcing_j + A[r, r] x_{j+1}[r], scanned from j = n-1 down.
         a = float(big_a[r, r])
         forcing = big_b[:, r] + out[1:, :r] @ big_a[r, :r]
-        x = float(out[n, r])
+        x = 0.0
         scan = [x := f + a * x for f in forcing[::-1].tolist()]
         out[:n, r] = scan[::-1]
     return out[:, 0] if scalar else out

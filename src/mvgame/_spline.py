@@ -24,12 +24,11 @@ import numpy as np
 class Spline:
     """Piecewise polynomial in power form: ``c[k, i]`` multiplies
     ``(t - x[i])**(deg - k)`` on ``[x[i], x[i + 1])``; the end pieces
-    extrapolate.  The spline axis of the data is ``axis`` of the output.
-    Splines compare by identity, as scipy's do."""
+    extrapolate.  It runs along the first axis of the data, whose other axes
+    follow the query's.  Splines compare by identity, as scipy's do."""
 
     x: np.ndarray
     c: np.ndarray
-    axis: int
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -42,16 +41,12 @@ class Spline:
         out = 0.0 + self.c[-1][i]
         for ck, z in zip(self.c[-2::-1], powers):
             out = out + ck[i] * z
-        if self.axis == 0:
-            return out
-        order = list(range(out.ndim))
-        return out.transpose(order[t.ndim:t.ndim + self.axis] + order[:t.ndim]
-                             + order[t.ndim + self.axis:])
+        return out
 
     def derivative(self) -> Spline:
         deg = len(self.c) - 1
         factor = np.arange(deg, 0, -1, dtype=float).reshape((-1,) + (1,) * (self.c.ndim - 1))
-        return Spline(self.x, self.c[:-1] * factor, self.axis)
+        return Spline(self.x, self.c[:-1] * factor)
 
 
 class _Factored(NamedTuple):
@@ -144,12 +139,12 @@ def _not_a_knot_factored(knots: bytes) -> _Factored:
                         [float(x[2] - x[0])] + dx[:-1].tolist())
 
 
-def cubic_spline(x, y, axis: int = 0) -> Spline:
+def cubic_spline(x, y) -> Spline:
     """The not-a-knot cubic spline through ``y`` at the knots ``x`` along
-    ``axis``.  Raises ValueError for knots that are not finite and strictly
-    increasing, or for a non-finite ``y`` or solved slope."""
+    the first axis of ``y``.  Raises ValueError for knots that are not finite
+    and strictly increasing, or for a non-finite ``y`` or solved slope."""
     x = np.asarray(x, dtype=float)
-    y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
+    y = np.asarray(y, dtype=float)
     n, dx = len(x), np.diff(x)
     if n < 2 or not (np.all(np.isfinite(x)) and np.all(dx > 0)):
         raise ValueError("spline knots must be finite and strictly increasing")
@@ -182,4 +177,4 @@ def cubic_spline(x, y, axis: int = 0) -> Spline:
     if not np.all(np.isfinite(s)):
         raise ValueError("spline slopes are not finite")
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
-    return Spline(x, np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])), axis)
+    return Spline(x, np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])))

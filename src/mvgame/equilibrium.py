@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._integrate import half_grid, rk4_backward_affine
+from ._integrate import rk4_backward_affine
 from ._spline import cubic_spline
 from ._table import write_table
 from .choquet import Distortion, build_optimal_quantile, location_scale_quantile
@@ -75,9 +75,9 @@ class CoefficientSet:
     on the uniform grid ``times``.  ``a_at``/``b_at`` read the grid's columns
     when every queried t is a node; off-node values and all derivatives use
     a cubic spline, fitted on the first such query.  Construction raises
-    ValueError on grids of other shapes, then
-    :class:`NonFiniteCoefficientError` on any inf or nan, naming the row.
-    Immutable after solving.
+    ValueError on grids of other shapes or on times that are not strictly
+    increasing, then :class:`NonFiniteCoefficientError` on any inf or nan,
+    naming the row.  Immutable after solving.
     """
 
     times: np.ndarray
@@ -93,17 +93,19 @@ class CoefficientSet:
             raise ValueError(
                 "coefficients need a 1-D times of length n and a, b of shape (3, n); "
                 f"got times {self.times.shape}, a {self.a.shape}, b {self.b.shape}")
+        if not np.all(np.diff(self.times) > 0):
+            raise ValueError(f"coefficient times must be strictly increasing, got {self.times}")
         for prefix, rows in (("a", self.a), ("b", self.b)):
             for k, row in enumerate(rows):
                 _require_finite(f"{prefix}{k}", row)
 
     @cached_property
     def _a_spline(self):
-        return cubic_spline(self.times, self.a, axis=1)
+        return cubic_spline(self.times, self.a.T)
 
     @cached_property
     def _b_spline(self):
-        return cubic_spline(self.times, self.b, axis=1)
+        return cubic_spline(self.times, self.b.T)
 
     def _at(self, grid, spline, t):
         # Node queries read the grid's own columns, exact zeros at T included,
@@ -112,7 +114,7 @@ class CoefficientSet:
         k = np.minimum(np.searchsorted(self.times, t), len(self.times) - 1)
         if np.all(self.times[k] == t):
             return np.take(grid, k, axis=1)
-        return getattr(self, spline)(t)
+        return np.moveaxis(getattr(self, spline)(t), -1, 0)
 
     def a_at(self, t):
         """(a0, a1, a2) at t; vectorized over t."""
@@ -123,10 +125,10 @@ class CoefficientSet:
 
     def a_deriv(self, t):
         """(a0', a1', a2') from the interpolant derivative (numeric, not the ODE)."""
-        return self._a_spline.derivative()(t)
+        return np.moveaxis(self._a_spline.derivative()(t), -1, 0)
 
     def b_deriv(self, t):
-        return self._b_spline.derivative()(t)
+        return np.moveaxis(self._b_spline.derivative()(t), -1, 0)
 
     def to_csv(self, path) -> None:
         write_table(path, ["t", "a0", "a1", "a2", "b0", "b1", "b2"],
@@ -164,11 +166,18 @@ def a_coeffs_closed_form(agent: AgentParams, market: MarketParams, horizon: floa
 
 
 def _solve_grid(horizon: float, grid_size: int):
-    """The solve grid t on [0, T] and its refinement with RK4's midpoints."""
+    """The solve grid t on [0, T] and its refinement with RK4's midpoints.
+    Raises FloatingPointError when rounding leaves either grid not strictly
+    increasing, as at a subnormal horizon."""
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size!r}")
     t = np.linspace(0.0, horizon, grid_size)
-    return t, half_grid(t)
+    th = np.linspace(0.0, horizon, 2 * grid_size - 1)
+    for name, grid in (("solve", t), ("half", th)):
+        if not np.all(np.diff(grid) > 0):
+            raise FloatingPointError(f"the {len(grid)}-point {name} grid on [0, {horizon!r}] "
+                                     "is not strictly increasing")
+    return t, th
 
 
 def solve_a_coeffs(agent: AgentParams, market: MarketParams, horizon: float,
@@ -179,7 +188,7 @@ def solve_a_coeffs(agent: AgentParams, market: MarketParams, horizon: float,
     a1, a2 = a_coeffs_closed_form(agent, market, horizon, t)
     a1_h, a2_h = a_coeffs_closed_form(agent, market, horizon, th)
     beta = -a1_h * market.iota * market.y_bar - 0.5 * _square("[market] v", market.v) * a2_h
-    a0 = rk4_backward_affine(beta, 0.0, t[1] - t[0], 0.0)
+    a0 = rk4_backward_affine(beta, 0.0, t[1] - t[0])
     return a0, a1, a2
 
 
@@ -201,7 +210,7 @@ def solve_a_coeffs_ode(agent: AgentParams, market: MarketParams, horizon: float,
                       [-0.5 * market.v ** 2, -iy, 0.0]])
     beta = np.zeros((len(th), 3))
     beta[:, 0] = -2.0 / g
-    sol = rk4_backward_affine(beta, alpha, t[1] - t[0], np.zeros(3))
+    sol = rk4_backward_affine(beta, alpha, t[1] - t[0])
     return sol[:, 2], sol[:, 1], sol[:, 0]
 
 
@@ -270,7 +279,7 @@ def solve_b_coeffs(agent_i: AgentParams, agent_j: AgentParams, market: MarketPar
         sigma_j = equilibrium_std(agent_j, market)
         b0_rate = b0_rate + 0.5 * g * s2 * agent_i.k ** 2 * sigma_j(th) ** 2
     beta[:, 2] = b0_rate - agent_i.lam(th) ** 2 * l2 ** 2 / (2.0 * g * s2)
-    sol = rk4_backward_affine(beta, alpha, t[1] - t[0], np.zeros(3))
+    sol = rk4_backward_affine(beta, alpha, t[1] - t[0])
     return sol[:, 2], sol[:, 1], sol[:, 0]
 
 

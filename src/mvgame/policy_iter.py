@@ -107,45 +107,32 @@ def _on_half_grid(name: str, t, th, grid):
         raise NonFiniteCoefficientError(f"coefficient {name}: {exc}") from None
 
 
-def iterate_response(prev, agent: AgentParams, market: MarketParams,
-                     horizon: float, grid_size: int = DEFAULT_GRID_SIZE, *,
-                     prev_a2_half=None):
+def iterate_response(prev_half, agent: AgentParams, market: MarketParams,
+                     horizon: float, grid_size: int = DEFAULT_GRID_SIZE):
     """One response-iteration update of the mean-coefficient grids.
 
-    ``prev`` is the pair (a1 grid, a2 grid) of the previous iterate on the
-    uniform grid of size ``grid_size``; the previous grids enter as known
-    forcing terms (cubic-interpolated at RK4 substeps).  ``prev_a2_half`` is
-    the previous a2 already interpolated on the half grid, as the previous
-    call returned it; it is interpolated here when not given.
+    ``prev_half`` is the pair (a1, a2) of the previous iterate on the half
+    grid of the uniform grid of size ``grid_size``, where the update reads
+    them as known forcing terms at the RK4 substeps.
 
     Returns (a1 grid, a2 grid, a2 on the half grid) of the new iterate.
-    Raises ``NonFiniteCoefficientError`` if either new grid or a spline fit
+    Raises ``NonFiniteCoefficientError`` if either new grid or the a2 fit
     overflows.
     """
     t, th = _solve_grid(horizon, grid_size)
-    prev_a1, prev_a2 = (np.asarray(p, dtype=float) for p in prev)
-    if len(prev_a1) != grid_size or len(prev_a2) != grid_size:
+    prev_a1_h, prev_a2_h = (np.asarray(p, dtype=float) for p in prev_half)
+    if len(prev_a1_h) != len(th) or len(prev_a2_h) != len(th):
         raise ValueError(
-            f"previous grids have length {len(prev_a1)}/{len(prev_a2)}, "
-            f"expected {grid_size}"
-        )
-    if prev_a2_half is not None and len(prev_a2_half) != len(th):
-        raise ValueError(f"prev_a2_half has length {len(prev_a2_half)}, expected "
-                         f"{len(th)} = 2 * grid_size - 1")
+            f"previous half grids have length {len(prev_a1_h)}/{len(prev_a2_h)}, "
+            f"expected {len(th)} = 2 * grid_size - 1")
     dt = t[1] - t[0]
     rv = market.rho * market.v
-    if prev_a2_half is None:
-        prev_a2_half = _on_half_grid("a2", t, th, prev_a2)
-    # identical grids, such as the zero initial iterate's, share one fit
-    prev_a1_h = (prev_a2_half if prev_a1.tobytes() == prev_a2.tobytes()
-                 else _on_half_grid("a1", t, th, prev_a1))
-
-    beta2 = 2.0 * rv * prev_a2_half - 2.0 / agent.gamma
-    a2_new = rk4_backward_affine(beta2, 2.0 * market.iota, dt, 0.0)
+    beta2 = 2.0 * rv * prev_a2_h - 2.0 / agent.gamma
+    a2_new = rk4_backward_affine(beta2, 2.0 * market.iota, dt)
     _require_finite("a2", a2_new)
     a2_new_h = _on_half_grid("a2", t, th, a2_new)
     beta1 = rv * prev_a1_h - market.iota * market.y_bar * a2_new_h
-    a1_new = rk4_backward_affine(beta1, market.iota, dt, 0.0)
+    a1_new = rk4_backward_affine(beta1, market.iota, dt)
     _require_finite("a1", a1_new)
     return a1_new, a2_new, a2_new_h
 
@@ -181,7 +168,9 @@ def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: fl
     The initial policy's mean coefficients are zero grids (its scale
     does not enter the iteration: after one update it is pinned to
     lam(t)||h'||_2/(gamma sigma^2) by the first-order condition).  Their
-    interpolant is zero, so the first update reads zeros on the half grid.
+    interpolant is zero, so the first update reads zeros on the half grid;
+    each later one reads the a2 the last update returned there and a fit of
+    a1, which raises ``NonFiniteCoefficientError`` if it overflows.
     Non-convergence within ``n_max`` is reported, not fatal.
     """
     if n_max < 1:
@@ -199,11 +188,13 @@ def run_response_iteration(agent: AgentParams, market: MarketParams, horizon: fl
     # both errors compared, so a nan in either one is never converged
     converged = m_a1 < tol and m_a2 < tol
     n = 0
-    a2_half = np.zeros(len(th))  # the zero iterate's interpolant
+    a1_half = a2_half = np.zeros(len(th))  # the zero iterate's interpolant
     while not converged and n < n_max:
+        if n:
+            a1_half = _on_half_grid("a1", t, th, a1)
         n += 1
-        a1, a2, a2_half = iterate_response((a1, a2), agent, market, horizon, grid_size,
-                                           prev_a2_half=a2_half)
+        a1, a2, a2_half = iterate_response((a1_half, a2_half), agent, market, horizon,
+                                           grid_size)
         err1 = float(np.max(np.abs(target_a1 - a1)))
         err2 = float(np.max(np.abs(target_a2 - a2)))
         history.append(IterateState(

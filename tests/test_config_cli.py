@@ -235,6 +235,11 @@ test_cli_boundary = _rows(
     # the last --out wins; makedirs refuses an existing file
     Row("out-is-a-file", T1, {}, "equilibrium", 2, "config error: [Errno 17] File exists: ...",
         ("--out", preset_path("table1"))),
+    # At a horizon of 1e-320 the 4001-point solve grid rounds to repeated t.
+    *(Row(f"{command}-subnormal-horizon", T1, {("sim", "horizon"): "1e-320"}, command, 4,
+          "numerical failure: the 4001-point solve grid on [0, 1e-320] is not strictly "
+          "increasing")
+      for command in ("equilibrium", "iterate")),
     # agent 2's response iterates overflow after agent 1's have converged
     Row("iterate-agent-2-overflow", T1, {("agent2", "gamma"): "5e-308"}, "iterate", 4,
         "numerical failure: agent 2: response iterate: coefficient a2 is not finite"),

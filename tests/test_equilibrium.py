@@ -461,6 +461,16 @@ class TestCoefficientShapes:
                 f"got {got}") + "$"):
             eqm.CoefficientSet(times=times, a=a, b=b)
 
+    # Its spline readers and its CSV need strictly increasing times.
+    @pytest.mark.parametrize("times, got", [
+        ([0.0, 2.0, 1.0, 3.0, 4.0], "[0. 2. 1. 3. 4.]"),
+        ([0.0, 1.0, 1.0, 3.0, 4.0], "[0. 1. 1. 3. 4.]"),
+    ], ids=["decreasing", "repeated"])
+    def test_unsorted_times_rejected(self, times, got):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"coefficient times must be strictly increasing, got {got}") + "$"):
+            eqm.CoefficientSet(times=times, a=np.zeros((3, 5)), b=np.zeros((3, 5)))
+
 
 class TestCsvExport:
     def test_coefficient_csv(self, coeffs_long, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mvgame import equilibrium as eqm
-from mvgame._integrate import half_grid, rk4_backward_affine
+from mvgame._integrate import rk4_backward_affine
 
 from presets import preset
 
@@ -45,14 +45,14 @@ def reference_rk4(alpha_half, beta_half, dt, terminal):
 def _grid(n, horizon=5.0):
     """Half grid and step of an n-step grid on [0, horizon]."""
     t = np.linspace(0.0, horizon, n + 1)
-    return half_grid(t), t[1] - t[0]
+    return np.linspace(0.0, horizon, 2 * n + 1), t[1] - t[0]
 
 
 def test_constant_scalar_system_matches_loop():
     th, dt = _grid(4000, 20.0)
     beta = 0.3 * np.sin(th) - 1.5
-    got = rk4_backward_affine(beta, 0.54, dt, 0.7)
-    want = reference_rk4(np.full_like(th, 0.54), beta, dt, 0.7)
+    got = rk4_backward_affine(beta, 0.54, dt)
+    want = reference_rk4(np.full_like(th, 0.54), beta, dt, 0.0)
     assert got.shape == (4001,)
     assert np.array_equal(got, want)
 
@@ -60,7 +60,7 @@ def test_constant_scalar_system_matches_loop():
 def test_zero_alpha_quadrature_matches_loop():
     th, dt = _grid(1000)
     beta = np.exp(-th) - 0.25 * th
-    got = rk4_backward_affine(beta, 0.0, dt, 0.0)
+    got = rk4_backward_affine(beta, 0.0, dt)
     assert np.array_equal(got, reference_rk4(np.zeros_like(th), beta, dt, 0.0))
     # a quadrature of x' = beta from x(T) = 0 gives -int_t^T beta
     t = np.linspace(0.0, 5.0, 1001)
@@ -71,10 +71,10 @@ def test_zero_alpha_quadrature_matches_loop():
 def test_shortest_grid_matches_loop():
     th, dt = _grid(1)
     beta = np.array([0.1, 0.2, 0.3])
-    got = rk4_backward_affine(beta, -0.8, dt, 2.0)
+    got = rk4_backward_affine(beta, -0.8, dt)
     assert got.shape == (2,)
-    assert got[1] == 2.0
-    assert np.array_equal(got, reference_rk4(np.full_like(th, -0.8), beta, dt, 2.0))
+    assert got[1] == 0.0
+    assert np.array_equal(got, reference_rk4(np.full_like(th, -0.8), beta, dt, 0.0))
 
 
 @pytest.mark.parametrize("alpha, terminal", [
@@ -86,7 +86,7 @@ def test_matrix_system_matches_loop(alpha, terminal):
     beta = np.zeros((len(th), 3))
     beta[:, 0] = -0.5
     beta[:, 2] = 0.01 * th
-    got = rk4_backward_affine(beta, alpha, dt, terminal)
+    got = rk4_backward_affine(beta, alpha, dt)
     assert got.shape == (401, 3)
     assert np.array_equal(got[-1], terminal)
     want = reference_rk4(np.broadcast_to(alpha, (len(th), 3, 3)), beta, dt, terminal)
@@ -112,9 +112,8 @@ def test_b_systems_of_presets_match_loop(name, monkeypatch):
     for i, j in ((0, 1), (1, 0)):
         eqm.solve_b_coeffs(agents[i], agents[j], cfg.market, cfg.sim.horizon)
     assert len(calls) == 2
-    for (beta, alpha, dt, terminal), got in calls:
-        want = reference_rk4(np.broadcast_to(alpha, (len(beta), 3, 3)), beta, dt,
-                             terminal)
+    for (beta, alpha, dt), got in calls:
+        want = reference_rk4(np.broadcast_to(alpha, (len(beta), 3, 3)), beta, dt, 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
@@ -122,9 +121,9 @@ def test_non_triangular_alpha_rejected():
     th, _ = _grid(4)
     alpha = [[0.31, -0.12, 0.05], [0.08, -0.2, 0.17], [-0.04, 0.09, 0.26]]
     with pytest.raises(ValueError, match="lower-triangular"):
-        rk4_backward_affine(np.zeros((len(th), 3)), alpha, 0.1, np.zeros(3))
+        rk4_backward_affine(np.zeros((len(th), 3)), alpha, 0.1)
 
 
 def test_even_length_half_grid_rejected():
     with pytest.raises(ValueError, match="beta_half .*odd length"):
-        rk4_backward_affine(np.zeros(4), 0.0, 0.1, 0.0)
+        rk4_backward_affine(np.zeros(4), 0.0, 0.1)

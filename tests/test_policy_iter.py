@@ -10,49 +10,50 @@ GRID = eqm.DEFAULT_GRID_SIZE
 
 class TestIterateResponse:
     def test_closed_form_is_fixed_point(self, agents_long, bench_market):
-        t = np.linspace(0.0, 20.0, GRID)
+        t, th = eqm._solve_grid(20.0, GRID)
         a1_star, a2_star = eqm.a_coeffs_closed_form(agents_long[0], bench_market,
                                                     20.0, t)
-        a1n, a2n, _ = pit.iterate_response((a1_star, a2_star), agents_long[0],
-                                           bench_market, 20.0)
+        a1n, a2n, _ = pit.iterate_response(
+            eqm.a_coeffs_closed_form(agents_long[0], bench_market, 20.0, th),
+            agents_long[0], bench_market, 20.0)
         assert np.max(np.abs(a1n - a1_star)) < 1e-8
         assert np.max(np.abs(a2n - a2_star)) < 1e-8
 
     def test_first_iterate_from_zero(self, agents_long, bench_market):
         # with zero previous grids, a2^1 solves a2' = 2*iota*a2 - 2/gamma
         t = np.linspace(0.0, 20.0, GRID)
-        a1n, a2n, _ = pit.iterate_response((np.zeros(GRID), np.zeros(GRID)),
-                                           agents_long[0], bench_market, 20.0)
+        zeros = np.zeros(2 * GRID - 1)
+        a1n, a2n, _ = pit.iterate_response((zeros, zeros), agents_long[0], bench_market, 20.0)
         iota, g = bench_market.iota, agents_long[0].gamma
         oracle = (1.0 - np.exp(-2.0 * iota * (20.0 - t))) / (g * iota)
         assert np.max(np.abs(a2n - oracle)) < 1e-9
 
     def test_carried_half_grid_a2_changes_no_bit(self, agents_long, bench_market):
-        """The a2 half-grid values one call returns are the spline the next
-        call would fit to its a2 grid, so passing them on changes no bit."""
+        """The a2 half-grid values one call returns are the spline of its a2
+        grid, so the iteration carries them to the next update, which it
+        feeds with them and the spline of the a1 grid on the half grid."""
         from scipy.interpolate import CubicSpline
 
-        from mvgame._integrate import half_grid
-
-        t = np.linspace(0.0, 20.0, GRID)
-        first = pit.iterate_response((np.zeros(GRID), np.zeros(GRID)),
-                                     agents_long[0], bench_market, 20.0)
-        assert np.array_equal(first[2], CubicSpline(t, first[1])(half_grid(t)))
-        fitted = pit.iterate_response(first[:2], agents_long[0], bench_market, 20.0)
-        carried = pit.iterate_response(first[:2], agents_long[0], bench_market, 20.0,
-                                       prev_a2_half=first[2])
-        for a, b in zip(fitted, carried, strict=True):
-            assert np.array_equal(a, b)
+        agent = agents_long[0]
+        t, th = eqm._solve_grid(20.0, GRID)
+        zeros = np.zeros(len(th))
+        first = pit.iterate_response((zeros, zeros), agent, bench_market, 20.0)
+        assert np.array_equal(first[2], CubicSpline(t, first[1])(th))
+        second = pit.iterate_response((CubicSpline(t, first[0])(th), first[2]), agent,
+                                      bench_market, 20.0)
+        hist = pit.run_response_iteration(agent, bench_market, 20.0, n_max=2, tol=0.0)
+        for it, want in zip(hist.iterates[1:], (first, second), strict=True):
+            assert np.array_equal(it.a1, want[0])
+            assert np.array_equal(it.a2, want[1])
 
     def test_grid_mismatch_rejected(self, agents_long, bench_market):
         with pytest.raises(ValueError):
             pit.iterate_response((np.zeros(10), np.zeros(10)), agents_long[0],
                                  bench_market, 20.0, grid_size=GRID)
-        # a carried half grid of the wrong length is bad input, not a numerical failure
-        with pytest.raises(ValueError, match=r"^prev_a2_half has length 5, expected 21 = "
-                                             r"2 \* grid_size - 1$"):
-            pit.iterate_response((np.zeros(11), np.zeros(11)), agents_long[0],
-                                 bench_market, 20.0, grid_size=11, prev_a2_half=np.zeros(5))
+        with pytest.raises(ValueError, match=r"^previous half grids have length 5/21, "
+                                             r"expected 21 = 2 \* grid_size - 1$"):
+            pit.iterate_response((np.zeros(5), np.zeros(21)), agents_long[0],
+                                 bench_market, 20.0, grid_size=11)
 
     # At a horizon of 1e150 the zero spline's cubic term overflows to nan.
     @pytest.mark.parametrize("horizon", [20.0, 1e150])
@@ -219,3 +220,23 @@ class TestExport:
         assert len(rows) == len(hist.iterates)
         assert float(rows[1]["sup_err_a2"]) == hist.iterates[1].sup_err_a2
         assert float(rows[3]["sup_err_mu"]) == mh.iterates[3].sup_err
+
+
+@pytest.mark.parametrize("name, fits", [("table1", 38), ("table2", 16)])
+def test_iterate_fits_no_zero_grid(name, fits, monkeypatch, tmp_path, capsys):
+    """``iterate`` fits a2 once per response update and a1 once per update
+    after the first, for both agents; the all-zero start is never fitted."""
+    from mvgame import cli
+
+    from presets import preset_path
+
+    grids = []
+
+    def spy(x, y):
+        grids.append(np.array(y))
+        return cubic_spline(x, y)
+
+    monkeypatch.setattr(pit, "cubic_spline", spy)
+    assert cli.main(["iterate", "--config", preset_path(name), "--out", str(tmp_path)]) == 0
+    assert len(grids) == fits
+    assert not any(np.all(g == 0.0) for g in grids)

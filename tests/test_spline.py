@@ -20,8 +20,8 @@ def _assert_same(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def _check(x, y, axis, ts):
-    ref, ours = CubicSpline(x, y, axis=axis), cubic_spline(x, y, axis=axis)
+def _check(x, y, ts):
+    ref, ours = CubicSpline(x, y), cubic_spline(x, y)
     ref_d, ours_d = ref.derivative(), ours.derivative()
     for t in ts:
         _assert_same(ours(t), ref(t))
@@ -39,12 +39,21 @@ def _queries(x):
 
 @pytest.mark.parametrize("preset", ["long", "short"])
 def test_coefficient_grids_match_cubic_spline(coeffs_long, coeffs_short, preset):
+    """A solved set's off-node values and its derivatives are scipy's spline
+    along the time axis of its (3, n) grids, with the rows first."""
     for cs in coeffs_long if preset == "long" else coeffs_short:
         ts = _queries(cs.times)
-        for grid in (cs.a, cs.b):
-            _check(cs.times, grid, 1, ts)
+        off_node = [t for t in ts if not np.all(np.isin(t, cs.times))]
+        for grid, at, deriv in ((cs.a, cs.a_at, cs.a_deriv), (cs.b, cs.b_at, cs.b_deriv)):
+            ref = CubicSpline(cs.times, grid, axis=1)
+            ref_d = ref.derivative()
+            for t in off_node:
+                _assert_same(at(t), ref(t))
+            for t in ts:
+                _assert_same(deriv(t), ref_d(t))
+            _check(cs.times, grid.T, ts)
             for row in grid:
-                _check(cs.times, row, 0, ts)
+                _check(cs.times, row, ts)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 12, 401])
@@ -54,9 +63,8 @@ def test_random_grids_match_cubic_spline(n):
         x = np.sort(rng.uniform(-5.0, 5.0, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
         y = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-10.0, 10.0, (1, 2))
         ts = _queries(x)
-        _check(x, y, 0, ts)
-        _check(x, y.T, 1, ts)
-        _check(x, y[:, 0], 0, ts)
+        _check(x, y, ts)
+        _check(x, y[:, 0], ts)
 
 
 @pytest.mark.parametrize("y,match", [
@@ -154,5 +162,5 @@ def test_factorization_is_refitted_when_the_knots_change():
     _spline._not_a_knot_factored.cache_clear()
     for knots, values, misses in ((x, y, 1), (x, y[:, 0], 1), (x ** 2, y, 2),
                                   (moved, y, 3), (x[:-1], y[:-1], 4), (x, y, 5)):
-        _check(knots, values, 0, _queries(knots))
+        _check(knots, values, _queries(knots))
         assert _spline._not_a_knot_factored.cache_info().misses == misses
