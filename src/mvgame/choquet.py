@@ -18,6 +18,7 @@ uniform family (h(p) = p - p^2, the Gini mean difference).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -77,7 +78,9 @@ class Distortion:
 # scipy is imported only where it is used: scipy.integrate where a quadrature
 # runs (the built-in distortions and the closed-form policies need none; the
 # import loads about 290 scipy modules), and scipy.special at the normal
-# distortion's first h or h', so that solving and iterating load neither.
+# distortion's first h or h' of more than _NDTRI_INHOUSE_MAX elements (the
+# Monte Carlo engine's), so that solving, iterating, simulating and training
+# load neither.
 def _l2_norm_by_quadrature(h_prime) -> float:
     from scipy.integrate import quad
 
@@ -125,14 +128,121 @@ def make_distortion(h, h_prime, name: str = "custom", l2_norm: float | None = No
                       family=family)
 
 
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989) as scipy 1.17.1 ships it: a rational in (y - 1/2)^2 on the centre,
+# and in 1/x with x = sqrt(-2 log y) in the tails, below and above x = 8.
+_S2PI = 2.50662827463100050242E0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _polevl(x, coef):
+    """coef[0] x^n + ... + coef[n], by Horner in cephes' order."""
+    ans = coef[0] * x
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x, coef):
+    """x^n + coef[0] x^(n-1) + ... + coef[n-1]: the monic polevl."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _libm_log(a):
+    # np.log has its own SIMD kernels, which differ from libm's log in the last
+    # bit on about 1 tail y in 4000 and 1 x in 1300; math.log calls libm's, as
+    # scipy's compiled ndtri does.
+    return np.fromiter(map(math.log, a.tolist()), float, count=a.size)
+
+
+def _ndtri(q, out=None):
+    """The standard normal quantile of float64 ``q``, bit for bit with
+    ``scipy.special.ndtri``: 0 gives -inf, 1 gives inf, anything outside
+    [0, 1] or nan gives nan.
+
+    The result does not depend on numpy's CPU dispatch: the arithmetic is
+    +, *, / and sqrt, which IEEE 754 rounds correctly on every path, in
+    cephes' order and with no fused multiply-add, and the logs are libm's.
+    It is about ten times slower than scipy's, so the normal distortion
+    calls it only for small arrays (``_normal_quantile``).
+    """
+    q = np.asarray(q, dtype=float)
+    upper = q > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - q, q)
+    central = y > _EXP_M2
+    inside = (q > 0.0) & (q < 1.0)
+    tail = ~central & (inside | np.isnan(q))
+    zero, one = q == 0.0, q == 1.0
+    outside = (q < 0.0) | (q > 1.0)
+    tail_upper = upper[tail]
+
+    c = y[central] - 0.5
+    c2 = c * c
+    x_central = (c + c * (c2 * _polevl(c2, _P0) / _p1evl(c2, _Q0))) * _S2PI
+
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    far = ~(x < 8.0)  # as cephes branches, so nan takes P2/Q2
+    if far.any():
+        x1[far] = z[far] * _polevl(z[far], _P2) / _p1evl(z[far], _Q2)
+    x_tail = x0 - x1
+
+    result = np.empty_like(q) if out is None else out
+    result[central] = x_central
+    result[tail] = np.where(tail_upper, x_tail, -x_tail)
+    result[zero] = -np.inf
+    result[one] = np.inf
+    result[outside] = np.nan
+    return result if out is not None or result.ndim else result[()]
+
+
+# Calls of at most this many elements -- the learner's episode, R x n_steps =
+# 10 x 250, and simulate's 250 steps -- take the in-house _ndtri, so training
+# and simulating never import scipy.special (about 20 MB resident).  The Monte
+# Carlo engine's 128-episode blocks (32000 elements) keep scipy's: 0.46 ms a
+# block against 3.5-5 ms in-house on one CPU, which would double its time.
+_NDTRI_INHOUSE_MAX = 2**13
+
+
+def _normal_quantile(q, out=None):
+    if np.size(q) <= _NDTRI_INHOUSE_MAX:
+        return _ndtri(q, out=out)
+    from scipy.special import ndtri
+
+    return ndtri(q, out=out)
+
+
 def _normal_h(p):
     # h(p) = int_0^p z(1-s) ds = pdf(z(p)), using d/dp pdf(z(p)) = -z(1-p)... :
     # direct antiderivative: int_0^p z(1-s) ds = phi(z(1-p)) where phi is the
     # standard normal density (phi(z(0+)) = phi(-inf) = 0).
-    from scipy.special import ndtri
-
     p = np.asarray(p, dtype=float)
-    z = ndtri(np.clip(1.0 - p, 1e-300, 1.0))
+    z = _normal_quantile(np.clip(1.0 - p, 1e-300, 1.0))
     out = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
     out = np.where((p <= 0.0) | (p >= 1.0), 0.0, out)
     return out if out.ndim else float(out)
@@ -141,10 +251,8 @@ def _normal_h(p):
 # The two h' below transform their one new array in place, so a call holds no
 # more than one temporary the size of p (the Monte Carlo engine's memory bound).
 def _normal_h_prime(p):
-    from scipy.special import ndtri
-
     q = 1.0 - np.asarray(p, dtype=float)
-    return ndtri(q, out=q) if q.ndim else float(ndtri(q))
+    return _normal_quantile(q, out=q) if q.ndim else float(_normal_quantile(q))
 
 
 def make_distortion_normal() -> Distortion:

@@ -166,6 +166,10 @@ class SimConfig:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps!r}")
         if not self.seed >= 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        # a subnormal horizon rounds the grid to repeated t
+        if not np.all(np.diff(self.times) > 0):
+            raise ValueError(f"the {self.n_steps + 1}-point episode grid on "
+                             f"[0, {self.horizon!r}] is not strictly increasing")
         for name in ("x1_0", "x2_0", "y_0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

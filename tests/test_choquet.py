@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from mvgame import choquet
+from mvgame import choquet, market
 
 
 def discrete_phi(dist, values, probs):
@@ -112,6 +114,84 @@ def test_builtin_distortion_requirements(make):
     assert np.all(np.diff(hp) <= choquet._CONCAVITY_TOL)
     l2_quad = dist.l2_norm_by_quadrature()
     assert abs(dist.l2_norm - l2_quad) <= 1e-8 * max(1.0, abs(dist.l2_norm))
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns (so nan matches its own
+    sign and payload, and -0.0 does not match 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_EXP_M2 = 0.13533528323661269189
+
+
+def _x8_switch():
+    """The two neighbouring y across which the tails' x = sqrt(-2 log y)
+    drops below 8, where the P2/Q2 rational gives way to P1/Q1.  It lies a
+    few ulps above e^-32, whose own x rounds to 8.0."""
+    y = math.exp(-32.0)
+    while math.sqrt(-2.0 * math.log(y)) >= 8.0:
+        y = math.nextafter(y, 1.0)
+    return math.nextafter(y, 0.0), y
+
+
+# each edge of the in-house ndtri's branches with both of its neighbours:
+# the centre's two ends, e^-32 and the tails' switch at x = 8; 1 - y of the
+# switch rounds to one float, whose upper-tail x is just above 8
+_BRANCH_EDGES = [v for e in (_EXP_M2, 1.0 - _EXP_M2, math.exp(-32.0))
+                 for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))]
+_BRANCH_EDGES += [v for y in _x8_switch() for v in (y, 1.0 - y)]
+_EDGES = [0.0, -0.0, 1.0, 2.0 ** -53, 1.0 - 2.0 ** -53, 5e-324, 1e-300, -0.1, 1.1, np.nan,
+          -np.nan, np.inf, -np.inf, *_BRANCH_EDGES]
+
+
+class TestNdtri:
+    """The in-house cephes ``ndtri`` returns scipy's bits."""
+
+    def test_engine_draws(self):
+        # the uniforms as the simulator draws them, and the 1 - (1 - p) that
+        # the quantile's h'(1 - p) takes
+        p = market._draw_uniforms(market.episode_generator(7, 0), 10 ** 6)
+        q = 1.0 - (1.0 - p)
+        assert same_bits(choquet._ndtri(q), ndtri(q))
+
+    @pytest.mark.parametrize("q", _EDGES, ids=repr)
+    def test_edge_values(self, q):
+        assert same_bits(choquet._ndtri(q), ndtri(q))
+
+    def test_edge_values_in_one_array(self):
+        q = np.array(_EDGES)
+        assert same_bits(choquet._ndtri(q), ndtri(q))
+
+    def test_call_forms(self):
+        rng = market.episode_generator(11, 0)
+        assert isinstance(choquet._ndtri(0.3), np.float64)
+        assert same_bits(choquet._ndtri(0.3), ndtri(0.3))
+        assert same_bits(choquet._ndtri(np.array(0.7)), ndtri(np.array(0.7)))
+        q = rng.random((10, 250))
+        assert same_bits(choquet._ndtri(q), ndtri(q))
+        want = ndtri(q)
+        out = np.empty_like(q)
+        assert choquet._ndtri(q, out=out) is out and same_bits(out, want)
+        assert choquet._ndtri(q, out=q) is q and same_bits(q, want)
+
+    @pytest.mark.parametrize("size, inhouse", [(2 ** 13, True), (2 ** 13 + 1, False)])
+    def test_switch_to_scipy(self, monkeypatch, size, inhouse):
+        """h' takes the in-house ndtri up to 2**13 elements and scipy's
+        above, with the same bits on both sides of the switch."""
+        calls = []
+        inner = choquet._ndtri
+
+        def counted(q, out=None):
+            calls.append(q.size)
+            return inner(q, out=out)
+
+        monkeypatch.setattr(choquet, "_ndtri", counted)
+        p = market._draw_uniforms(market.episode_generator(11, size), size)
+        want = ndtri(1.0 - p)
+        assert same_bits(choquet._normal_h_prime(p), want)
+        assert calls == ([size] if inhouse else [])
 
 
 class TestPhiH:

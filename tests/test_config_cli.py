@@ -240,6 +240,12 @@ test_cli_boundary = _rows(
           "numerical failure: the 4001-point solve grid on [0, 1e-320] is not strictly "
           "increasing")
       for command in ("equilibrium", "iterate")),
+    # At 1e-321 the 251-point episode grid itself repeats t, which the config
+    # rejects before any command creates --out.
+    *(Row(f"{command}-subnormal-episode-grid", T1, {(section, "horizon"): "1e-321"}, command,
+          2, f"config error: [{section}] the 251-point episode grid on [0, 1e-321] is not "
+          "strictly increasing")
+      for section, command in (("sim", "simulate"), ("train", "train"))),
     # agent 2's response iterates overflow after agent 1's have converged
     Row("iterate-agent-2-overflow", T1, {("agent2", "gamma"): "5e-308"}, "iterate", 4,
         "numerical failure: agent 2: response iterate: coefficient a2 is not finite"),

@@ -86,15 +86,16 @@ def test_cli_import_leaves_out_the_process_pool():
 
 
 @pytest.mark.parametrize("command, loads", [
-    ("import", []), ("equilibrium", []), ("iterate", []), ("simulate", ["scipy.special"]),
-    ("train", ["scipy.special"])], ids=["import", "equilibrium", "iterate", "simulate", "train"])
+    ("import", []), ("equilibrium", []), ("iterate", []), ("simulate", []),
+    ("train", [])], ids=["import", "equilibrium", "iterate", "simulate", "train"])
 def test_commands_load_neither_interpolate_nor_integrate(tmp_path, command, loads):
     """Every policy and mean the commands use is closed-form, the response
     iterates are fitted by the in-house spline, and the built-in distortions
     run no quadrature, so neither ``scipy.interpolate`` nor
     ``scipy.integrate`` (each about 290 scipy modules and 26 MB resident) is
-    loaded by a fresh process that runs any command: only the commands that
-    draw actions load ``scipy.special``."""
+    loaded by a fresh process that runs any command.  The commands that draw
+    actions take the normal quantile from the in-house ``ndtri`` (calls of at
+    most 2**13 elements), so none loads ``scipy.special`` either."""
     cfg = preset("table2" if command == "train" else "table1")
     cfg = replace(cfg, replications=1,
                   train=replace(cfg.train, episodes=40, critic_warmup=5))
@@ -107,15 +108,15 @@ def test_commands_load_neither_interpolate_nor_integrate(tmp_path, command, load
 
 
 @pytest.mark.parametrize("step, loads", [("setup", []), ("equilibrium", []), ("iterate", []),
-                                         ("hjb", []), ("simulate", ["scipy.special"])],
+                                         ("hjb", []), ("simulate", [])],
                          ids=["setup", "equilibrium", "iterate", "hjb-residuals", "simulate"])
 def test_scipy_loads_where_it_is_used(tmp_path, step, loads):
     """Set-up (import, ``parse_config``, agents, coefficients and the policy
     constructors, for table1 and table2) loads no scipy subpackage, nor do
     ``equilibrium``, ``iterate`` and ``hjb_residuals`` off the grid's nodes,
-    whose splines solve their tridiagonal systems in-house.
-    ``scipy.special`` is imported at the normal distortion's first quantile,
-    so ``simulate``, which draws actions, loads it."""
+    whose splines solve their tridiagonal systems in-house, nor
+    ``simulate``, whose 250-step actions take the in-house normal
+    quantile."""
     setup = "".join(
         f"cfg = parse_config({preset_path(name)!r}); "
         "agents = cfg.build_agents(cfg.sim.horizon); "
@@ -143,7 +144,9 @@ def test_objective_with_rebuilt_agents_is_bit_identical():
     """Agents from a second ``build_agents`` call carry equal distortions, so
     ``estimate_objective`` takes the analytic regularizer branch for them, as
     for the agents the policies were built from: the same bits, and no
-    ``scipy.integrate`` import in a fresh process."""
+    ``scipy.integrate`` import in a fresh process.  Its 50-episode blocks of
+    20 steps (1000 elements) take the in-house normal quantile, so it loads
+    no ``scipy.special`` either."""
     probe = f"""
 from dataclasses import replace
 from mvgame import equilibrium as eqm, market as mkt
@@ -159,14 +162,14 @@ for i in (0, 1):
                  for a in (agents, rebuilt))
     assert got == want, (got, want)
 """
-    assert scipy_loaded(probe) == ["scipy.special"]
+    assert scipy_loaded(probe) == []
 
 
 def test_value_check_loads_no_interpolate():
     """The Monte Carlo value check compares a simulated objective with V_i at
     t = 0, a grid node: with the closed-form policies, a fresh process that
     solves, estimates and reads V_i at t = 0 and t = T never loads
-    ``scipy.interpolate``."""
+    ``scipy.interpolate``, nor, at 20 steps x 50 episodes, ``scipy.special``."""
     probe = f"""
 from dataclasses import replace
 from mvgame import equilibrium as eqm, market as mkt
@@ -181,6 +184,23 @@ for i in (0, 1):
                            mkt.episode_generator(7, 10_000 + i))
     for t in (0.0, sim.horizon):
         eqm.value_functions(i, t, sim.x1_0, sim.y_0, coeffs)
+"""
+    assert scipy_loaded(probe) == []
+
+
+def test_monte_carlo_blocks_load_scipy_special():
+    """At table2's 250 steps the Monte Carlo engine's 128-episode blocks
+    hold 32000 uniforms, above the in-house ``ndtri``'s 2**13, so
+    ``estimate_objective`` takes scipy's and loads ``scipy.special``: the
+    switch is pinned from this side as well as by the probes above."""
+    probe = f"""
+from mvgame import equilibrium as eqm, market as mkt
+from mvgame.config import parse_config
+cfg = parse_config({preset_path("table2")!r})
+agents = cfg.build_agents(cfg.sim.horizon)
+policies = [eqm.closed_form_policy(i, agents, cfg.market, cfg.sim.horizon) for i in (0, 1)]
+mkt.estimate_objective(0, agents, policies, cfg.market, cfg.sim, 200,
+                       mkt.episode_generator(7, 10_000))
 """
     assert scipy_loaded(probe) == ["scipy.special"]
 
