@@ -171,11 +171,26 @@ def _p1evl(x, coef):
     return ans
 
 
+# glibc's clog(x + 0j) takes its real part as libm's log(hypot(x, 0)) = log(x)
+# for a normal x >= 0 outside [0.5, 2); below DBL_MIN it rescales x first, and
+# in [0.5, 2) it goes through log1p.  The tails take logs of y in (0, e^-2] and
+# of x = sqrt(-2 log y) in [2, 38.6] (e^-2 as rounded has log -2.0), so only a
+# subnormal y, or nan, leaves that domain.
+_DBL_MIN = 2.2250738585072014e-308
+
+
 def _libm_log(a):
-    # np.log has its own SIMD kernels, which differ from libm's log in the last
-    # bit on about 1 tail y in 4000 and 1 x in 1300; math.log calls libm's, as
-    # scipy's compiled ndtri does.
-    return np.fromiter(map(math.log, a.tolist()), float, count=a.size)
+    """libm's log of each element of the 1-d float64 ``a``, the log scipy's
+    compiled ndtri calls.  np.log has its own SIMD kernels, which can differ
+    from libm's in the last bit; numpy's complex log calls the C library's
+    clog once per element, at C speed, and its real part is libm's log on
+    clog's exact domain (``_DBL_MIN``).  Elements outside it -- subnormals,
+    nan (whose sign math.log keeps) and [0.5, 2) -- take math.log."""
+    r = np.log(a.astype(complex)).real
+    rest = np.flatnonzero(~((a >= _DBL_MIN) & ((a < 0.5) | (a >= 2.0))))
+    if rest.size:
+        r[rest] = list(map(math.log, a.take(rest).tolist()))
+    return r
 
 
 def _ndtri(q, out=None):
@@ -185,47 +200,50 @@ def _ndtri(q, out=None):
 
     The result does not depend on numpy's CPU dispatch: the arithmetic is
     +, *, / and sqrt, which IEEE 754 rounds correctly on every path, in
-    cephes' order and with no fused multiply-add, and the logs are libm's.
-    It is about ten times slower than scipy's, so the normal distortion
-    calls it only for small arrays (``_normal_quantile``).
+    cephes' order and with no fused multiply-add, and the logs are libm's
+    (``_libm_log``).  A call takes two to four times as long as scipy's
+    (``tools/ndtri_timing.py``), so the normal distortion calls it only for
+    small arrays (``_normal_quantile``).
     """
     q = np.asarray(q, dtype=float)
-    upper = q > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - q, q)
-    central = y > _EXP_M2
-    inside = (q > 0.0) & (q < 1.0)
-    tail = ~central & (inside | np.isnan(q))
-    zero, one = q == 0.0, q == 1.0
-    outside = (q < 0.0) | (q > 1.0)
-    tail_upper = upper[tail]
-
-    c = y[central] - 0.5
-    c2 = c * c
-    x_central = (c + c * (c2 * _polevl(c2, _P0) / _p1evl(c2, _Q0))) * _S2PI
-
-    x = np.sqrt(-2.0 * _libm_log(y[tail]))
-    x0 = x - _libm_log(x) / x
-    z = 1.0 / x
-    x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
-    far = ~(x < 8.0)  # as cephes branches, so nan takes P2/Q2
-    if far.any():
-        x1[far] = z[far] * _polevl(z[far], _P2) / _p1evl(z[far], _Q2)
-    x_tail = x0 - x1
-
-    result = np.empty_like(q) if out is None else out
-    result[central] = x_central
-    result[tail] = np.where(tail_upper, x_tail, -x_tail)
-    result[zero] = -np.inf
-    result[one] = np.inf
-    result[outside] = np.nan
-    return result if out is not None or result.ndim else result[()]
+    flat = q.reshape(-1)
+    upper = flat > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - flat, flat)
+    # the centre's rational on every element; the tails and the ends then
+    # overwrite theirs, so what it makes of them (inf - inf, overflow) is moot
+    with np.errstate(all="ignore"):
+        c = y - 0.5
+        c2 = c * c
+        r = (c + c * (c2 * _polevl(c2, _P0) / _p1evl(c2, _Q0))) * _S2PI
+    end = y <= 0.0  # 0, 1 and everything outside [0, 1]; not nan
+    tail = np.flatnonzero(~((y > _EXP_M2) | end))  # with nan
+    if tail.size:
+        x = np.sqrt(-2.0 * _libm_log(y.take(tail)))
+        x0 = x - _libm_log(x) / x
+        z = 1.0 / x
+        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+        far = np.flatnonzero(~(x < 8.0))  # as cephes branches, so nan takes P2/Q2
+        if far.size:
+            zf = z.take(far)
+            x1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
+        x_tail = x0 - x1
+        r[tail] = np.where(upper.take(tail), x_tail, -x_tail)
+    if end.any():
+        ends = np.flatnonzero(end)
+        q_end = flat.take(ends)
+        r[ends] = np.where(q_end == 0.0, -np.inf, np.where(q_end == 1.0, np.inf, np.nan))
+    if out is None:
+        return r.reshape(q.shape) if q.ndim else r[0]
+    out[...] = r.reshape(q.shape)
+    return out
 
 
 # Calls of at most this many elements -- the learner's episode, R x n_steps =
 # 10 x 250, and simulate's 250 steps -- take the in-house _ndtri, so training
 # and simulating never import scipy.special (about 20 MB resident).  The Monte
-# Carlo engine's 128-episode blocks (32000 elements) keep scipy's: 0.46 ms a
-# block against 3.5-5 ms in-house on one CPU, which would double its time.
+# Carlo engine's 128-episode blocks (32000 elements) keep scipy's: 0.45 ms a
+# block against 1.3-1.4 ms in-house on one CPU (tools/ndtri_timing.py), which
+# made mc_objective_table2's op time 14-34% longer when measured.
 _NDTRI_INHOUSE_MAX = 2**13
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ _BRANCH_EDGES = [v for e in (_EXP_M2, 1.0 - _EXP_M2, math.exp(-32.0))
                  for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))]
 _BRANCH_EDGES += [v for y in _x8_switch() for v in (y, 1.0 - y)]
 _EDGES = [0.0, -0.0, 1.0, 2.0 ** -53, 1.0 - 2.0 ** -53, 5e-324, 1e-300, -0.1, 1.1, np.nan,
-          -np.nan, np.inf, -np.inf, *_BRANCH_EDGES]
+          -np.nan, np.inf, -np.inf, 1e300, -1e300, *_BRANCH_EDGES]
 
 
 class TestNdtri:
@@ -161,8 +162,12 @@ class TestNdtri:
         assert same_bits(choquet._ndtri(q), ndtri(q))
 
     def test_edge_values_in_one_array(self):
+        # the centre's rational runs on every element, these included, and
+        # must not warn (inf - inf, overflow)
         q = np.array(_EDGES)
-        assert same_bits(choquet._ndtri(q), ndtri(q))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_bits(choquet._ndtri(q), ndtri(q))
 
     def test_call_forms(self):
         rng = market.episode_generator(11, 0)
@@ -175,6 +180,32 @@ class TestNdtri:
         out = np.empty_like(q)
         assert choquet._ndtri(q, out=out) is out and same_bits(out, want)
         assert choquet._ndtri(q, out=q) is q and same_bits(q, want)
+        # odd row lengths, so that no strided array below is one flat run
+        q = rng.random((10, 501))
+        orig = q.copy()
+        # a non-contiguous and a Fortran-order input
+        for arg in (q[:, ::2], np.asfortranarray(q)):
+            assert same_bits(choquet._ndtri(arg), ndtri(arg))
+        # a non-contiguous out, and an out that is the strided input itself
+        want = ndtri(q[:, ::2])
+        out = np.empty((10, 503))[:, 1::2]
+        assert choquet._ndtri(q[:, ::2], out=out) is out and same_bits(out, want)
+        view = q[:, ::2]
+        assert choquet._ndtri(view, out=view) is view and same_bits(view, want)
+        assert same_bits(q[:, 1::2], orig[:, 1::2])  # the other columns untouched
+
+    def test_engine_draws_take_no_per_element_log(self, monkeypatch):
+        """Every log of the engine's draws comes from the complex log: a
+        silent math.log fallback keeps the bits but costs the speed."""
+        p = market._draw_uniforms(market.episode_generator(7, 0), 10 ** 6)
+        calls = []
+        log = math.log
+        monkeypatch.setattr(math, "log", lambda v: calls.append(v) or log(v))
+        choquet._ndtri(1.0 - (1.0 - p))
+        choquet._ndtri(1.0 - p)
+        assert calls == []
+        choquet._ndtri(np.array([5e-324, 0.3]))  # a subnormal tail y does take it
+        assert calls == [5e-324]
 
     @pytest.mark.parametrize("size, inhouse", [(2 ** 13, True), (2 ** 13 + 1, False)])
     def test_switch_to_scipy(self, monkeypatch, size, inhouse):
@@ -192,6 +223,42 @@ class TestNdtri:
         want = ndtri(1.0 - p)
         assert same_bits(choquet._normal_h_prime(p), want)
         assert calls == ([size] if inhouse else [])
+
+
+_DBL_MIN = 2.2250738585072014e-308
+
+
+def _neighbours(v):
+    return [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+
+
+class TestLibmLog:
+    """``choquet._libm_log`` returns libm's log, as math.log does, bit for
+    bit: on the tails' domains through the complex log, and elsewhere
+    through its math.log fallback."""
+
+    @staticmethod
+    def _check(a):
+        a = np.asarray(a, dtype=float)
+        want = np.array([math.log(v) for v in a.tolist()])
+        assert same_bits(choquet._libm_log(a), want)
+
+    def test_tail_y(self):
+        rng = np.random.default_rng(5)
+        self._check(np.exp(rng.uniform(math.log(_DBL_MIN), -2.0, 10 ** 6)))
+
+    def test_tail_x(self):
+        self._check(np.random.default_rng(6).uniform(2.0, 40.0, 10 ** 6))
+
+    def test_boundaries(self):
+        self._check([v for b in (_DBL_MIN, 0.5, 1.0, 2.0, 8.0, _EXP_M2)
+                     for v in _neighbours(b)])
+
+    def test_subnormals_and_nan(self):
+        a = np.array([5e-324, 1e-310, math.nextafter(_DBL_MIN, 0.0), np.nan, -np.nan])
+        self._check(a)
+        signs = np.signbit(choquet._libm_log(a[3:]))
+        assert signs.tolist() == [False, True]
 
 
 class TestPhiH:

@@ -5,7 +5,8 @@ numpy dispatches its loops on the CPU's features, and OpenBLAS picks its
 kernels by CPU core, so another path may move the last bits of a result.
 Each setting below runs the same commands in a fresh process: every number
 it writes must be within 1e-10 relative of the default run's, and the test
-reports, run with ``-s``, the files whose bytes moved.
+reports, run with ``-s``, the files whose bytes moved.  The in-house normal
+quantile, whose logs are libm's on every path, must keep scipy's bits.
 """
 
 import math
@@ -97,3 +98,19 @@ def test_outputs_agree_across_cpu_paths(default_run, tmp_path, name, env):
     print(f"\n{name}: " + ("no file moved" if not moved else ", ".join(
         f"{f} ({worst:.1e})" for f, worst in moved.items())))
     assert all(worst <= RTOL for worst in moved.values()), moved
+
+
+_NDTRI_SCRIPT = """\
+import numpy as np
+from scipy.special import ndtri
+from mvgame import choquet, market
+p = market._draw_uniforms(market.episode_generator(7, 0), 10 ** 5)
+for q in (1.0 - (1.0 - p), 1.0 - p):
+    assert np.array_equal(choquet._ndtri(q).view(np.uint64), ndtri(q).view(np.uint64))
+"""
+
+
+@pytest.mark.parametrize("name, env", SETTINGS, ids=[name for name, _ in SETTINGS])
+def test_ndtri_keeps_scipys_bits_across_cpu_paths(name, env):
+    proc = run_fresh("-c", _NDTRI_SCRIPT, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -66,6 +66,18 @@ def test_output_digests_name_no_temporary_path():
     assert first[0].endswith("  table1-simulate/trajectory.csv")
 
 
+def test_ndtri_timing_runs():
+    """``tools/ndtri_timing.py`` times both quantiles at both sizes."""
+    spec = importlib.util.spec_from_file_location("ndtri_timing",
+                                                  os.path.join(TOOLS, "ndtri_timing.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    rows = list(tool.timings(repeat=1, number=1))
+    assert [(n, name) for n, name, _, _ in rows] == [
+        (2500, "in-house"), (2500, "scipy"), (32000, "in-house"), (32000, "scipy")]
+    assert all(0.0 < low <= mid for _, _, low, mid in rows)
+
+
 def test_cli_import_leaves_out_scipy_signal_and_stats():
     """Every command's start-up imports ``mvgame.cli``; ``scipy.signal`` and
     the ``scipy.stats`` it pulls in are most of a process's set-up time, and
